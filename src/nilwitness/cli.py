@@ -30,6 +30,10 @@ class UsageError(ValueError):
     pass
 
 
+class InputError(Exception):
+    """An input file that was read but holds bad data (exit 3)."""
+
+
 def _emit(report: dict, out_path: str | None) -> None:
     text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if out_path:
@@ -82,9 +86,14 @@ def cmd_verify(args) -> int:
     try:
         with open(args.infile) as fh:
             data = json.load(fh)
-        pair = witness.WitnessPair.from_json(data)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise OSError(f"cannot read witness file: {exc}") from exc
+    try:
+        pair = witness.WitnessPair.from_json(data)
+    except KeyError as exc:
+        raise InputError(f"witness file lacks the key {exc}") from None
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise InputError(f"bad witness file: {type(exc).__name__}: {exc}") from None
     report = witness.verify_witness(pair)
     payload = {
         "schema": SCHEMA,
@@ -119,10 +128,7 @@ def cmd_coinv(args) -> int:
     ring = series.ring_from_tag(args.ring)
     if isinstance(ring, series.IntegerRing):
         raise UsageError("coinvariants are computed over Q or Z/p")
-    exponents = None
-    if isinstance(ring, series.PrimeField):
-        exponents = (1,)
-    space = coinv.build_coinvariants(ring, args.weight, exponents)
+    space = coinv.build_coinvariants(ring, args.weight)
     classes = {}
     if args.infile:
         with open(args.infile) as fh:
@@ -132,7 +138,7 @@ def cmd_coinv(args) -> int:
                 ring, args.weight, [Fraction(c) for c in coeff_list]
             )
             classes[name] = [str(c) for c in coinv.theta(f, space)]
-    oracle = coinv.coinvariant_rank_oracle(ring, args.weight, exponents)
+    oracle = coinv.coinvariant_rank_oracle(ring, args.weight)
     payload = {
         "schema": SCHEMA,
         "command": "coinv",
@@ -211,16 +217,20 @@ def cmd_report(args) -> int:
     pair = witness.build_witness(q, 7)
     sections["witness"] = {"q": list(q), "K": 7, "report": pair.report.to_json(), "ok": pair.report.ok}
 
-    # witness series pushed into the coinvariant quotient: classes recorded,
-    # compared pairwise, with no claim beyond the truncated computation
+    # witness series pushed into the coinvariant quotient: classes recorded
+    # and compared pairwise.  Checked: each class is its own canonical
+    # representative, and the all-zero sequence lands on the zero class.
     space = coinv.build_coinvariants(series.QQ, 8)
-    classes = {}
+    thetas = {}
     for probe in ((0, 0, 0), q, tuple(1 - v for v in q)):
         wp = witness.build_witness(probe, 8)
         f = witness.witness_series(wp)
         fq = series.TruncatedSeries.from_coeffs(series.QQ, 8, f.coeffs)
-        classes[",".join(map(str, probe))] = [str(c) for c in coinv.theta(fq, space)]
+        thetas[",".join(map(str, probe))] = coinv.theta(fq, space)
+    classes = {name: [str(c) for c in vec] for name, vec in thetas.items()}
     names = sorted(classes)
+    canonical = all(space.reduce(vec) == vec for vec in thetas.values())
+    zero_to_zero = not any(thetas["0,0,0"])
     sections["witness_classes"] = {
         "rank": space.rank,
         "classes": classes,
@@ -229,7 +239,9 @@ def cmd_report(args) -> int:
             for i, u in enumerate(names)
             for v in names[i + 1 :]
         },
-        "ok": True,
+        "canonical": canonical,
+        "zero_to_zero": zero_to_zero,
+        "ok": canonical and zero_to_zero,
     }
 
     ok = all(s["ok"] for s in sections.values())
@@ -290,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--json", action="store_true", help="JSON output (always on)")
 
     return parser
 
@@ -303,12 +314,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, RuntimeError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

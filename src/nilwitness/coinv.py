@@ -100,20 +100,18 @@ def _shift_series(f: TruncatedSeries, r) -> TruncatedSeries:
     return rat_pow(TruncatedSeries.from_coeffs(QQ, f.trunc, (1, 1)), r) * f
 
 
-def build_coinvariants(ring: Ring, trunc: int, exponents=None) -> CoinvariantSpace:
-    """Quotient of the truncated exterior square by the diagonal action of
-    the shift powers t^r, r in `exponents`.
+def _generating_exponents(exponents) -> tuple:
+    """The shift exponents as Fractions; None means the single shift t."""
+    if exponents is None:
+        return (Fraction(1),)
+    return tuple(Fraction(e) for e in exponents)
 
-    Default generating exponents are 1..K: the matrix entries of the t^r
-    action depend polynomially on r with degree below K, so K distinct
-    integer values span the same relation space as all powers; the tests
-    re-check that empirically by adding more exponents and watching the rank.
-    """
+
+def _relation_rows(ring: Ring, trunc: int, exponents: tuple) -> tuple[tuple, list]:
+    """Wedge pairs and the rows t^r v ^ t^r w - v ^ w over the monomial
+    pairs, exponent-major."""
     if trunc < 2:
         raise ValueError("need truncation >= 2 for a nonzero exterior square")
-    if exponents is None:
-        exponents = tuple(range(1, trunc + 1))
-    exponents = tuple(Fraction(e) for e in exponents)
     pairs = tuple((i, j) for i in range(trunc) for j in range(i + 1, trunc))
     basis_series = [
         TruncatedSeries.monomial(ring, trunc, k) for k in range(trunc)
@@ -121,10 +119,28 @@ def build_coinvariants(ring: Ring, trunc: int, exponents=None) -> CoinvariantSpa
     rows = []
     for r in exponents:
         shifted = [_shift_series(f, r) for f in basis_series]
-        for i, j in pairs:
-            rel = wedge_coords(shifted[i], shifted[j], pairs)
-            base = wedge_coords(basis_series[i], basis_series[j], pairs)
-            rows.append([ring.coerce(u - v) for u, v in zip(rel, base)])
+        for idx, (i, j) in enumerate(pairs):
+            row = wedge_coords(shifted[i], shifted[j], pairs)
+            row[idx] = ring.coerce(row[idx] - 1)
+            rows.append(row)
+    return pairs, rows
+
+
+def build_coinvariants(ring: Ring, trunc: int, exponents=None) -> CoinvariantSpace:
+    """Quotient of the truncated exterior square by the diagonal action of
+    the shift powers t^r, r in `exponents`.
+
+    The default (None), the single shift t = 1 + x, spans every relation.
+    For an integer r > 0 and w in the exterior square the relation
+    telescopes, t^r w - w = sum_{k<r} (t - 1)(t^k w), so it lies in the image
+    of t - 1; t is invertible and commutes with t - 1, so negative powers add
+    nothing either.  Over Q the coordinates of t^r w are polynomial in r, so
+    rational powers span no more than the integer ones.  The saturation tests
+    re-check this by adding integer and fractional exponents and watching
+    the rank.
+    """
+    exponents = _generating_exponents(exponents)
+    pairs, rows = _relation_rows(ring, trunc, exponents)
     p = ring.p if isinstance(ring, PrimeField) else None
     rel_rank, pivots, rref_rows = linalg.rref(rows, p)
     return CoinvariantSpace(
@@ -153,22 +169,13 @@ def theta(f: TruncatedSeries, space: CoinvariantSpace) -> tuple:
 def coinvariant_rank_oracle(ring: Ring, trunc: int, exponents=None) -> int:
     """Independent re-elimination: same relation set, different pivoting.
 
-    Relations are regenerated, ordered differently, and eliminated with the
-    wedge coordinates reversed; the resulting rank must match the primary
+    The relations are generated again, in reverse order, and eliminated with
+    the wedge coordinates reversed; the resulting rank must match the primary
     computation.
     """
-    space = build_coinvariants(ring, trunc, exponents)
-    pairs = space.pairs
-    basis_series = [TruncatedSeries.monomial(ring, trunc, k) for k in range(trunc)]
-    rows = []
-    for r in reversed(space.exponents):
-        shifted = [_shift_series(f, r) for f in basis_series]
-        for i, j in reversed(pairs):
-            rel = wedge_coords(shifted[i], shifted[j], pairs)
-            base = wedge_coords(basis_series[i], basis_series[j], pairs)
-            rows.append(list(reversed([ring.coerce(u - v) for u, v in zip(rel, base)])))
+    pairs, rows = _relation_rows(ring, trunc, _generating_exponents(exponents))
     p = ring.p if isinstance(ring, PrimeField) else None
-    return len(pairs) - linalg.field_rank(rows, p)
+    return len(pairs) - linalg.field_rank([row[::-1] for row in reversed(rows)], p)
 
 
 # --- quadratic extension fields with conjugation

@@ -88,33 +88,28 @@ def lattices_equal(a: list[list[int]], b: list[list[int]]) -> bool:
 
 
 # --- field elimination
+#
+# Entries are Fractions over Q (p=None) or ints in [0, p) over Z/p.  The
+# helpers act on whole rows, reducing mod p only when a prime is set.
 
 
-class FieldOps:
-    """Arithmetic for rationals (p=None) or the prime field Z/p."""
+def _coerce_row(row, p: int | None) -> list:
+    if p is None:
+        return [Fraction(v) for v in row]
+    return [int(v) % p for v in row]
 
-    def __init__(self, p: int | None = None):
-        self.p = p
 
-    def coerce(self, v):
-        return Fraction(v) if self.p is None else int(v) % self.p
+def _scale_row(row: list, c, p: int | None) -> list:
+    if p is None:
+        return [c * v for v in row]
+    return [c * v % p for v in row]
 
-    def add(self, u, v):
-        return u + v if self.p is None else (u + v) % self.p
 
-    def neg(self, u):
-        return -u if self.p is None else (-u) % self.p
-
-    def mul(self, u, v):
-        return u * v if self.p is None else (u * v) % self.p
-
-    def inv(self, u):
-        if self.p is None:
-            return Fraction(1) / u
-        return pow(u, self.p - 2, self.p)
-
-    def is_zero(self, u) -> bool:
-        return u == 0
+def _sub_multiple(row: list, c, src: list, p: int | None) -> list:
+    """row - c * src; entries where src is zero are kept as they are."""
+    if p is None:
+        return [a - c * b if b else a for a, b in zip(row, src)]
+    return [(a - c * b) % p if b else a for a, b in zip(row, src)]
 
 
 def rref(rows: list[list], p: int | None = None) -> tuple[int, list[int], list[list]]:
@@ -124,29 +119,21 @@ def rref(rows: list[list], p: int | None = None) -> tuple[int, list[int], list[l
     to leading 1 with zeros above and below each pivot, so the output is a
     canonical form of the row space.
     """
-    F = FieldOps(p)
-    work = [[F.coerce(v) for v in row] for row in rows]
+    work = [_coerce_row(row, p) for row in rows]
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if not F.is_zero(work[i][c]):
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = F.inv(work[r][c])
-        work[r] = [F.mul(inv, v) for v in work[r]]
-        for i in range(len(work)):
-            if i != r and not F.is_zero(work[i][c]):
-                factor = work[i][c]
-                work[i] = [
-                    F.add(work[i][k], F.neg(F.mul(factor, work[r][k])))
-                    for k in range(ncols)
-                ]
+        lead = work[r][c]
+        inv = 1 / lead if p is None else pow(lead, p - 2, p)
+        src = work[r] = _scale_row(work[r], inv, p)
+        for i, row in enumerate(work):
+            if i != r and row[c]:
+                work[i] = _sub_multiple(row, row[c], src, p)
         pivots.append(c)
         r += 1
     return r, pivots, work[:r]
@@ -158,27 +145,23 @@ def field_rank(rows: list[list], p: int | None = None) -> int:
 
 def reduce_mod_rowspace(vec: list, rref_rows: list[list], pivots: list[int], p: int | None = None) -> list:
     """Canonical representative of vec modulo the row space given in rref."""
-    F = FieldOps(p)
-    out = [F.coerce(v) for v in vec]
+    out = _coerce_row(vec, p)
     for row, c in zip(rref_rows, pivots):
-        factor = out[c]
-        if not F.is_zero(factor):
-            for k in range(len(out)):
-                out[k] = F.add(out[k], F.neg(F.mul(factor, row[k])))
+        if out[c]:
+            out = _sub_multiple(out, out[c], row, p)
     return out
 
 
 def field_nullspace(rows: list[list], p: int | None = None) -> list[list]:
     """Basis of {v : rows_matrix * v = 0} over Q or Z/p (column kernel)."""
-    F = FieldOps(p)
     ncols = len(rows[0]) if rows else 0
     rank, pivots, red = rref(rows, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [F.coerce(0)] * ncols
-        v[fc] = F.coerce(1)
+        v = [0] * ncols
+        v[fc] = 1
         for row, pc in zip(red, pivots):
-            v[pc] = F.neg(row[fc])
-        basis.append(v)
+            v[pc] = -row[fc]
+        basis.append(_coerce_row(v, p))
     return basis

@@ -237,6 +237,11 @@ def build_witness(q, K: int) -> WitnessPair:
 def verify_witness(pair: WitnessPair) -> Report:
     """Re-check properties (0)-(3) from the stored factor words alone.
 
+    Property (0) also requires exactly K - 2 factors on each side and K - 2
+    stored exponents, and (3) reads the controlled exponents off the computed
+    lamplighter image of the r-product, so a cut or padded witness cannot
+    pass on the strength of what the file claims.
+
     Failures are recorded with the first failing weight or factor index;
     they are data, not exceptions.
     """
@@ -247,6 +252,11 @@ def verify_witness(pair: WitnessPair) -> Report:
     indexed = list(zip(pair.factor_indices(), pair.r_factors, pair.s_factors))
 
     fails: list[str] = []
+    n_r, n_s, n_n = len(pair.r_factors), len(pair.s_factors), len(pair.n)
+    if not n_r == n_s == n_n == K - 2:
+        fails.append(
+            f"K = {K} needs {K - 2} factors and exponents, got r {n_r}, s {n_s}, n {n_n}"
+        )
     for k, r, s in indexed:
         for name, expr in (("r", r), ("s", s)):
             gw = gamma_weight(ev.eval(expr))
@@ -284,7 +294,7 @@ def verify_witness(pair: WitnessPair) -> Report:
     for i in range(1, (K - 1) // 2 + 1):
         slot = 2 * i + 1
         want = pair.q[i - 1] if i - 1 < len(pair.q) else 0
-        got = pair.n[slot - 3] if slot - 3 < len(pair.n) else 0
+        got = lamp_r.f.coeffs[slot - 1]
         if got != want:
             fails.append(f"controlled exponent n_{slot} = {got}, expected {want}")
     p3 = PropertyResult(not fails, "; ".join(fails))

@@ -139,3 +139,63 @@ def test_unknown_command_is_usage_error():
 def test_construct_rejects_tiny_weight():
     code, _ = run_cli(["construct", "--q", "1", "--weight", "2"])
     assert code == cli.EXIT_USAGE
+
+
+def _witness_data(tmp_path):
+    out = tmp_path / "w.json"
+    code, _ = run_cli(["construct", "--q", "1,0", "--weight", "5", "--out", str(out)])
+    assert code == 0
+    return json.loads(out.read_text())
+
+
+def test_verify_missing_key_is_input_error(tmp_path, capsys):
+    data = _witness_data(tmp_path)
+    del data["n"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _ = run_cli(["verify", "--in", str(bad)])
+    assert code == cli.EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "'n'" in err and err.count("\n") == 1
+
+
+def test_verify_malformed_data_is_input_error(tmp_path):
+    data = _witness_data(tmp_path)
+    for word in ("[a,,b", "(" * 5000 + "a" + ")" * 5000, 7):
+        data["r_factors"][0] = word
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _ = run_cli(["verify", "--in", str(bad)])
+        assert code == cli.EXIT_RESOURCE, word
+    bad.write_text("[" * 100000)
+    code, _ = run_cli(["verify", "--in", str(bad)])
+    assert code == cli.EXIT_RESOURCE
+
+
+def test_runtime_error_is_internal_error(monkeypatch, capsys):
+    def fail(q, K):
+        raise RuntimeError("defect lost weight")
+
+    monkeypatch.setattr(cli.witness, "build_witness", fail)
+    code, _ = run_cli(["construct", "--q", "1", "--weight", "5"])
+    assert code == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().err == "internal error: defect lost weight\n"
+
+
+def test_json_flag_removed():
+    code, _ = run_cli(["identities", "--json"])
+    assert code == cli.EXIT_USAGE
+
+
+def test_report_witness_classes_checked(monkeypatch):
+    code, out = run_cli(["report", "--weight", "6", "--seed", "1"])
+    assert code == 0
+    section = json.loads(out)["sections"]["witness_classes"]
+    assert section["canonical"] and section["zero_to_zero"] and section["ok"]
+
+    # a theta that sends everything to a fixed nonzero vector breaks both checks
+    monkeypatch.setattr(cli.coinv, "theta", lambda f, space: (1,) * space.dim)
+    code, out = run_cli(["report", "--weight", "6", "--seed", "1"])
+    assert code == cli.EXIT_CHECK_FAILED
+    section = json.loads(out)["sections"]["witness_classes"]
+    assert not (section["canonical"] or section["zero_to_zero"] or section["ok"])

@@ -51,6 +51,30 @@ def test_rank_matches_independent_oracle():
             assert cv.coinvariant_rank_oracle(ring, K, exps) == S.rank
 
 
+def test_oracle_builds_only_its_own_rows(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the oracle must not run the primary build")
+
+    expected = {
+        (ring, K): cv.build_coinvariants(ring, K).rank
+        for ring in (sr.QQ, sr.PrimeField(3))
+        for K in (3, 6)
+    }
+    monkeypatch.setattr(cv, "build_coinvariants", no_build)
+    for (ring, K), rank in expected.items():
+        assert cv.coinvariant_rank_oracle(ring, K) == rank
+
+
+@pytest.mark.parametrize("ring", [sr.QQ, sr.PrimeField(3)], ids=["Q", "Z3"])
+def test_single_shift_gives_the_rref_of_all_shifts(ring):
+    for K in range(2, 11):
+        one = cv.build_coinvariants(ring, K)
+        every = cv.build_coinvariants(ring, K, range(1, K + 1))
+        assert one.exponents == (1,)
+        assert one._rref_pivots == every._rref_pivots
+        assert one._rref_rows == every._rref_rows
+
+
 def test_relation_saturation():
     for K in (4, 6, 8):
         base = cv.build_coinvariants(sr.QQ, K)

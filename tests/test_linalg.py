@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from nilwitness import linalg
 
 
@@ -105,3 +108,49 @@ def test_field_nullspace_annihilates():
                 for row in mat:
                     s = sum(x * y for x, y in zip(row, v))
                     assert (s % p == 0) if p else (s == 0)
+
+
+def _reference_rref(rows, p):
+    """Per-entry Gauss-Jordan elimination, kept as the reference for the
+    row-level loop in ``linalg.rref``."""
+    coerce = Fraction if p is None else (lambda v: int(v) % p)
+    work = [[coerce(v) for v in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = Fraction(1) / work[r][c] if p is None else pow(work[r][c], p - 2, p)
+        for k in range(ncols):
+            work[r][k] = inv * work[r][k] if p is None else inv * work[r][k] % p
+        for i in range(len(work)):
+            factor = work[i][c]
+            if i == r or factor == 0:
+                continue
+            for k in range(ncols):
+                value = work[i][k] - factor * work[r][k]
+                work[i][k] = value if p is None else value % p
+        pivots.append(c)
+        r += 1
+    return r, pivots, work[:r]
+
+
+@st.composite
+def _matrices(draw):
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(), st.sampled_from([None, 3]), st.randoms(use_true_random=False))
+def test_rref_matches_reference_and_ignores_row_order(rows, p, rng):
+    expected = _reference_rref(rows, p)
+    assert linalg.rref(rows, p) == expected
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert linalg.rref(shuffled, p) == expected

@@ -1,6 +1,7 @@
 """The witness constructor: base case, inductive properties, determinism,
 tamper detection, and the two-path computation of the exponent series."""
 
+import dataclasses
 import json
 
 import pytest
@@ -130,8 +131,6 @@ def test_json_roundtrip():
 
 def _tamper_factor(pair: wt.WitnessPair, which: str, index: int) -> wt.WitnessPair:
     """Bump one exponent inside one factor word."""
-    import dataclasses
-
     factors = list(getattr(pair, which))
     expr = factors[index]
     if isinstance(expr, wd.Prod) and expr.parts:
@@ -184,3 +183,55 @@ def test_empty_sequence_builds_trivially():
     pair = wt.build_witness((), 5)
     assert pair.report.ok
     assert wt.witness_series(pair).is_zero()
+
+
+def _cut_s_only(pair):
+    return dataclasses.replace(pair, s_factors=pair.s_factors[:-2])
+
+
+MUTATIONS = {
+    "truncate": lambda p: dataclasses.replace(
+        p, r_factors=p.r_factors[:2], s_factors=p.s_factors[:2], n=p.n[:2]
+    ),
+    "cut_s_only": _cut_s_only,
+    "reorder": lambda p: dataclasses.replace(
+        p, r_factors=p.r_factors[::-1], s_factors=p.s_factors[::-1]
+    ),
+    "swap_r_s": lambda p: dataclasses.replace(
+        p, r_factors=p.s_factors, s_factors=p.r_factors
+    ),
+    "raise_K": lambda p: dataclasses.replace(p, K=p.K + 1),
+    "lower_K": lambda p: dataclasses.replace(p, K=p.K - 1),
+    "change_n": lambda p: dataclasses.replace(p, n=p.n[:-1] + (p.n[-1] + 1,)),
+}
+
+
+@pytest.fixture(scope="module")
+def pair_K9():
+    pair = wt.build_witness((1, 0, 1, 1), 9)
+    assert pair.report.ok
+    return dataclasses.replace(pair, report=None)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_mutated_witness_rejected(pair_K9, name):
+    rep = wt.verify_witness(MUTATIONS[name](pair_K9))
+    assert not rep.ok, (name, rep.to_json())
+
+
+def test_cut_s_list_fails_p0_with_counts(pair_K9):
+    rep = wt.verify_witness(_cut_s_only(pair_K9))
+    assert not rep.p0.ok
+    assert "got r 7, s 5, n 7" in rep.p0.detail
+
+
+def test_controlled_exponents_read_from_image(pair_K9):
+    # q and the stored n changed together: only the computed lamplighter
+    # image still carries the true controlled exponent n_7 = q_3 = 1
+    q = list(pair_K9.q)
+    q[2] = 0
+    n = list(pair_K9.n)
+    n[7 - 3] = 0
+    rep = wt.verify_witness(dataclasses.replace(pair_K9, q=tuple(q), n=tuple(n)))
+    assert not rep.p3.ok
+    assert "n_7 = 1, expected 0" in rep.p3.detail
