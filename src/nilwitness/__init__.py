@@ -16,9 +16,6 @@ from .lamplighter import (
     LampElement,
     LampVariant,
     gamma_weight_lamp,
-    lamp_comm,
-    lamp_inv,
-    lamp_mul,
     phi_word,
     variant_from_tag,
 )

@@ -43,6 +43,14 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _load_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise OSError(f"cannot read {what} file: {exc}") from exc
+
+
 def _parse_q(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
@@ -83,11 +91,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.infile) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise OSError(f"cannot read witness file: {exc}") from exc
+    data = _load_json(args.infile, "witness")
     try:
         pair = witness.WitnessPair.from_json(data)
     except KeyError as exc:
@@ -128,16 +132,18 @@ def cmd_coinv(args) -> int:
     ring = series.ring_from_tag(args.ring)
     if isinstance(ring, series.IntegerRing):
         raise UsageError("coinvariants are computed over Q or Z/p")
-    space = coinv.build_coinvariants(ring, args.weight)
-    classes = {}
+    inputs = {}
     if args.infile:
-        with open(args.infile) as fh:
-            data = json.load(fh)
-        for name, coeff_list in data.get("series", {}).items():
-            f = series.TruncatedSeries.from_coeffs(
-                ring, args.weight, [Fraction(c) for c in coeff_list]
-            )
-            classes[name] = [str(c) for c in coinv.theta(f, space)]
+        data = _load_json(args.infile, "series")
+        try:
+            for name, coeff_list in data.get("series", {}).items():
+                inputs[name] = series.TruncatedSeries.from_coeffs(
+                    ring, args.weight, [Fraction(c) for c in coeff_list]
+                )
+        except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad series file: {type(exc).__name__}: {exc}") from None
+    space = coinv.build_coinvariants(ring, args.weight)
+    classes = {name: [str(c) for c in coinv.theta(f, space)] for name, f in inputs.items()}
     oracle = coinv.coinvariant_rank_oracle(ring, args.weight)
     payload = {
         "schema": SCHEMA,

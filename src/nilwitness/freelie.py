@@ -112,14 +112,20 @@ def _conv(p: Mapping[str, int], q: Mapping[str, int]) -> dict[str, int]:
     return out
 
 
+def _merge(dst: dict, src: Mapping, scale: int) -> None:
+    """dst += scale * src for sparse maps; a key whose value reaches zero is
+    dropped."""
+    for w, c in src.items():
+        val = dst.get(w, 0) + scale * c
+        if val:
+            dst[w] = val
+        elif w in dst:
+            del dst[w]
+
+
 def _poly_bracket(p: Mapping[str, int], q: Mapping[str, int]) -> dict[str, int]:
     out = _conv(p, q)
-    for w, c in _conv(q, p).items():
-        val = out.get(w, 0) - c
-        if val:
-            out[w] = val
-        elif w in out:
-            del out[w]
+    _merge(out, _conv(q, p), -1)
     return out
 
 
@@ -134,6 +140,14 @@ def word_expansion(word: str) -> Mapping[str, int]:
         return {word: 1}
     left, right = standard_factorization(word)
     return _poly_bracket(word_expansion(left), word_expansion(right))
+
+
+def _expand(coords: Mapping[str, int]) -> dict[str, int]:
+    """Expansion in Z<a,b> of a combination of basis words."""
+    out: dict[str, int] = {}
+    for w, c in coords.items():
+        _merge(out, word_expansion(w), c)
+    return out
 
 
 def _decompose_homogeneous(
@@ -156,13 +170,7 @@ def _decompose_homogeneous(
             support.append((w, c))
     if verify:
         residual = dict(poly)
-        for w, c in support:
-            for u, e in word_expansion(w).items():
-                val = residual.get(u, 0) - c * e
-                if val:
-                    residual[u] = val
-                elif u in residual:
-                    del residual[u]
+        _merge(residual, _expand(coords), -1)
         if residual:
             raise ValueError(
                 f"degree-{weight} component is not a Lie element "
@@ -265,25 +273,12 @@ class FreeLieElement:
 
     def nc_expansion(self) -> dict[str, int]:
         """Expansion in Z<a,b> (sum of the basis expansions)."""
-        out: dict[str, int] = {}
-        for i, c in self.coeffs.items():
-            for u, e in word_expansion(self.basis.words[i]).items():
-                val = out.get(u, 0) + c * e
-                if val:
-                    out[u] = val
-                elif u in out:
-                    del out[u]
-        return out
+        return _expand(self.word_coeffs())
 
     def __add__(self, other: "FreeLieElement") -> "FreeLieElement":
         self._check(other)
         out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            val = out.get(i, 0) + c
-            if val:
-                out[i] = val
-            elif i in out:
-                del out[i]
+        _merge(out, other.coeffs, 1)
         return FreeLieElement(self.basis, out)
 
     def __neg__(self) -> "FreeLieElement":
@@ -419,36 +414,11 @@ def check_identity(n: int, basis: HallBasis | None = None) -> bool:
 
 def _coords_bracket(U: Mapping[str, int], V: Mapping[str, int]) -> dict[str, int]:
     """Bracket of two basis-coordinate maps, result again in coordinates."""
-    pu: dict[str, int] = {}
-    for w, c in U.items():
-        for u, e in word_expansion(w).items():
-            val = pu.get(u, 0) + c * e
-            if val:
-                pu[u] = val
-            elif u in pu:
-                del pu[u]
-    pv: dict[str, int] = {}
-    for w, c in V.items():
-        for u, e in word_expansion(w).items():
-            val = pv.get(u, 0) + c * e
-            if val:
-                pv[u] = val
-            elif u in pv:
-                del pv[u]
-    poly = _poly_bracket(pu, pv)
+    poly = _poly_bracket(_expand(U), _expand(V))
     if not poly:
         return {}
     weight = len(next(iter(poly)))
     return _decompose_homogeneous(poly, weight, verify=False)
-
-
-def _merge(dst: dict[str, int], src: Mapping[str, int], sign: int) -> None:
-    for w, c in src.items():
-        val = dst.get(w, 0) + sign * c
-        if val:
-            dst[w] = val
-        elif w in dst:
-            del dst[w]
 
 
 def _present_pair(
@@ -509,8 +479,8 @@ def present_with_generators(
     beta: dict[str, int] = {}
     for w, c in t.word_coeffs().items():
         aw, bw = _present_word(w)
-        _merge(alpha, {u: c * e for u, e in aw}, 1)
-        _merge(beta, {u: c * e for u, e in bw}, 1)
+        _merge(alpha, dict(aw), c)
+        _merge(beta, dict(bw), c)
     alpha_elt = basis.from_words(alpha)
     beta_elt = basis.from_words(beta)
     check = bracket(alpha_elt, basis.gen("a")) + bracket(beta_elt, basis.gen("b"))

@@ -145,18 +145,6 @@ def lamp_b(variant: LampVariant, trunc: int) -> LampElement:
     )
 
 
-def lamp_mul(u: LampElement, v: LampElement) -> LampElement:
-    return u * v
-
-
-def lamp_inv(u: LampElement) -> LampElement:
-    return u.inverse()
-
-
-def lamp_comm(u: LampElement, v: LampElement) -> LampElement:
-    return u.commutator(v)
-
-
 class LampEvaluator:
     """Evaluates group words / word expressions in a completed lamplighter."""
 

@@ -9,15 +9,25 @@ Degree-d coefficients are stored densely: a list of 2^d integers indexed by
 the monomial's bitmask (bit = 1 for B, most significant bit = leftmost
 letter).  A degree with no nonzero coefficients is stored as None, which is
 what keeps products of deep-weight elements cheap.
+
+Every product of series goes through one convolution, _convolve: the
+monomial m1 of degree i followed by m2 of degree j has index m1 << j | m2 in
+degree i + j, so the block that row i times row j adds is their flattened
+outer product.  Multiplying or dividing by a single letter (1 + X)^+-1 goes
+through one letter step, _letter_rows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from .words import Comm, Gen, GroupWord, Pow, Prod, WordExpr, parse_word_expr
 
 INFINITE_WEIGHT = math.inf
+
+# degree rows: index d holds the 2^d coefficients of degree d, None when zero
+Rows = list[list[int] | None]
 
 
 class MagnusElement:
@@ -25,7 +35,7 @@ class MagnusElement:
 
     __slots__ = ("trunc", "_deg")
 
-    def __init__(self, trunc: int, deg: list[list[int] | None]):
+    def __init__(self, trunc: int, deg: Rows):
         self.trunc = trunc
         for d in range(1, trunc + 1):
             row = deg[d]
@@ -83,39 +93,11 @@ class MagnusElement:
             )
 
     def __mul__(self, other: "MagnusElement") -> "MagnusElement":
+        """(1 + P)(1 + Q) = 1 + (P + Q) + PQ."""
         self._check(other)
-        T = self.trunc
         p, q = self._deg, other._deg
-        out: list[list[int] | None] = [None] * (T + 1)
-        for d in range(1, T + 1):
-            acc: list[int] | None = None
-            if p[d] is not None:
-                acc = list(p[d])
-            if q[d] is not None:
-                if acc is None:
-                    acc = list(q[d])
-                else:
-                    qd = q[d]
-                    for m in range(len(qd)):
-                        acc[m] += qd[m]
-            for i in range(1, d):
-                pi, qj = p[i], q[d - i]
-                if pi is None or qj is None:
-                    continue
-                if acc is None:
-                    acc = [0] * (1 << d)
-                shift = d - i
-                for m1 in range(len(pi)):
-                    c1 = pi[m1]
-                    if not c1:
-                        continue
-                    base = m1 << shift
-                    for m2 in range(len(qj)):
-                        c2 = qj[m2]
-                        if c2:
-                            acc[base | m2] += c1 * c2
-            out[d] = acc
-        return MagnusElement(T, out)
+        out = _convolve([_add_rows(a, b, 1) for a, b in zip(p, q)], p, q)
+        return MagnusElement(self.trunc, out)
 
     def _weight(self) -> int:
         """Lowest degree with a nonzero row; trunc + 1 when trivial."""
@@ -139,9 +121,9 @@ class MagnusElement:
         w = self._weight()
         if w > T or n == 0:
             return MagnusElement.one(T)
-        acc: list[list[int] | None] = [None] * (T + 1)
+        acc: Rows = [None] * (T + 1)
         u_rows = self._deg
-        power_rows: list[list[int] | None] = list(u_rows)
+        power_rows: Rows = list(u_rows)
         j = 1
         while j * w <= T:
             coeff = _binomial_int(n, j)
@@ -159,74 +141,18 @@ class MagnusElement:
                                 accd[m] += coeff * c
             j += 1
             if j * w <= T:
-                power_rows = _rows_mul(power_rows, u_rows, T)
+                power_rows = _convolve([None] * (T + 1), power_rows, u_rows)
         return MagnusElement(T, acc)
 
     def mul_letter(self, letter: int) -> "MagnusElement":
         """Right multiplication by a generator or inverse generator
         (letter in +-1 for a, +-2 for b); linear-time in the table size."""
-        T = self.trunc
-        bit = 0 if abs(letter) == 1 else 1
-        p = self._deg
-        out: list[list[int] | None] = [None] * (T + 1)
-        if letter > 0:
-            for d in range(1, T + 1):
-                acc = list(p[d]) if p[d] is not None else None
-                prev = p[d - 1] if d > 1 else [1]
-                if prev is not None:
-                    if acc is None:
-                        acc = [0] * (1 << d)
-                    for m, c in enumerate(prev):
-                        if c:
-                            acc[(m << 1) | bit] += c
-                out[d] = acc
-            return MagnusElement(T, out)
-        # right-divide: solve Q * (1 + X) = P degree by degree
-        for d in range(1, T + 1):
-            acc = list(p[d]) if p[d] is not None else None
-            prev = out[d - 1] if d > 1 else [1]
-            if prev is not None:
-                if acc is None:
-                    acc = [0] * (1 << d)
-                for m, c in enumerate(prev):
-                    if c:
-                        acc[(m << 1) | bit] -= c
-            out[d] = acc
-        return MagnusElement(T, out)
+        return MagnusElement(self.trunc, _letter_rows(self._deg, letter, left=False))
 
     def conjugate_letter(self, letter: int) -> "MagnusElement":
         """x^-1 * self * x for a generator x (or inverse generator)."""
-        T = self.trunc
-        bit = 0 if abs(letter) == 1 else 1
-        p = self._deg
-        # left multiply / divide by (1 + X), then right the other way
-        mid: list[list[int] | None] = [None] * (T + 1)
-        if letter > 0:
-            # (1 + X)^-1 * P: solve (1 + X) Q = P
-            for d in range(1, T + 1):
-                acc = list(p[d]) if p[d] is not None else None
-                prev = mid[d - 1] if d > 1 else [1]
-                if prev is not None:
-                    if acc is None:
-                        acc = [0] * (1 << d)
-                    hi = bit << (d - 1)
-                    for m, c in enumerate(prev):
-                        if c:
-                            acc[hi | m] -= c
-                mid[d] = acc
-        else:
-            for d in range(1, T + 1):
-                acc = list(p[d]) if p[d] is not None else None
-                prev = p[d - 1] if d > 1 else [1]
-                if prev is not None:
-                    if acc is None:
-                        acc = [0] * (1 << d)
-                    hi = bit << (d - 1)
-                    for m, c in enumerate(prev):
-                        if c:
-                            acc[hi | m] += c
-                mid[d] = acc
-        return MagnusElement(T, mid).mul_letter(letter)
+        mid = _letter_rows(self._deg, -letter, left=True)
+        return MagnusElement(self.trunc, _letter_rows(mid, letter, left=False))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MagnusElement):
@@ -259,13 +185,25 @@ class MagnusElement:
         return f"MagnusElement(trunc={self.trunc}, degrees={nz})"
 
 
-def _rows_mul(
-    p: list[list[int] | None], q: list[list[int] | None], T: int
-) -> list[list[int] | None]:
-    """Plain convolution of degree-row tables (no implicit constant term)."""
-    out: list[list[int] | None] = [None] * (T + 1)
-    for i in range(1, T):
-        pi = p[i]
+def _add_rows(a: list[int] | None, b: list[int] | None, sign: int) -> list[int] | None:
+    """a + sign * b as a fresh row; None stands for a zero row."""
+    if b is None:
+        return None if a is None else list(a)
+    if a is None:
+        return list(b) if sign > 0 else list(map(operator.neg, b))
+    return list(map(operator.add if sign > 0 else operator.sub, a, b))
+
+
+def _convolve(out: Rows, p: Rows, q: Rows) -> Rows:
+    """Add the degree-row product of p and q (no constant terms) into out,
+    truncated at degree len(out) - 1, and return out.
+
+    Row i of p times row j of q adds c1 * c2 at index m1 << j | m2 of row
+    i + j; zero coefficients are skipped, since rows are sparse in practice.
+    Rows of p beyond its length count as zero.
+    """
+    T = len(out) - 1
+    for i, pi in enumerate(p[1:T], 1):
         if pi is None:
             continue
         for j in range(1, T + 1 - i):
@@ -285,6 +223,33 @@ def _rows_mul(
     return out
 
 
+def _letter_rows(p: Rows, letter: int, left: bool) -> Rows:
+    """Rows of x * P (left) or P * x (right) for the letter x = (1 + X)^+-1.
+
+    Multiplying adds X times the previous degree of the input.  Dividing
+    solves (1 + X) Q = P or Q (1 + X) = P degree by degree, so it subtracts
+    X times the previous degree of the output.
+    """
+    T = len(p) - 1
+    bit = 0 if abs(letter) == 1 else 1
+    sign = 1 if letter > 0 else -1
+    out: Rows = [None] * (T + 1)
+    prev_rows = p if letter > 0 else out
+    for d in range(1, T + 1):
+        acc = None if p[d] is None else list(p[d])
+        prev = prev_rows[d - 1] if d > 1 else [1]
+        if prev is not None:
+            if acc is None:
+                acc = [0] * (1 << d)
+            # X on the left is the top bit of degree d; on the right the lowest
+            shift, hi = (0, bit << (d - 1)) if left else (1, bit)
+            for m, c in enumerate(prev):
+                if c:
+                    acc[m << shift | hi] += sign * c
+        out[d] = acc
+    return out
+
+
 def _binomial_int(n: int, j: int) -> int:
     """Generalized binomial coefficient of an integer argument (exact)."""
     num = 1
@@ -293,65 +258,35 @@ def _binomial_int(n: int, j: int) -> int:
     return num // math.factorial(j)
 
 
-def mul(g: MagnusElement, h: MagnusElement) -> MagnusElement:
-    return g * h
-
-
-def inv(g: MagnusElement) -> MagnusElement:
-    return g.inverse()
-
-
 def commutator(g: MagnusElement, h: MagnusElement) -> MagnusElement:
     """g^-1 h^-1 g h, computed as 1 + (hg)^-1 (gh - hg).
 
-    The difference gh - hg starts at weight(g) + weight(h), so the final
-    correction product only touches deep degrees.
+    With g = 1 + P and h = 1 + Q the difference gh - hg is PQ - QP, which
+    starts at weight(g) + weight(h); so (hg)^-1 is needed only below
+    T - weight(gh - hg), and the correction product only touches deep
+    degrees.
     """
     g._check(h)
     T = g.trunc
-    gh = g * h
-    hg = h * g
-    diff: list[list[int] | None] = [None] * (T + 1)
-    lowest = None
-    for d in range(1, T + 1):
-        a, b = gh._deg[d], hg._deg[d]
-        if a is None and b is None:
-            continue
-        if a is None:
-            row = [-c for c in b]
-        elif b is None:
-            row = list(a)
-        else:
-            row = [x - y for x, y in zip(a, b)]
-        if any(row):
-            diff[d] = row
-            if lowest is None:
-                lowest = d
-    if lowest is None:
+    p, q = g._deg, h._deg
+    pq = _convolve([None] * (T + 1), p, q)
+    qp = _convolve([None] * (T + 1), q, p)
+    # 1 + (PQ - QP), so that zero rows are dropped and weight() applies
+    diff = MagnusElement(T, [_add_rows(a, b, -1) for a, b in zip(pq, qp)])
+    lowest = diff._weight()
+    if lowest > T:
         return MagnusElement.one(T)
-    inv_rows = hg.truncate(T - lowest).inverse()._deg if lowest < T else []
-    out: list[list[int] | None] = [
-        None if r is None else list(r) for r in diff
-    ]
-    for i in range(1, T - lowest + 1):
-        wi = inv_rows[i] if i < len(inv_rows) else None
-        if wi is None:
-            continue
-        for j in range(lowest, T + 1 - i):
-            cj = diff[j]
-            if cj is None:
-                continue
-            d = i + j
-            acc = out[d]
-            if acc is None:
-                acc = out[d] = [0] * (1 << d)
-            for m1, c1 in enumerate(wi):
-                if c1:
-                    base = m1 << j
-                    for m2, c2 in enumerate(cj):
-                        if c2:
-                            acc[base | m2] += c1 * c2
+    out = [None if r is None else list(r) for r in diff._deg]
+    if lowest < T:
+        low = T - lowest
+        hg_inv = (h.truncate(low) * g.truncate(low)).inverse()
+        _convolve(out, hg_inv._deg, diff._deg)
     return MagnusElement(T, out)
+
+
+def letter_commutator(g: MagnusElement, letter: int) -> MagnusElement:
+    """[g, x] = g^-1 x^-1 g x for a generator or inverse generator x."""
+    return g.inverse() * g.conjugate_letter(letter)
 
 
 def eval_word(w: GroupWord | WordExpr | str, trunc: int) -> MagnusElement:
@@ -399,13 +334,10 @@ class MagnusEvaluator:
         return out
 
     def _comm(self, expr: Comm) -> MagnusElement:
-        if isinstance(expr.right, Gen):
-            g = self.eval(expr.left)
-            letter = 1 if expr.right.name == "a" else 2
-            return g.inverse() * g.conjugate_letter(letter)
         g = self.eval(expr.left)
-        h = self.eval(expr.right)
-        return commutator(g, h)
+        if isinstance(expr.right, Gen):
+            return letter_commutator(g, 1 if expr.right.name == "a" else 2)
+        return commutator(g, self.eval(expr.right))
 
 
 def gamma_weight(g: MagnusElement) -> int | float:

@@ -34,6 +34,7 @@ from .magnus import (
     MagnusEvaluator,
     gamma_weight,
     leading_lie,
+    letter_commutator,
 )
 from .series import TruncatedSeries, ZZ
 from .words import (
@@ -150,13 +151,9 @@ def _basis(max_weight: int) -> HallBasis:
     return hall_basis(max_weight)
 
 
-def _commutator_with_letter(g: MagnusElement, letter: int) -> MagnusElement:
-    return g.inverse() * g.conjugate_letter(letter)
-
-
 def _defect(R: MagnusElement, S: MagnusElement) -> MagnusElement:
     """[R, a] [S, b] at the truncation of the inputs."""
-    return _commutator_with_letter(R, 1) * _commutator_with_letter(S, 2)
+    return letter_commutator(R, 1) * letter_commutator(S, 2)
 
 
 def _lift_inverse(elt: FreeLieElement) -> WordExpr:
@@ -246,7 +243,8 @@ def verify_witness(pair: WitnessPair) -> Report:
     they are data, not exceptions.
     """
     K = pair.K
-    T = K + 1
+    # a K below 0 is checked as K = 0: p0 fails on the factor counts
+    T = max(K, 0) + 1
     ev = _magnus_evaluator(T)
     lamp = _lamp_evaluator("Z", max(K, 1))
     indexed = list(zip(pair.factor_indices(), pair.r_factors, pair.s_factors))

@@ -56,12 +56,14 @@ def test_verify_roundtrip_and_forced_failure(tmp_path):
     assert code == 0 and json.loads(verify_out)["ok"]
 
     data = json.loads(out.read_text())
-    data["r_factors"][0] = "[a,b,b]^2"  # tamper one exponent
+    tampered_exponent = dict(data, r_factors=["[a,b,b]^2"] + data["r_factors"][1:])
+    negative_K = dict(data, K=-1)  # p0 fails on the factor counts
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
-    code, verify_out = run_cli(["verify", "--in", str(bad)])
-    assert code == cli.EXIT_CHECK_FAILED
-    assert json.loads(verify_out)["ok"] is False
+    for tampered in (tampered_exponent, negative_K):
+        bad.write_text(json.dumps(tampered))
+        code, verify_out = run_cli(["verify", "--in", str(bad)])
+        assert code == cli.EXIT_CHECK_FAILED
+        assert json.loads(verify_out)["ok"] is False
 
 
 def test_verify_missing_file_is_resource_error(tmp_path):
@@ -170,6 +172,21 @@ def test_verify_malformed_data_is_input_error(tmp_path):
     bad.write_text("[" * 100000)
     code, _ = run_cli(["verify", "--in", str(bad)])
     assert code == cli.EXIT_RESOURCE
+
+
+def test_coinv_bad_series_file_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "series.json"
+    cases = {
+        json.dumps({"series": {"f": ["abc"]}}): "input error:",
+        json.dumps({"series": {"f": ["1/0"]}}): "input error:",
+        '{"series": {"f": ["1", ': "i/o error:",
+    }
+    for text, prefix in cases.items():
+        bad.write_text(text)
+        code, _ = run_cli(["coinv", "--ring", "Q", "--weight", "4", "--in", str(bad)])
+        assert code == cli.EXIT_RESOURCE, text
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, text
 
 
 def test_runtime_error_is_internal_error(monkeypatch, capsys):

@@ -5,6 +5,8 @@ Lie elements, and the group-level alternating identity holds."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilwitness import freelie as fl
 from nilwitness import magnus as mg
@@ -100,6 +102,41 @@ def test_eval_is_homomorphism_on_random_words():
             rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 12))
         )
         assert mg.eval_word(u * v, 6) == mg.eval_word(u, 6) * mg.eval_word(v, 6)
+
+
+# --- every kernel operation against the oracle on random plain words -------
+
+_CHARS = {1: "a", -1: "A", 2: "b", -2: "B"}
+_letters = st.lists(st.sampled_from(sorted(_CHARS)), max_size=10)
+
+
+def _text(letters):
+    return "".join(_CHARS[x] for x in letters)
+
+
+def _inverse_text(letters):
+    return _text([-x for x in reversed(letters)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), _letters, _letters)
+def test_kernel_operations_match_oracle(trunc, u, v):
+    g = mg.eval_word(wd.GroupWord(tuple(u)), trunc)
+    h = mg.eval_word(wd.GroupWord(tuple(v)), trunc)
+    gu, gv = _text(u), _text(v)
+    iu, iv = _inverse_text(u), _inverse_text(v)
+    assert as_dict(g) == oracle_eval(gu, trunc)
+    assert as_dict(g * h) == oracle_eval(gu + gv, trunc)
+    assert as_dict(g.inverse()) == oracle_eval(iu, trunc)
+    for n in range(-3, 4):
+        assert as_dict(g**n) == oracle_eval(gu * n if n >= 0 else iu * -n, trunc)
+    assert as_dict(mg.commutator(g, h)) == oracle_eval(iu + iv + gu + gv, trunc)
+    for letter, ch in _CHARS.items():
+        assert as_dict(g.mul_letter(letter)) == oracle_eval(gu + ch, trunc)
+        inv_ch = _CHARS[-letter]
+        assert as_dict(g.conjugate_letter(letter)) == oracle_eval(
+            inv_ch + gu + ch, trunc
+        )
 
 
 # --- group laws ------------------------------------------------------------

@@ -202,6 +202,7 @@ MUTATIONS = {
     ),
     "raise_K": lambda p: dataclasses.replace(p, K=p.K + 1),
     "lower_K": lambda p: dataclasses.replace(p, K=p.K - 1),
+    "negative_K": lambda p: dataclasses.replace(p, K=-1),
     "change_n": lambda p: dataclasses.replace(p, n=p.n[:-1] + (p.n[-1] + 1,)),
 }
 
