@@ -12,13 +12,7 @@ from .freelie import (
     present_with_generators,
     witt_number,
 )
-from .lamplighter import (
-    LampElement,
-    LampVariant,
-    gamma_weight_lamp,
-    phi_word,
-    variant_from_tag,
-)
+from .lamplighter import LampElement, gamma_weight_lamp, phi_word
 from .magnus import (
     INFINITE_WEIGHT,
     MagnusElement,

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import coinv, freelie, magnus, series, witness
-from .lamplighter import gamma_weight_lamp, phi_word, variant_from_tag
+from .lamplighter import gamma_weight_lamp, phi_word
 from .words import parse_word_expr
 
 SCHEMA = "1"
@@ -24,6 +24,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# largest coinv --weight: the relation matrix has K(K-1)/2 columns and rows
+MAX_COINV_WEIGHT = 64
 
 
 class UsageError(ValueError):
@@ -82,8 +85,6 @@ def cmd_identities(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    if args.weight < 3:
-        raise UsageError("--weight must be >= 3")
     pair = witness.build_witness(_parse_q(args.q), args.weight)
     payload = {"schema": SCHEMA, "command": "construct", **pair.to_json()}
     _emit(payload, args.out)
@@ -98,7 +99,10 @@ def cmd_verify(args) -> int:
         raise InputError(f"witness file lacks the key {exc}") from None
     except (TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"bad witness file: {type(exc).__name__}: {exc}") from None
-    report = witness.verify_witness(pair)
+    try:
+        report = witness.verify_witness(pair)
+    except RecursionError:
+        raise InputError("witness words are nested too deeply to evaluate") from None
     payload = {
         "schema": SCHEMA,
         "command": "verify",
@@ -112,16 +116,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    variant = variant_from_tag(args.ring)
+    ring = series.ring_from_tag(args.ring)
     expr = parse_word_expr(args.word)
-    img = phi_word(expr, variant, args.weight)
+    img = phi_word(expr, ring, args.weight)
     weight = gamma_weight_lamp(img)
     payload = {
         "schema": SCHEMA,
         "command": "phi",
         "config": {"word": args.word, "ring": args.ring, "K": args.weight},
         "image": img.to_json(),
-        "weight": "inf" if weight == float("inf") else weight,
+        "weight": "inf" if weight == series.INFINITE_WEIGHT else weight,
         "ok": True,
     }
     _emit(payload, args.out)
@@ -132,6 +136,8 @@ def cmd_coinv(args) -> int:
     ring = series.ring_from_tag(args.ring)
     if isinstance(ring, series.IntegerRing):
         raise UsageError("coinvariants are computed over Q or Z/p")
+    if args.weight > MAX_COINV_WEIGHT:
+        raise UsageError(f"--weight must be at most {MAX_COINV_WEIGHT}")
     inputs = {}
     if args.infile:
         data = _load_json(args.infile, "series")

@@ -29,15 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .series import (
-    PrimeField,
-    QQ,
-    RationalRing,
-    Ring,
-    TruncatedSeries,
-    one_plus_x_power,
-    rat_pow,
-)
+from .series import PrimeField, Ring, TruncatedSeries, one_plus_x_power
 
 
 # --- exterior-square coinvariants
@@ -91,15 +83,6 @@ def wedge_coords(
     ]
 
 
-def _shift_series(f: TruncatedSeries, r) -> TruncatedSeries:
-    r = Fraction(r)
-    if r.denominator == 1:
-        return one_plus_x_power(f.ring, int(r), f.trunc) * f
-    if not isinstance(f.ring, RationalRing):
-        raise ValueError("fractional shift exponents need the rational ring")
-    return rat_pow(TruncatedSeries.from_coeffs(QQ, f.trunc, (1, 1)), r) * f
-
-
 def _generating_exponents(exponents) -> tuple:
     """The shift exponents as Fractions; None means the single shift t."""
     if exponents is None:
@@ -118,7 +101,8 @@ def _relation_rows(ring: Ring, trunc: int, exponents: tuple) -> tuple[tuple, lis
     ]
     rows = []
     for r in exponents:
-        shifted = [_shift_series(f, r) for f in basis_series]
+        t_r = one_plus_x_power(ring, r, trunc)
+        shifted = [t_r * f for f in basis_series]
         for idx, (i, j) in enumerate(pairs):
             row = wedge_coords(shifted[i], shifted[j], pairs)
             row[idx] = ring.coerce(row[idx] - 1)
@@ -229,9 +213,6 @@ class InvolutiveField:
             )
 
     # vectors are tuples of QuadExt of length dim
-    def zero_vec(self):
-        return tuple(QuadExt.of(0) for _ in range(self.dim))
-
     def basis_vec(self, i: int):
         return tuple(QuadExt.of(int(j == i)) for j in range(self.dim))
 

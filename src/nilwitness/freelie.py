@@ -201,9 +201,6 @@ class HallBasis:
     index: Mapping[str, int] = field(repr=False)
     subterms: tuple[tuple[int, int], ...] = field(repr=False)
 
-    def weight_of(self, i: int) -> int:
-        return len(self.words[i])
-
     def words_of_weight(self, w: int) -> tuple[str, ...]:
         return _lyndon_by_weight(w) if w <= self.max_weight else ()
 

@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 import operator
 
-from .words import Comm, Gen, GroupWord, Pow, Prod, WordExpr, parse_word_expr
-
-INFINITE_WEIGHT = math.inf
+from .series import INFINITE_WEIGHT
+from .words import Gen, GroupWord, WordExpr, evaluate, parse_word_expr
 
 # degree rows: index d holds the 2^d coefficients of degree d, None when zero
 Rows = list[list[int] | None]
@@ -313,40 +312,25 @@ class MagnusEvaluator:
         self._cache: dict[str, MagnusElement] = {}
 
     def eval(self, expr: WordExpr) -> MagnusElement:
-        key = expr.key()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(expr, Gen):
-            out = MagnusElement.generator(expr.name, self.trunc)
-        elif isinstance(expr, Pow):
-            out = self.eval(expr.base) ** expr.exp
-        elif isinstance(expr, Comm):
-            out = self._comm(expr)
-        elif isinstance(expr, Prod):
-            out = MagnusElement.one(self.trunc)
-            for p in expr.parts:
-                g = self.eval(p)
-                out = out * g
-        else:
-            raise TypeError(f"cannot evaluate {expr!r}")
-        self._cache[key] = out
-        return out
+        return evaluate(expr, self._cache, self)
 
-    def _comm(self, expr: Comm) -> MagnusElement:
-        g = self.eval(expr.left)
-        if isinstance(expr.right, Gen):
-            return letter_commutator(g, 1 if expr.right.name == "a" else 2)
-        return commutator(g, self.eval(expr.right))
+    def one(self) -> MagnusElement:
+        return MagnusElement.one(self.trunc)
+
+    def generator(self, name: str) -> MagnusElement:
+        return MagnusElement.generator(name, self.trunc)
+
+    def comm(self, g: MagnusElement, right: WordExpr) -> MagnusElement:
+        if isinstance(right, Gen):
+            return letter_commutator(g, 1 if right.name == "a" else 2)
+        return commutator(g, self.eval(right))
 
 
 def gamma_weight(g: MagnusElement) -> int | float:
     """Lower-central weight at truncation: the lowest degree with a nonzero
     coefficient in g - 1; INFINITE_WEIGHT when g is trivial at truncation."""
-    for d in range(1, g.trunc + 1):
-        if g._deg[d] is not None:
-            return d
-    return INFINITE_WEIGHT
+    w = g._weight()
+    return INFINITE_WEIGHT if w > g.trunc else w
 
 
 def leading_lie(g: MagnusElement, basis):
@@ -358,7 +342,7 @@ def leading_lie(g: MagnusElement, basis):
     from . import freelie
 
     k = gamma_weight(g)
-    if k is INFINITE_WEIGHT:
+    if k == INFINITE_WEIGHT:
         raise ValueError("identity element has no leading term")
     if k > basis.max_weight:
         raise ValueError("leading weight exceeds basis truncation")

@@ -20,6 +20,9 @@ from . import linalg
 
 RationalExponent = Fraction  # exact rational, stdlib keeps lowest terms
 
+# the weight (and valuation) of an element that is trivial at truncation
+INFINITE_WEIGHT = math.inf
+
 
 @dataclass(frozen=True)
 class IntegerRing:
@@ -184,23 +187,13 @@ class TruncatedSeries:
         return TruncatedSeries(ring, K, tuple(out))
 
     def __pow__(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = TruncatedSeries.one(self.ring, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return square_and_multiply(self, n, TruncatedSeries.one(self.ring, self.trunc))
 
     def valuation(self) -> int | float:
         for i, c in enumerate(self.coeffs):
             if c != 0:
                 return i
-        return float("inf")
+        return INFINITE_WEIGHT
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -286,12 +279,30 @@ def antipode(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly.from_terms(p.ring, {-e: c for e, c in p.terms.items()})
 
 
-def one_plus_x_power(ring: Ring, e: int, trunc: int) -> TruncatedSeries:
-    """(1 + x)^e for integer e, negative powers via the geometric inverse."""
+def square_and_multiply(x, n: int, one):
+    """x^n for an integer n by repeated squaring from the identity `one`;
+    a negative n powers the inverse of x."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
+def one_plus_x_power(ring: Ring, r, trunc: int) -> TruncatedSeries:
+    """(1 + x)^r for rational r: an integer power (negative ones through the
+    geometric inverse), otherwise the binomial series rat_pow, which needs
+    the rational ring."""
     base = TruncatedSeries.from_coeffs(ring, trunc, (1, 1))
-    if e >= 0:
-        return base**e
-    return base.inverse() ** (-e)
+    r = Fraction(r)
+    if r.denominator == 1:
+        return base**r.numerator
+    return rat_pow(base, r)
 
 
 def tau(p: LaurentPoly, trunc: int) -> TruncatedSeries:
@@ -341,10 +352,7 @@ def rat_pow(f: TruncatedSeries, r) -> TruncatedSeries:
 
 def tau_q(r, trunc: int) -> TruncatedSeries:
     """Image of the group element t^r, rational r: (1 + x)^r over Q."""
-    r = Fraction(r)
-    if r.denominator == 1:
-        return one_plus_x_power(QQ, r.numerator, trunc)
-    return rat_pow(TruncatedSeries.from_coeffs(QQ, trunc, (1, 1)), r)
+    return one_plus_x_power(QQ, r, trunc)
 
 
 # --- the augmentation-filtration isomorphism certificate

@@ -27,7 +27,7 @@ import functools
 from dataclasses import dataclass, replace
 
 from .freelie import FreeLieElement, HallBasis, hall_basis, present_with_generators
-from .lamplighter import LampEvaluator, variant_from_tag
+from .lamplighter import LampEvaluator
 from .magnus import (
     INFINITE_WEIGHT,
     MagnusElement,
@@ -60,6 +60,10 @@ __all__ = [
     "witness_series",
     "alternating_engel_product",
 ]
+
+# largest truncation weight accepted: degree-K tables hold 2^K coefficients,
+# and K = 13 already peaks near 2 GB
+MAX_K = 20
 
 
 @dataclass(frozen=True)
@@ -127,9 +131,12 @@ class WitnessPair:
 
     @staticmethod
     def from_json(data: dict) -> "WitnessPair":
+        K = int(data["K"])
+        if K > MAX_K:
+            raise ValueError(f"K = {K} is above the limit {MAX_K}")
         return WitnessPair(
             q=tuple(int(v) for v in data["q"]),
-            K=int(data["K"]),
+            K=K,
             r_factors=tuple(parse_word_expr(t) for t in data["r_factors"]),
             s_factors=tuple(parse_word_expr(t) for t in data["s_factors"]),
             n=tuple(int(v) for v in data["n"]),
@@ -142,8 +149,8 @@ def _magnus_evaluator(trunc: int) -> MagnusEvaluator:
 
 
 @functools.lru_cache(maxsize=None)
-def _lamp_evaluator(tag: str, trunc: int) -> LampEvaluator:
-    return LampEvaluator(variant_from_tag(tag), trunc)
+def _lamp_evaluator(trunc: int) -> LampEvaluator:
+    return LampEvaluator(ZZ, trunc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,13 +177,13 @@ def build_witness(q, K: int) -> WitnessPair:
     Deterministic: the same (q, K) always yields the same factor words, and
     growing K extends the factor list without changing earlier factors.
     """
-    if K < 3:
-        raise ValueError("K must be >= 3")
+    if not 3 <= K <= MAX_K:
+        raise ValueError(f"K must be in 3..{MAX_K}")
     q = tuple(int(v) for v in q)
     T = K + 1
     basis = _basis(T)
     ev = _magnus_evaluator(T)
-    lamp = _lamp_evaluator("Z", K)
+    lamp = _lamp_evaluator(K)
 
     def q_at(i: int) -> int:
         return q[i - 1] if i - 1 < len(q) else 0
@@ -197,7 +204,7 @@ def build_witness(q, K: int) -> WitnessPair:
             raise RuntimeError(
                 f"internal error: defect after step {k} has weight {gw} < {k + 2}"
             )
-        if gw is INFINITE_WEIGHT:
+        if gw == INFINITE_WEIGHT:
             a_inv = b_inv = IDENTITY
         else:
             t = leading_lie(D, basis)
@@ -246,7 +253,7 @@ def verify_witness(pair: WitnessPair) -> Report:
     # a K below 0 is checked as K = 0: p0 fails on the factor counts
     T = max(K, 0) + 1
     ev = _magnus_evaluator(T)
-    lamp = _lamp_evaluator("Z", max(K, 1))
+    lamp = _lamp_evaluator(max(K, 1))
     indexed = list(zip(pair.factor_indices(), pair.r_factors, pair.s_factors))
 
     fails: list[str] = []

@@ -11,9 +11,13 @@ Two layers:
   evaluators work at the element level instead of expanding commutators
   into very long letter strings.
 
+evaluate is the one walk over an expression: the Magnus and lamplighter
+evaluators and the expansion into a GroupWord all run it, each with its own
+group and cache.
+
 Text syntax: letters a, A (= a^-1), b, B (= b^-1); commutators "[u,v]",
-left-normalized chains "[u,v,w,...]", iterated form "[u,_n v]"; powers
-"w^n" with integer n.  Whitespace is ignored.
+left-normalized chains "[u,v,w,...]", iterated form "[u,_n v]" with
+0 <= n <= MAX_ITERATE; powers "w^n" with integer n.  Whitespace is ignored.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from dataclasses import dataclass
 
 _LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
 _SIGNED = {"a": 1, "A": -1, "b": 2, "B": -2}
+
+# largest n accepted in "[u,_n v]"; a witness of depth K writes at most K
+MAX_ITERATE = 64
 
 
 @dataclass(frozen=True)
@@ -98,45 +105,60 @@ class WordExpr:
     def to_group_word(self) -> GroupWord:
         """Expand to a reduced letter word.
 
-        Subexpression letter strings are cached for the duration of the call
-        and assembled by flat concatenation, so the cost is linear in the
-        expanded length even for large powers of long commutator words.
+        Subexpression words are cached for the duration of the call, so
+        each distinct subexpression is expanded once.
         """
-        return GroupWord.from_letters(_letters_of(self, {}))
+        return _LetterWords().eval(self)
 
     def inverse(self) -> "WordExpr":
         return power(self, -1)
 
 
-def _letters_of(expr: "WordExpr", cache: dict) -> tuple[int, ...]:
+def evaluate(expr: WordExpr, cache: dict, group):
+    """Value of expr in `group`, memoized in `cache` on expr.key().
+
+    `group` supplies one(), generator(name) and comm(value, right), where
+    value is the evaluated left argument and right the unevaluated right
+    one, so that a group can take a shortcut for a letter on the right.
+    Values need only * and ** with an integer exponent.
+    """
     key = expr.key()
     hit = cache.get(key)
     if hit is not None:
         return hit
     if isinstance(expr, Gen):
-        out = (_SIGNED[expr.name],)
+        out = group.generator(expr.name)
     elif isinstance(expr, Pow):
-        base = _letters_of(expr.base, cache)
-        if expr.exp < 0:
-            base = tuple(-s for s in reversed(base))
-        out = base * abs(expr.exp)
+        out = evaluate(expr.base, cache, group) ** expr.exp
     elif isinstance(expr, Comm):
-        left = _letters_of(expr.left, cache)
-        right = _letters_of(expr.right, cache)
-        out = (
-            tuple(-s for s in reversed(left))
-            + tuple(-s for s in reversed(right))
-            + left
-            + right
-        )
+        out = group.comm(evaluate(expr.left, cache, group), expr.right)
     elif isinstance(expr, Prod):
-        out = ()
+        out = group.one()
         for p in expr.parts:
-            out = out + _letters_of(p, cache)
+            out = out * evaluate(p, cache, group)
     else:
-        raise TypeError(f"cannot expand {expr!r}")
+        raise TypeError(f"cannot evaluate {expr!r}")
     cache[key] = out
     return out
+
+
+class _LetterWords:
+    """The free group on reduced letter words, for evaluate."""
+
+    def __init__(self):
+        self._cache: dict[str, GroupWord] = {}
+
+    def eval(self, expr: WordExpr) -> GroupWord:
+        return evaluate(expr, self._cache, self)
+
+    def one(self) -> GroupWord:
+        return GroupWord.identity()
+
+    def generator(self, name: str) -> GroupWord:
+        return GroupWord((_SIGNED[name],))
+
+    def comm(self, value: GroupWord, right: WordExpr) -> GroupWord:
+        return value.commutator(self.eval(right))
 
 
 class Gen(WordExpr):
@@ -322,8 +344,12 @@ class _Parser:
                 if self.peek() == "_":
                     self.pos += 1
                     count = self.parse_int()
+                    if not 0 <= count <= MAX_ITERATE:
+                        raise WordSyntaxError(
+                            f"iterate count {count} outside 0..{MAX_ITERATE} at {self.pos}"
+                        )
                     arg = self.parse_product(stop_chars=",]")
-                    if count < 0 or (isinstance(arg, Prod) and not arg.parts):
+                    if isinstance(arg, Prod) and not arg.parts:
                         raise WordSyntaxError(f"bad iterated commutator at {self.pos}")
                     for _ in range(count):
                         expr = Comm(expr, arg)

@@ -189,6 +189,44 @@ def test_coinv_bad_series_file_is_input_error(tmp_path, capsys):
         assert err.startswith(prefix) and err.count("\n") == 1, text
 
 
+def test_verify_hostile_nesting_is_input_error(tmp_path, capsys):
+    data = _witness_data(tmp_path)
+    nested = "a"
+    for i in range(30):
+        nested = f"[{nested},_50 {'ba'[i % 2]}]"
+    bad = tmp_path / "bad.json"
+    for word in ("[a,_1500 b]", nested):
+        data["r_factors"][0] = word
+        bad.write_text(json.dumps(data))
+        code, _ = run_cli(["verify", "--in", str(bad)])
+        assert code == cli.EXIT_RESOURCE, word[:20]
+        assert capsys.readouterr().err.startswith("input error:")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work began on an input above the limit")
+
+
+def test_weight_limits_checked_before_any_work(tmp_path, monkeypatch):
+    for name in ("_basis", "_magnus_evaluator", "_lamp_evaluator"):
+        monkeypatch.setattr(cli.witness, name, _refuse)
+    monkeypatch.setattr(cli.coinv, "_relation_rows", _refuse)
+    big = cli.witness.MAX_K + 1
+
+    data = {"q": [1], "K": big, "r_factors": [], "s_factors": [], "n": []}
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(data))
+    code, _ = run_cli(["verify", "--in", str(bad)])
+    assert code == cli.EXIT_RESOURCE
+
+    code, _ = run_cli(["construct", "--q", "1", "--weight", str(big)])
+    assert code == cli.EXIT_USAGE
+
+    weight = str(cli.MAX_COINV_WEIGHT + 1)
+    code, _ = run_cli(["coinv", "--ring", "Zp:3", "--weight", weight])
+    assert code == cli.EXIT_USAGE
+
+
 def test_runtime_error_is_internal_error(monkeypatch, capsys):
     def fail(q, K):
         raise RuntimeError("defect lost weight")

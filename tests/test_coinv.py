@@ -37,8 +37,8 @@ def test_action_classes_collapse():
         v = rand_series(sr.QQ, 6, rng)
         w = rand_series(sr.QQ, 6, rng)
         r = Fraction(rng.randint(1, 6))
-        tv = cv._shift_series(v, r)
-        tw = cv._shift_series(w, r)
+        t_r = sr.one_plus_x_power(sr.QQ, r, 6)
+        tv, tw = t_r * v, t_r * w
         assert S.reduce(cv.wedge_coords(v, w, S.pairs)) == S.reduce(
             cv.wedge_coords(tv, tw, S.pairs)
         )

@@ -1,0 +1,49 @@
+"""Golden CLI outputs: stdout must match the recorded files byte for byte.
+
+Each ``tests/golden/<name>.json`` is the stdout of
+
+    PYTHONPATH=src python -m nilwitness.cli <argv>
+
+with the argv listed for it in ``CASES`` (``verify`` reads the recorded
+``construct_K8.json``), run from the repository root. The files were
+recorded before the word, series and lamplighter layers were rebuilt on one
+expression walk, and pin those outputs across refactors. When a change is
+meant to alter an output, re-run the command by hand, write its stdout over
+the file and say so in the change.
+"""
+
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from nilwitness import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PHI_WORD = "[a,_3 b] [a,b,a]^-2 b"
+
+CASES = {
+    "phi_Z": ["phi", "--word", PHI_WORD, "--weight", "8", "--ring", "Z"],
+    "phi_Q": ["phi", "--word", PHI_WORD, "--weight", "8", "--ring", "Q"],
+    "phi_Zp5": ["phi", "--word", PHI_WORD, "--weight", "8", "--ring", "Zp:5"],
+    "construct_K8": ["construct", "--q", "1,0,1,1,0,1", "-K", "8"],
+    "verify_K8": ["verify", "--in", str(GOLDEN / "construct_K8.json")],
+    "coinv_Q_K8": ["coinv", "--ring", "Q", "--weight", "8"],
+    "coinv_Zp3_K8": ["coinv", "--ring", "Zp:3", "--weight", "8"],
+    "identities_n2": ["identities", "--max-n", "2"],
+    "involution_t5": ["involution", "--trials", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    buf = io.StringIO()
+    old = sys.stdout
+    sys.stdout = buf
+    try:
+        code = cli.main(CASES[name])
+    finally:
+        sys.stdout = old
+    assert code == cli.EXIT_OK
+    assert buf.getvalue().encode() == (GOLDEN / f"{name}.json").read_bytes()

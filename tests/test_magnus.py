@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilwitness import freelie as fl
+from nilwitness import lamplighter as lp
 from nilwitness import magnus as mg
 from nilwitness import words as wd
 
@@ -273,6 +274,56 @@ def test_parser_roundtrip():
     for text in ("[a,b,b]", "[a,_4 b]", "a^-3 [b,a]^2 B", "[a,[a,b]]"):
         expr = wd.parse_word_expr(text)
         assert wd.parse_word_expr(str(expr)) == expr
+
+
+def _nonempty(exprs):
+    return exprs.filter(lambda e: not (isinstance(e, wd.Prod) and not e.parts))
+
+
+def _exprs(depth):
+    """Expression trees over a, b of depth <= `depth`.
+
+    `power` is not applied to a Pow: power(A, -1) flattens to the text "a^1",
+    which parses back as "a" (an equal element with another text).
+    """
+    leaf = st.sampled_from([wd.A, wd.B])
+    if depth == 0:
+        return leaf
+    sub = _exprs(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(wd.power, sub.filter(lambda e: not isinstance(e, wd.Pow)), st.integers(-3, 3)),
+        st.builds(lambda parts: wd.product(*parts), st.lists(sub, max_size=3)),
+        st.builds(wd.Comm, _nonempty(sub), _nonempty(sub)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exprs(3), st.integers(1, 6))
+def test_expression_walk_matches_letter_loops(expr, trunc):
+    assert wd.parse_word_expr(str(expr)) == expr
+    word = expr.to_group_word()
+    assert mg.MagnusEvaluator(trunc).eval(expr) == mg.eval_word(word, trunc)
+    for tag in ("Z", "Q", "Zp:5"):
+        assert lp.phi_word(expr, tag, trunc) == lp.phi_word(word, tag, trunc)
+
+
+def test_parser_rejects_unbounded_iterate_count(monkeypatch):
+    class Limited(wd.Comm):
+        built = 0
+
+        def __init__(self, left, right):
+            Limited.built += 1
+            if Limited.built > 100:
+                raise RuntimeError("the parser built nodes for the iterate count")
+            super().__init__(left, right)
+
+    monkeypatch.setattr(wd, "Comm", Limited)
+    with pytest.raises(wd.WordSyntaxError):
+        wd.parse_word_expr("[a,_1000000000 b]")
+    assert Limited.built == 0
+    text = f"[a,_{wd.MAX_ITERATE} b]"
+    assert str(wd.parse_word_expr(text)) == text
 
 
 def test_parser_engel_equivalence():
