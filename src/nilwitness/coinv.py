@@ -38,11 +38,10 @@ from .series import PrimeField, Ring, TruncatedSeries, one_plus_x_power
 @dataclass(frozen=True)
 class CoinvariantSpace:
     """Quotient presentation of the truncated exterior square by the diagonal
-    action of the chosen shift powers."""
+    action of the shift t = 1 + x."""
 
     ring: Ring
     trunc: int
-    exponents: tuple
     pairs: tuple[tuple[int, int], ...]
     rank: int
     rel_rank: int
@@ -83,13 +82,6 @@ def wedge_coords(
     ]
 
 
-def _generating_exponents(exponents) -> tuple:
-    """The shift exponents as Fractions; None means the single shift t."""
-    if exponents is None:
-        return (Fraction(1),)
-    return tuple(Fraction(e) for e in exponents)
-
-
 def _relation_rows(ring: Ring, trunc: int, exponents: tuple) -> tuple[tuple, list]:
     """Wedge pairs and the rows t^r v ^ t^r w - v ^ w over the monomial
     pairs, exponent-major."""
@@ -110,27 +102,25 @@ def _relation_rows(ring: Ring, trunc: int, exponents: tuple) -> tuple[tuple, lis
     return pairs, rows
 
 
-def build_coinvariants(ring: Ring, trunc: int, exponents=None) -> CoinvariantSpace:
+def build_coinvariants(ring: Ring, trunc: int) -> CoinvariantSpace:
     """Quotient of the truncated exterior square by the diagonal action of
-    the shift powers t^r, r in `exponents`.
+    the shift powers t^r.
 
-    The default (None), the single shift t = 1 + x, spans every relation.
-    For an integer r > 0 and w in the exterior square the relation
-    telescopes, t^r w - w = sum_{k<r} (t - 1)(t^k w), so it lies in the image
-    of t - 1; t is invertible and commutes with t - 1, so negative powers add
-    nothing either.  Over Q the coordinates of t^r w are polynomial in r, so
-    rational powers span no more than the integer ones.  The saturation tests
-    re-check this by adding integer and fractional exponents and watching
-    the rank.
+    The single shift t = 1 + x spans every relation.  For an integer r > 0
+    and w in the exterior square the relation telescopes,
+    t^r w - w = sum_{k<r} (t - 1)(t^k w), so it lies in the image of t - 1;
+    t is invertible and commutes with t - 1, so negative powers add nothing
+    either.  Over Q the coordinates of t^r w are polynomial in r, so rational
+    powers span no more than the integer ones.  The saturation tests re-check
+    this by eliminating rows of further integer and fractional exponents
+    (built by `_relation_rows`) and comparing ranks, pivots and rows.
     """
-    exponents = _generating_exponents(exponents)
-    pairs, rows = _relation_rows(ring, trunc, exponents)
+    pairs, rows = _relation_rows(ring, trunc, (1,))
     p = ring.p if isinstance(ring, PrimeField) else None
     rel_rank, pivots, rref_rows = linalg.rref(rows, p)
     return CoinvariantSpace(
         ring=ring,
         trunc=trunc,
-        exponents=exponents,
         pairs=pairs,
         rank=len(pairs) - rel_rank,
         rel_rank=rel_rank,
@@ -150,14 +140,14 @@ def theta(f: TruncatedSeries, space: CoinvariantSpace) -> tuple:
     return space.reduce(wedge_coords(f, one, space.pairs))
 
 
-def coinvariant_rank_oracle(ring: Ring, trunc: int, exponents=None) -> int:
+def coinvariant_rank_oracle(ring: Ring, trunc: int) -> int:
     """Independent re-elimination: same relation set, different pivoting.
 
     The relations are generated again, in reverse order, and eliminated with
     the wedge coordinates reversed; the resulting rank must match the primary
     computation.
     """
-    pairs, rows = _relation_rows(ring, trunc, _generating_exponents(exponents))
+    pairs, rows = _relation_rows(ring, trunc, (1,))
     p = ring.p if isinstance(ring, PrimeField) else None
     return len(pairs) - linalg.field_rank([row[::-1] for row in reversed(rows)], p)
 

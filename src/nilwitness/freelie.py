@@ -4,13 +4,16 @@ Basis elements are indexed by Lyndon words over the alphabet {a, b}; the
 bracketing of a Lyndon word w of length >= 2 is [left, right] where right is
 the lexicographically smallest proper suffix of w (the standard
 factorization).  That family of bracketed words is an integral basis of the
-free Lie ring, graded by word length ("weight").
+free Lie ring, graded by word length ("weight").  An element's coordinates
+are a map from Lyndon word to integer; there is no other coordinate system.
 
 Normalization works through the faithful embedding into the free associative
 ring Z<a,b>: every basis bracket expands to an integer polynomial in
 noncommuting words, and the expansion of the word w is w plus lexicographically
-larger words of the same length.  That triangularity lets us read coordinates
-off a homogeneous Lie polynomial one Lyndon word at a time, exactly over Z.
+larger words of the same length (Reutenauer, Free Lie Algebras, 1993).  That
+unitriangularity makes `lie_coordinates` one exact elimination pass over Z;
+it is the only way back from Z<a,b> to coordinates, and it raises when the
+residual does not vanish, so every normalization is certified.
 
 All values are immutable after construction and all operations are pure, so
 sharing a HallBasis between threads is safe.
@@ -19,7 +22,7 @@ sharing a HallBasis between threads is safe.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 GENERATORS = ("a", "b")
@@ -84,10 +87,6 @@ def standard_factorization(word: str) -> tuple[str, str]:
     return word[: len(word) - len(right)], right
 
 
-def is_lyndon(word: str) -> bool:
-    return len(word) >= 1 and all(word < word[i:] for i in range(1, len(word)))
-
-
 def bracket_string(word: str) -> str:
     """Nested-bracket form of a basis word, e.g. 'abb' -> '[[a,b],b]'."""
     if len(word) == 1:
@@ -150,38 +149,37 @@ def _expand(coords: Mapping[str, int]) -> dict[str, int]:
     return out
 
 
-def _decompose_homogeneous(
-    poly: Mapping[str, int], weight: int, verify: bool
-) -> dict[str, int]:
-    """Coordinates of a homogeneous Lie polynomial in the Lyndon basis.
+def lie_coordinates(poly: Mapping[str, int]) -> dict[str, int]:
+    """Coordinates of a Lie polynomial of Z<a,b> in the Lyndon basis.
 
-    Reads coefficients off in increasing lex order using triangularity of the
-    basis expansions.  With verify=True the residual is recomputed and must
-    vanish; a nonzero residual means the input was not a Lie element.
+    Within each weight the least Lyndon word w left in the residual carries
+    its coordinate c (triangularity), and c * expansion(w) is subtracted.
+    A residual that does not end at zero means `poly` is not a Lie element
+    and raises ValueError.
     """
+    residual = dict(poly)
     coords: dict[str, int] = {}
-    support: list[tuple[str, int]] = []
-    for w in _lyndon_by_weight(weight):
-        c = poly.get(w, 0)
-        for w_prev, c_prev in support:
-            c -= c_prev * word_expansion(w_prev).get(w, 0)
-        if c:
-            coords[w] = c
-            support.append((w, c))
-    if verify:
-        residual = dict(poly)
-        _merge(residual, _expand(coords), -1)
-        if residual:
-            raise ValueError(
-                f"degree-{weight} component is not a Lie element "
-                f"(residual support {sorted(residual)[:4]}...)"
-            )
+    for weight in sorted({len(w) for w in poly}):
+        for w in _lyndon_by_weight(weight):
+            c = residual.get(w)
+            if c:
+                coords[w] = c
+                _merge(residual, word_expansion(w), -c)
+    if residual:
+        raise ValueError(
+            f"not a Lie element (residual support {sorted(residual)[:4]}...)"
+        )
     return coords
 
 
 @functools.lru_cache(maxsize=None)
 def _lyndon_by_weight(weight: int) -> tuple[str, ...]:
     return tuple(w for w in lyndon_words(weight) if len(w) == weight)
+
+
+@functools.lru_cache(maxsize=None)
+def _lyndon_set(weight: int) -> frozenset[str]:
+    return frozenset(_lyndon_by_weight(weight))
 
 
 # --- the basis and its elements
@@ -191,29 +189,22 @@ def _lyndon_by_weight(weight: int) -> tuple[str, ...]:
 class HallBasis:
     """Ordered Lyndon-word basis of the free Lie ring, graded by weight.
 
-    `words[i]` is the i-th basis word; the order is by (weight, lex).  For
-    words of weight >= 2, `subterms[i]` holds the indices of the standard
-    left and right factors; generators have subterms (-1, -1).
+    `words` lists the basis words up to `max_weight`, ordered by (weight, lex).
     """
 
     max_weight: int
     words: tuple[str, ...]
-    index: Mapping[str, int] = field(repr=False)
-    subterms: tuple[tuple[int, int], ...] = field(repr=False)
 
     def words_of_weight(self, w: int) -> tuple[str, ...]:
         return _lyndon_by_weight(w) if w <= self.max_weight else ()
 
-    def element(self, coeffs: Mapping[int, int]) -> "FreeLieElement":
-        return FreeLieElement(self, {i: c for i, c in coeffs.items() if c})
-
     def from_words(self, coeffs: Mapping[str, int]) -> "FreeLieElement":
-        return self.element({self.index[w]: c for w, c in coeffs.items()})
+        return FreeLieElement(self, {w: c for w, c in coeffs.items() if c})
 
     def gen(self, name: str) -> "FreeLieElement":
         if name not in GENERATORS:
             raise ValueError(f"unknown generator {name!r}")
-        return self.element({self.index[name]: 1})
+        return self.from_words({name: 1})
 
     def zero(self) -> "FreeLieElement":
         return FreeLieElement(self, {})
@@ -221,35 +212,35 @@ class HallBasis:
 
 def hall_basis(max_weight: int) -> HallBasis:
     """Build the Lyndon basis up to the given weight (deterministic)."""
-    words = sorted(lyndon_words(max_weight), key=lambda w: (len(w), w))
-    index = {w: i for i, w in enumerate(words)}
-    subterms = []
-    for w in words:
-        if len(w) == 1:
-            subterms.append((-1, -1))
-        else:
-            left, right = standard_factorization(w)
-            subterms.append((index[left], index[right]))
-    return HallBasis(max_weight, tuple(words), index, tuple(subterms))
+    return HallBasis(max_weight, tuple(sorted(lyndon_words(max_weight), key=_order)))
+
+
+def _order(word: str) -> tuple[int, str]:
+    return len(word), word
 
 
 @dataclass(frozen=True)
 class FreeLieElement:
-    """Integer combination of basis brackets; no zero coefficients stored."""
+    """Integer combination of basis brackets, keyed by Lyndon word; no zero
+    coefficients stored."""
 
     basis: HallBasis
-    coeffs: Mapping[int, int]
+    coeffs: Mapping[str, int]
 
     def __post_init__(self):
-        for i, c in self.coeffs.items():
-            if c == 0 or not 0 <= i < len(self.basis.words):
+        for w, c in self.coeffs.items():
+            if (
+                c == 0
+                or not 1 <= len(w) <= self.basis.max_weight
+                or w not in _lyndon_set(len(w))
+            ):
                 raise ValueError("invalid coefficient map")
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def weights(self) -> set[int]:
-        return {len(self.basis.words[i]) for i in self.coeffs}
+        return {len(w) for w in self.coeffs}
 
     def is_homogeneous(self) -> bool:
         return len(self.weights()) <= 1
@@ -261,16 +252,10 @@ class FreeLieElement:
             raise ValueError("element is not homogeneous")
         return ws.pop() if ws else 0
 
-    def word_coeffs(self) -> dict[str, int]:
-        return {self.basis.words[i]: c for i, c in self.coeffs.items()}
-
     def terms(self) -> Iterator[tuple[str, int]]:
-        for i in sorted(self.coeffs):
-            yield self.basis.words[i], self.coeffs[i]
-
-    def nc_expansion(self) -> dict[str, int]:
-        """Expansion in Z<a,b> (sum of the basis expansions)."""
-        return _expand(self.word_coeffs())
+        """(word, coefficient) pairs in basis order."""
+        for w in sorted(self.coeffs, key=_order):
+            yield w, self.coeffs[w]
 
     def __add__(self, other: "FreeLieElement") -> "FreeLieElement":
         self._check(other)
@@ -279,15 +264,13 @@ class FreeLieElement:
         return FreeLieElement(self.basis, out)
 
     def __neg__(self) -> "FreeLieElement":
-        return FreeLieElement(self.basis, {i: -c for i, c in self.coeffs.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "FreeLieElement") -> "FreeLieElement":
         return self + (-other)
 
     def scale(self, n: int) -> "FreeLieElement":
-        if n == 0:
-            return FreeLieElement(self.basis, {})
-        return FreeLieElement(self.basis, {i: n * c for i, c in self.coeffs.items()})
+        return self.basis.from_words({w: n * c for w, c in self.coeffs.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FreeLieElement):
@@ -316,58 +299,23 @@ class FreeLieElement:
             raise ValueError("elements live over different bases")
 
 
-def parse_element(text: str, basis: HallBasis) -> FreeLieElement:
-    """Inverse of str(): parse 'c*[..] + c*[..]' sums over nested brackets."""
-    text = text.strip()
-    if text == "0":
-        return basis.zero()
-    coeffs: dict[str, int] = {}
-    for chunk in text.replace("- ", "+ -").split("+ "):
-        chunk = chunk.strip()
-        sign = -1 if chunk.startswith("-") else 1
-        chunk = chunk.lstrip("-")
-        num, _, expr = chunk.partition("*")
-        word = _word_of_bracket_string(expr.strip())
-        coeffs[word] = coeffs.get(word, 0) + sign * int(num)
-    return basis.from_words({w: c for w, c in coeffs.items() if c})
-
-
-def _word_of_bracket_string(expr: str) -> str:
-    word = expr.replace("[", "").replace("]", "").replace(",", "")
-    if not is_lyndon(word):
-        raise ValueError(f"{expr!r} is not a basis bracket")
-    return word
-
-
 # --- operations
 
 
-def bracket(
-    u: FreeLieElement, v: FreeLieElement, *, truncate: bool = False
-) -> FreeLieElement:
+def bracket(u: FreeLieElement, v: FreeLieElement) -> FreeLieElement:
     """Lie bracket [u, v], normalized into the basis.
 
-    Components whose weight exceeds the basis truncation raise
-    WeightOverflowError unless truncate=True, in which case they are dropped
-    (for callers that explicitly work modulo the deeper filtration terms).
+    Nonzero components whose weight exceeds the basis truncation raise
+    WeightOverflowError.
     """
     u._check(v)
-    basis = u.basis
-    poly = _poly_bracket(u.nc_expansion(), v.nc_expansion())
-    by_weight: dict[int, dict[str, int]] = {}
-    for w, c in poly.items():
-        by_weight.setdefault(len(w), {})[w] = c
-    coords: dict[str, int] = {}
-    for weight, part in sorted(by_weight.items()):
-        if weight > basis.max_weight:
-            if truncate:
-                continue
-            raise WeightOverflowError(
-                f"bracket has weight-{weight} terms beyond max_weight="
-                f"{basis.max_weight}"
-            )
-        coords.update(_decompose_homogeneous(part, weight, verify=False))
-    return basis.from_words(coords)
+    coords = lie_coordinates(_poly_bracket(_expand(u.coeffs), _expand(v.coeffs)))
+    top = max(map(len, coords), default=0)
+    if top > u.basis.max_weight:
+        raise WeightOverflowError(
+            f"bracket has weight-{top} terms beyond max_weight={u.basis.max_weight}"
+        )
+    return FreeLieElement(u.basis, coords)
 
 
 def engel_lie(basis: HallBasis, n: int) -> FreeLieElement:
@@ -409,19 +357,11 @@ def check_identity(n: int, basis: HallBasis | None = None) -> bool:
 # --- presenting a homogeneous element as [alpha, a] + [beta, b]
 
 
-def _coords_bracket(U: Mapping[str, int], V: Mapping[str, int]) -> dict[str, int]:
-    """Bracket of two basis-coordinate maps, result again in coordinates."""
-    poly = _poly_bracket(_expand(U), _expand(V))
-    if not poly:
-        return {}
-    weight = len(next(iter(poly)))
-    return _decompose_homogeneous(poly, weight, verify=False)
-
-
 def _present_pair(
     E: Mapping[str, int], v: str
 ) -> tuple[dict[str, int], dict[str, int]]:
-    """Present [E, basis(v)] as ([alpha, a] + [beta, b]) contributions.
+    """Present [E, basis(v)] as [alpha, a] + [beta, b], with E, alpha and
+    beta Lie polynomials in Z<a,b>.
 
     Recurses on the standard factorization of v through the Jacobi rewrite
     [E, [U1, U2]] = [[E, U1], U2] - [[E, U2], U1] until the right factor is a
@@ -432,8 +372,8 @@ def _present_pair(
     if v == "b":
         return {}, dict(E)
     u1, u2 = standard_factorization(v)
-    a1, b1 = _present_pair(_coords_bracket(E, {u1: 1}), u2)
-    a2, b2 = _present_pair(_coords_bracket(E, {u2: 1}), u1)
+    a1, b1 = _present_pair(_poly_bracket(E, word_expansion(u1)), u2)
+    a2, b2 = _present_pair(_poly_bracket(E, word_expansion(u2)), u1)
     _merge(a1, a2, -1)
     _merge(b1, b2, -1)
     return a1, b1
@@ -444,7 +384,8 @@ def _present_word(w: str) -> tuple[tuple[tuple[str, int], ...], tuple[tuple[str,
     """Presentation of a single basis word; cached, basis independent.
 
     Words of the form a+v with Lyndon tail v, and the words a b^m, have
-    one-term presentations; the rest go through the Jacobi recursion.
+    one-term presentations; the rest go through the Jacobi recursion in
+    Z<a,b> and are read back by `lie_coordinates`.
     """
     left, right = standard_factorization(w)
     if left == "a":
@@ -452,7 +393,7 @@ def _present_word(w: str) -> tuple[tuple[tuple[str, int], ...], tuple[tuple[str,
     elif right == "b":
         alpha, beta = {}, {left: 1}
     else:
-        alpha, beta = _present_pair({left: 1}, right)
+        alpha, beta = map(lie_coordinates, _present_pair(word_expansion(left), right))
     return tuple(sorted(alpha.items())), tuple(sorted(beta.items()))
 
 
@@ -474,7 +415,7 @@ def present_with_generators(
         raise ValueError("input must have weight >= 2")
     alpha: dict[str, int] = {}
     beta: dict[str, int] = {}
-    for w, c in t.word_coeffs().items():
+    for w, c in t.coeffs.items():
         aw, bw = _present_word(w)
         _merge(alpha, dict(aw), c)
         _merge(beta, dict(bw), c)

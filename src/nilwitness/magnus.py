@@ -346,9 +346,7 @@ def leading_lie(g: MagnusElement, basis):
         raise ValueError("identity element has no leading term")
     if k > basis.max_weight:
         raise ValueError("leading weight exceeds basis truncation")
-    part = g.degree_terms(k)
-    coords = freelie._decompose_homogeneous(part, k, verify=True)
-    return basis.from_words(coords)
+    return basis.from_words(freelie.lie_coordinates(g.degree_terms(k)))
 
 
 def check_group_identity(n: int, trunc: int | None = None) -> bool:

@@ -176,8 +176,6 @@ class Pow(WordExpr):
     __slots__ = ("base", "exp")
 
     def __init__(self, base: WordExpr, exp: int):
-        if isinstance(base, Pow):
-            exp, base = exp * base.exp, base.base
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exp", exp)
         if isinstance(base, Gen) and exp == -1:
@@ -236,6 +234,8 @@ IDENTITY = Prod(())
 
 
 def power(expr: WordExpr, n: int) -> WordExpr:
+    if isinstance(expr, Pow):
+        expr, n = expr.base, expr.exp * n
     if n == 1:
         return expr
     if n == 0:

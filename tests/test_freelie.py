@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilwitness import freelie as fl
 
@@ -46,6 +48,39 @@ def leftnorm_expansion(letters: str) -> dict[str, int]:
                     del nxt[key]
         poly = nxt
     return poly
+
+
+def poly_mul(p: dict[str, int], q: dict[str, int]) -> dict[str, int]:
+    out: dict[str, int] = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+def poly_add(p: dict[str, int], q: dict[str, int], scale: int = 1) -> dict[str, int]:
+    out = dict(p)
+    for w, c in q.items():
+        out[w] = out.get(w, 0) + scale * c
+    return {w: c for w, c in out.items() if c}
+
+
+def lyndon_bracket_expansion(word: str) -> dict[str, int]:
+    """Noncommutative expansion of the bracketing of a Lyndon word: split
+    off its least proper suffix and take the commutator of the halves."""
+    if len(word) == 1:
+        return {word: 1}
+    right = min(word[i:] for i in range(1, len(word)))
+    p = lyndon_bracket_expansion(word[: len(word) - len(right)])
+    q = lyndon_bracket_expansion(right)
+    return poly_add(poly_mul(p, q), poly_mul(q, p), -1)
+
+
+def expand_oracle(coeffs: dict[str, int]) -> dict[str, int]:
+    out: dict[str, int] = {}
+    for w, c in coeffs.items():
+        out = poly_add(out, lyndon_bracket_expansion(w), c)
+    return out
 
 
 def spanning_rank(weight: int) -> int:
@@ -108,13 +143,22 @@ def test_brute_force_rank_cross_check():
 
 def test_subterm_weights_sum():
     basis = fl.hall_basis(8)
-    for i, w in enumerate(basis.words):
-        li, ri = basis.subterms[i]
+    for w in basis.words:
         if len(w) == 1:
-            assert (li, ri) == (-1, -1)
+            with pytest.raises(ValueError):
+                fl.standard_factorization(w)
         else:
-            assert len(basis.words[li]) + len(basis.words[ri]) == len(w)
-            assert len(basis.words[li]) < len(w)
+            left, right = fl.standard_factorization(w)
+            assert left + right == w
+            assert left in basis.words and right in basis.words
+            assert len(left) < len(w)
+
+
+def test_from_words_rejects_non_basis_words():
+    basis = fl.hall_basis(4)
+    for bad in ("ba", "", "ac", "abbbb"):
+        with pytest.raises(ValueError):
+            basis.from_words({bad: 1})
 
 
 def test_order_consistent_with_weight():
@@ -137,16 +181,15 @@ def test_serialization_golden():
     ]
     elt = basis.from_words({"ab": -1, "abb": 3})
     assert str(elt) == "-1*[a,b] + 3*[[a,b],b]"
-    assert fl.parse_element(str(elt), basis) == elt
 
 
 # --- bracket ---------------------------------------------------------------
 
 
 def _random_element(basis, rng, max_weight=3, support=2):
-    idxs = [i for i in range(len(basis.words)) if len(basis.words[i]) <= max_weight]
-    picks = rng.sample(idxs, min(support, len(idxs)))
-    return basis.element({i: rng.randint(-4, 4) for i in picks})
+    words = [w for w in basis.words if len(w) <= max_weight]
+    picks = rng.sample(words, min(support, len(words)))
+    return basis.from_words({w: rng.randint(-4, 4) for w in picks})
 
 
 def test_bracket_alternating():
@@ -193,7 +236,37 @@ def test_bracket_overflow_flagged():
     abb = basis.from_words({"abb": 1})
     with pytest.raises(fl.WeightOverflowError):
         fl.bracket(abb, basis.gen("a"))
-    assert fl.bracket(abb, basis.gen("a"), truncate=True).is_zero()
+
+
+def _word_keyed(max_weight):
+    words = fl.hall_basis(max_weight).words
+    return st.dictionaries(st.sampled_from(words), st.integers(-4, 4), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_word_keyed(5), _word_keyed(5))
+def test_bracket_expands_to_commutator(u_coeffs, v_coeffs):
+    basis = fl.hall_basis(10)
+    u, v = basis.from_words(u_coeffs), basis.from_words(v_coeffs)
+    p, q = expand_oracle(dict(u.coeffs)), expand_oracle(dict(v.coeffs))
+    want = poly_add(poly_mul(p, q), poly_mul(q, p), -1)
+    assert expand_oracle(dict(fl.bracket(u, v).coeffs)) == want
+
+
+def test_lie_coordinates_reads_back_expansions():
+    rng = random.Random(5)
+    basis = fl.hall_basis(7)
+    for _ in range(50):
+        coeffs = _random_element(basis, rng, max_weight=7, support=4).coeffs
+        assert fl.lie_coordinates(expand_oracle(dict(coeffs))) == dict(coeffs)
+
+
+def test_lie_coordinates_rejects_non_lie_polynomials():
+    with pytest.raises(ValueError):
+        fl.lie_coordinates({"ab": 1})
+    with pytest.raises(ValueError):
+        fl.lie_coordinates({"ab": 1, "ba": -1, "abb": 1})
+    assert fl.lie_coordinates({"ab": 2, "ba": -2}) == {"ab": 2}
 
 
 # --- engel brackets and the alternating identity ---------------------------

@@ -7,7 +7,8 @@ Each ``tests/golden/<name>.json`` is the stdout of
 with the argv listed for it in ``CASES`` (``verify`` reads the recorded
 ``construct_K8.json``), run from the repository root. The files were
 recorded before the word, series and lamplighter layers were rebuilt on one
-expression walk, and pin those outputs across refactors. When a change is
+expression walk (``report_w8`` before the free Lie layer moved to
+word-keyed coordinates), and pin those outputs across refactors. When a change is
 meant to alter an output, re-run the command by hand, write its stdout over
 the file and say so in the change.
 """
@@ -33,6 +34,7 @@ CASES = {
     "coinv_Zp3_K8": ["coinv", "--ring", "Zp:3", "--weight", "8"],
     "identities_n2": ["identities", "--max-n", "2"],
     "involution_t5": ["involution", "--trials", "5"],
+    "report_w8": ["report", "--weight", "8", "--seed", "0"],
 }
 
 

@@ -254,6 +254,16 @@ def test_leading_lie_rejects_non_lie_data():
         mg.leading_lie(deeper, basis)
 
 
+def test_leading_lie_rejects_lone_AB():
+    basis = fl.hall_basis(4)
+    lone = mg.MagnusElement(4, [None, None, [0, 1, 0, 0], None, None])
+    assert lone.degree_terms(2) == {"ab": 1}
+    with pytest.raises(ValueError):
+        mg.leading_lie(lone, basis)
+    lie = mg.MagnusElement(4, [None, None, [0, 1, -1, 0], None, None])
+    assert mg.leading_lie(lie, basis) == basis.from_words({"ab": 1})
+
+
 # --- the group-level alternating identity -----------------------------------
 
 
@@ -281,18 +291,14 @@ def _nonempty(exprs):
 
 
 def _exprs(depth):
-    """Expression trees over a, b of depth <= `depth`.
-
-    `power` is not applied to a Pow: power(A, -1) flattens to the text "a^1",
-    which parses back as "a" (an equal element with another text).
-    """
+    """Expression trees over a, b of depth <= `depth`."""
     leaf = st.sampled_from([wd.A, wd.B])
     if depth == 0:
         return leaf
     sub = _exprs(depth - 1)
     return st.one_of(
         leaf,
-        st.builds(wd.power, sub.filter(lambda e: not isinstance(e, wd.Pow)), st.integers(-3, 3)),
+        st.builds(wd.power, sub, st.integers(-3, 3)),
         st.builds(lambda parts: wd.product(*parts), st.lists(sub, max_size=3)),
         st.builds(wd.Comm, _nonempty(sub), _nonempty(sub)),
     )
@@ -324,6 +330,13 @@ def test_parser_rejects_unbounded_iterate_count(monkeypatch):
     assert Limited.built == 0
     text = f"[a,_{wd.MAX_ITERATE} b]"
     assert str(wd.parse_word_expr(text)) == text
+
+
+def test_power_of_a_power_round_trips():
+    for text, folded in (("(A)^-1", "a"), ("(a^-1)^-1", "a"), ("((a b)^-1)^-1", "a b")):
+        expr = wd.parse_word_expr(text)
+        assert str(expr) == folded
+        assert wd.parse_word_expr(str(expr)) == expr
 
 
 def test_parser_engel_equivalence():
