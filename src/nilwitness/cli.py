@@ -66,6 +66,8 @@ def _parse_q(text: str) -> tuple[int, ...]:
 def cmd_identities(args) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
+    if 2 * args.max_n + 2 > witness.MAX_K:
+        raise UsageError(f"--max-n must be at most {(witness.MAX_K - 2) // 2}")
     results = []
     ok = True
     for n in range(1, args.max_n + 1):
@@ -184,6 +186,8 @@ def cmd_involution(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if not 1 <= args.weight <= witness.MAX_K:
+        raise UsageError(f"--weight must be in 1..{witness.MAX_K}")
     rng = random.Random(args.seed)
     t0 = time.monotonic()
     sections = {}

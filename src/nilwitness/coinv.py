@@ -3,9 +3,8 @@ tester.
 
 The coinvariant model: the exterior square of R[x]/x^K has basis
 x^i ^ x^j for i < j (dimension K(K-1)/2); the cyclic shift acts diagonally
-through multiplication by (1 + x) (by (1 + x)^r for rational r in the
-divisible variant), and the coinvariant space is the quotient by the span of
-g.v ^ g.w - v ^ w.  Ranks come from exact elimination, over the rationals or
+through multiplication by (1 + x), and the coinvariant space is the
+quotient by the span of g.v ^ g.w - v ^ w.  Ranks come from exact elimination, over the rationals or
 over Z/p, and can be cross-checked by re-eliminating in a different order.
 
 The second half models a field K with a nontrivial involution acting

@@ -8,11 +8,12 @@ free Lie ring, graded by word length ("weight").  An element's coordinates
 are a map from Lyndon word to integer; there is no other coordinate system.
 
 Normalization works through the faithful embedding into the free associative
-ring Z<a,b>: every basis bracket expands to an integer polynomial in
-noncommuting words, and the expansion of the word w is w plus lexicographically
-larger words of the same length (Reutenauer, Free Lie Algebras, 1993).  That
+ring Z<a,b>, whose homogeneous polynomials are Magnus rows (see magnus.py),
+multiplied by its one kernel: every basis bracket expands to a row, and the
+expansion of the word w is w plus lexicographically larger words, i.e. larger
+masks, of the same length (Reutenauer, Free Lie Algebras, 1993).  That
 unitriangularity makes `lie_coordinates` one exact elimination pass over Z;
-it is the only way back from Z<a,b> to coordinates, and it raises when the
+it is the only way back from rows to coordinates, and it raises when the
 residual does not vanish, so every normalization is certified.
 
 All values are immutable after construction and all operations are pure, so
@@ -24,6 +25,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
+
+from .magnus import UNIT, Entries, _convolve, mask_word, mul_rows, nonzero, word_mask
 
 GENERATORS = ("a", "b")
 
@@ -95,80 +98,64 @@ def bracket_string(word: str) -> str:
     return f"[{bracket_string(left)},{bracket_string(right)}]"
 
 
-# --- noncommutative polynomials (dict word -> int), the normalization engine
+# --- homogeneous polynomials of Z<a,b> as Magnus rows, the normalization engine
 
 
-def _conv(p: Mapping[str, int], q: Mapping[str, int]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for w1, c1 in p.items():
-        for w2, c2 in q.items():
-            key = w1 + w2
-            val = out.get(key, 0) + c1 * c2
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _merge(dst: dict, src: Mapping, scale: int) -> None:
-    """dst += scale * src for sparse maps; a key whose value reaches zero is
-    dropped."""
-    for w, c in src.items():
-        val = dst.get(w, 0) + scale * c
-        if val:
-            dst[w] = val
-        elif w in dst:
-            del dst[w]
-
-
-def _poly_bracket(p: Mapping[str, int], q: Mapping[str, int]) -> dict[str, int]:
-    out = _conv(p, q)
-    _merge(out, _conv(q, p), -1)
-    return out
+def _bracket(p: Entries, i: int, q: Entries, j: int) -> list[int]:
+    """[P, Q] = PQ - QP as a row of degree i + j, for P and Q of degrees i
+    and j given by their nonzero entries."""
+    acc = [0] * (1 << (i + j))
+    mul_rows(acc, p, q, j, 1)
+    mul_rows(acc, q, p, i, -1)
+    return acc
 
 
 @functools.lru_cache(maxsize=None)
-def word_expansion(word: str) -> Mapping[str, int]:
-    """Expansion of the basis bracket of a Lyndon word in Z<a,b>.
+def word_expansion(word: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Expansion of the basis bracket of a Lyndon word in Z<a,b>, as the
+    nonzero entries of its row: masks in increasing order, and coefficients.
 
     Triangular: the coefficient of `word` itself is 1 and every other word in
-    the support is lexicographically larger (same length).
+    the support is lexicographically larger (same length), so its mask is
+    larger.
     """
     if len(word) == 1:
-        return {word: 1}
+        return (word_mask(word),), (1,)
     left, right = standard_factorization(word)
-    return _poly_bracket(word_expansion(left), word_expansion(right))
+    row = _bracket(word_expansion(left), len(left), word_expansion(right), len(right))
+    masks, coeffs = nonzero(row)
+    return tuple(masks), tuple(coeffs)
 
 
-def _expand(coords: Mapping[str, int]) -> dict[str, int]:
-    """Expansion in Z<a,b> of a combination of basis words."""
-    out: dict[str, int] = {}
+def _expand(coords: Mapping[str, int]) -> list[Entries | None]:
+    """Expansion in Z<a,b> of a combination of basis words: the nonzero
+    entries of its row in each weight, None where it has none."""
+    rows = [[0] * (1 << d) for d in range(max(map(len, coords), default=0) + 1)]
     for w, c in coords.items():
-        _merge(out, word_expansion(w), c)
-    return out
+        mul_rows(rows[len(w)], UNIT, word_expansion(w), len(w), c)
+    return [nonzero(r) if any(r) else None for r in rows]
 
 
-def lie_coordinates(poly: Mapping[str, int]) -> dict[str, int]:
-    """Coordinates of a Lie polynomial of Z<a,b> in the Lyndon basis.
+def lie_coordinates(row: list[int]) -> dict[str, int]:
+    """Coordinates in the Lyndon basis of a homogeneous Lie polynomial of
+    Z<a,b>, given as its row (degree d, 2^d entries).
 
-    Within each weight the least Lyndon word w left in the residual carries
-    its coordinate c (triangularity), and c * expansion(w) is subtracted.
-    A residual that does not end at zero means `poly` is not a Lie element
-    and raises ValueError.
+    The Lyndon masks are walked in increasing order: the least one w left in
+    the residual carries its coordinate c (triangularity), and
+    c * expansion(w) is subtracted.  A residual that does not end at zero
+    means the row is not a Lie element and raises ValueError.
     """
-    residual = dict(poly)
+    d = len(row).bit_length() - 1
+    residual = list(row)
     coords: dict[str, int] = {}
-    for weight in sorted({len(w) for w in poly}):
-        for w in _lyndon_by_weight(weight):
-            c = residual.get(w)
-            if c:
-                coords[w] = c
-                _merge(residual, word_expansion(w), -c)
-    if residual:
-        raise ValueError(
-            f"not a Lie element (residual support {sorted(residual)[:4]}...)"
-        )
+    for w in _lyndon_by_weight(d):
+        c = residual[word_mask(w)]
+        if c:
+            coords[w] = c
+            mul_rows(residual, UNIT, word_expansion(w), d, -c)
+    if any(residual):
+        support = [mask_word(m, d) for m in nonzero(residual)[0][:4]]
+        raise ValueError(f"not a Lie element (residual support {support}...)")
     return coords
 
 
@@ -260,8 +247,9 @@ class FreeLieElement:
     def __add__(self, other: "FreeLieElement") -> "FreeLieElement":
         self._check(other)
         out = dict(self.coeffs)
-        _merge(out, other.coeffs, 1)
-        return FreeLieElement(self.basis, out)
+        for w, c in other.coeffs.items():
+            out[w] = out.get(w, 0) + c
+        return self.basis.from_words(out)
 
     def __neg__(self) -> "FreeLieElement":
         return self.scale(-1)
@@ -309,7 +297,10 @@ def bracket(u: FreeLieElement, v: FreeLieElement) -> FreeLieElement:
     WeightOverflowError.
     """
     u._check(v)
-    coords = lie_coordinates(_poly_bracket(_expand(u.coeffs), _expand(v.coeffs)))
+    p, q = _expand(u.coeffs), _expand(v.coeffs)
+    rows = _convolve([None] * (len(p) + len(q) - 1), p, q, 1)
+    _convolve(rows, q, p, -1)
+    coords = {w: c for r in rows if r is not None for w, c in lie_coordinates(r).items()}
     top = max(map(len, coords), default=0)
     if top > u.basis.max_weight:
         raise WeightOverflowError(
@@ -358,25 +349,23 @@ def check_identity(n: int, basis: HallBasis | None = None) -> bool:
 
 
 def _present_pair(
-    E: Mapping[str, int], v: str
-) -> tuple[dict[str, int], dict[str, int]]:
-    """Present [E, basis(v)] as [alpha, a] + [beta, b], with E, alpha and
-    beta Lie polynomials in Z<a,b>.
+    alpha: list[int], beta: list[int], E: Entries, e: int, v: str, sign: int
+) -> None:
+    """Add sign * [E, basis(v)], presented as [alpha, a] + [beta, b], into
+    the rows alpha and beta; E is a Lie polynomial of degree e given by its
+    nonzero entries.
 
     Recurses on the standard factorization of v through the Jacobi rewrite
     [E, [U1, U2]] = [[E, U1], U2] - [[E, U2], U1] until the right factor is a
     single generator.  Integral throughout.
     """
-    if v == "a":
-        return dict(E), {}
-    if v == "b":
-        return {}, dict(E)
+    if len(v) == 1:
+        mul_rows(alpha if v == "a" else beta, UNIT, E, e, sign)
+        return
     u1, u2 = standard_factorization(v)
-    a1, b1 = _present_pair(_poly_bracket(E, word_expansion(u1)), u2)
-    a2, b2 = _present_pair(_poly_bracket(E, word_expansion(u2)), u1)
-    _merge(a1, a2, -1)
-    _merge(b1, b2, -1)
-    return a1, b1
+    for x, y, s in ((u1, u2, sign), (u2, u1, -sign)):
+        Ex = nonzero(_bracket(E, e, word_expansion(x), len(x)))
+        _present_pair(alpha, beta, Ex, e + len(x), y, s)
 
 
 @functools.lru_cache(maxsize=None)
@@ -384,8 +373,8 @@ def _present_word(w: str) -> tuple[tuple[tuple[str, int], ...], tuple[tuple[str,
     """Presentation of a single basis word; cached, basis independent.
 
     Words of the form a+v with Lyndon tail v, and the words a b^m, have
-    one-term presentations; the rest go through the Jacobi recursion in
-    Z<a,b> and are read back by `lie_coordinates`.
+    one-term presentations; the rest go through the Jacobi recursion on rows
+    and are read back by `lie_coordinates`.
     """
     left, right = standard_factorization(w)
     if left == "a":
@@ -393,7 +382,9 @@ def _present_word(w: str) -> tuple[tuple[tuple[str, int], ...], tuple[tuple[str,
     elif right == "b":
         alpha, beta = {}, {left: 1}
     else:
-        alpha, beta = map(lie_coordinates, _present_pair(word_expansion(left), right))
+        rows = [0] * (1 << (len(w) - 1)), [0] * (1 << (len(w) - 1))
+        _present_pair(*rows, word_expansion(left), len(left), right, 1)
+        alpha, beta = map(lie_coordinates, rows)
     return tuple(sorted(alpha.items())), tuple(sorted(beta.items()))
 
 
@@ -416,9 +407,9 @@ def present_with_generators(
     alpha: dict[str, int] = {}
     beta: dict[str, int] = {}
     for w, c in t.coeffs.items():
-        aw, bw = _present_word(w)
-        _merge(alpha, dict(aw), c)
-        _merge(beta, dict(bw), c)
+        for acc, part in zip((alpha, beta), _present_word(w)):
+            for x, e in part:
+                acc[x] = acc.get(x, 0) + c * e
     alpha_elt = basis.from_words(alpha)
     beta_elt = basis.from_words(beta)
     check = bracket(alpha_elt, basis.gen("a")) + bracket(beta_elt, basis.gen("b"))

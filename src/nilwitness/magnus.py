@@ -5,28 +5,72 @@ degree K; the images are units with constant term 1 and the map is injective
 on F/gamma_{K+1}(F).  Lower-central weight becomes visible as the lowest
 degree of g - 1, which is what gamma_weight reads off.
 
-Degree-d coefficients are stored densely: a list of 2^d integers indexed by
-the monomial's bitmask (bit = 1 for B, most significant bit = leftmost
-letter).  A degree with no nonzero coefficients is stored as None, which is
-what keeps products of deep-weight elements cheap.
+Degree-d coefficients are stored densely: a row of 2^d integers indexed by
+the monomial's bitmask (word_mask: bit 1 = B, most significant bit =
+leftmost letter), so within one degree lex order of words is numeric order
+of masks.  A degree with no nonzero coefficients is stored as None, which is
+what keeps products of deep-weight elements cheap.  This module owns the row
+format: the free Lie layer holds its homogeneous polynomials as rows too.
 
-Every product of series goes through one convolution, _convolve: the
-monomial m1 of degree i followed by m2 of degree j has index m1 << j | m2 in
-degree i + j, so the block that row i times row j adds is their flattened
-outer product.  Multiplying or dividing by a single letter (1 + X)^+-1 goes
-through one letter step, _letter_rows.
+Every product of two rows goes through one kernel, mul_rows: the monomial
+m1 of degree i followed by m2 of degree j has index m1 << j | m2 in degree
+i + j, so the block that row i times row j adds is their flattened outer
+product, taken over the nonzero entries only.  _convolve runs it over the
+degrees of two series; commutator runs it for PQ - QP into one table; the
+free Lie layer runs it for every bracket.  Multiplying or dividing by a
+single letter (1 + X)^+-1 goes through one letter step, _letter_rows.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from itertools import compress
+from typing import Sequence
 
 from .series import INFINITE_WEIGHT
 from .words import Gen, GroupWord, WordExpr, evaluate, parse_word_expr
 
 # degree rows: index d holds the 2^d coefficients of degree d, None when zero
 Rows = list[list[int] | None]
+# the nonzero entries of one row: their masks in increasing order, and their
+# coefficients in the same order
+Entries = tuple[Sequence[int], Sequence[int]]
+# the constant 1 as the entries of a degree-0 row: mul_rows(acc, UNIT, q, d, c)
+# adds c * Q into acc
+UNIT: Entries = ((0,), (1,))
+
+_BITS = str.maketrans("aAbB", "0011")
+_LETTERS = str.maketrans("01", "ab")
+
+
+def word_mask(word: str) -> int:
+    """Row index of a nonempty word over {a, b}, either case: bit 1 = b,
+    most significant bit = leftmost letter."""
+    return int(word.translate(_BITS), 2)
+
+
+def mask_word(mask: int, d: int) -> str:
+    """The word of length d over {a, b} at row index mask."""
+    return format(mask, f"0{d}b").translate(_LETTERS)
+
+
+def nonzero(row: list[int]) -> Entries:
+    """The nonzero entries of a row, as masks and coefficients."""
+    return list(compress(range(len(row)), row)), list(filter(None, row))
+
+
+def mul_rows(acc: list[int], p: Entries, q: Entries, j: int, scale: int) -> None:
+    """acc += scale * P * Q for homogeneous P and Q given by their nonzero
+    entries, Q of degree j: m1 followed by m2 has index m1 << j | m2.
+
+    The one place where two coefficient rows are multiplied.
+    """
+    qm, qc = q
+    for m1, c1 in zip(*p):
+        base, c1 = m1 << j, scale * c1
+        for m2, c2 in zip(qm, qc):
+            acc[base | m2] += c1 * c2
 
 
 class MagnusElement:
@@ -64,26 +108,13 @@ class MagnusElement:
         if d > self.trunc:
             raise ValueError("monomial degree beyond truncation")
         row = self._deg[d]
-        if row is None:
-            return 0
-        mask = 0
-        for ch in monomial:
-            mask = (mask << 1) | (1 if ch in "bB" else 0)
-        return row[mask]
+        return 0 if row is None else row[word_mask(monomial)]
 
     def degree_terms(self, d: int) -> dict[str, int]:
-        """Degree-d homogeneous part as a dict over words in a, b."""
+        """Degree-d homogeneous part as a dict over words in a, b; for
+        display only, since every computation reads the rows."""
         row = self._deg[d]
-        if row is None:
-            return {}
-        out = {}
-        for mask, c in enumerate(row):
-            if c:
-                word = "".join(
-                    "b" if (mask >> (d - 1 - i)) & 1 else "a" for i in range(d)
-                )
-                out[word] = c
-        return out
+        return {} if row is None else {mask_word(m, d): c for m, c in zip(*nonzero(row))}
 
     def _check(self, other: "MagnusElement") -> None:
         if self.trunc != other.trunc:
@@ -94,9 +125,11 @@ class MagnusElement:
     def __mul__(self, other: "MagnusElement") -> "MagnusElement":
         """(1 + P)(1 + Q) = 1 + (P + Q) + PQ."""
         self._check(other)
-        p, q = self._deg, other._deg
-        out = _convolve([_add_rows(a, b, 1) for a, b in zip(p, q)], p, q)
-        return MagnusElement(self.trunc, out)
+        T, p, q = self.trunc, self._deg, other._deg
+        out = [_add_rows(a, b) for a, b in zip(p, q)]
+        ps = _nonzero_rows(p, T - other._weight())
+        _convolve(out, ps, _nonzero_rows(q, T - self._weight()), 1)
+        return MagnusElement(T, out)
 
     def _weight(self) -> int:
         """Lowest degree with a nonzero row; trunc + 1 when trivial."""
@@ -121,26 +154,16 @@ class MagnusElement:
         if w > T or n == 0:
             return MagnusElement.one(T)
         acc: Rows = [None] * (T + 1)
-        u_rows = self._deg
-        power_rows: Rows = list(u_rows)
-        j = 1
-        while j * w <= T:
+        u = power = _nonzero_rows(self._deg, T)
+        for j in range(1, T // w + 1):
+            if j > 1:
+                power = _nonzero_rows(_convolve([None] * (T + 1), power, u, 1), T)
             coeff = _binomial_int(n, j)
-            if coeff:
-                for d in range(j * w, T + 1):
-                    row = power_rows[d]
-                    if row is None:
-                        continue
+            for d, entries in enumerate(power):
+                if entries and coeff:
                     if acc[d] is None:
-                        acc[d] = [coeff * c for c in row]
-                    else:
-                        accd = acc[d]
-                        for m, c in enumerate(row):
-                            if c:
-                                accd[m] += coeff * c
-            j += 1
-            if j * w <= T:
-                power_rows = _convolve([None] * (T + 1), power_rows, u_rows)
+                        acc[d] = [0] * (1 << d)
+                    mul_rows(acc[d], UNIT, entries, d, coeff)
         return MagnusElement(T, acc)
 
     def mul_letter(self, letter: int) -> "MagnusElement":
@@ -156,15 +179,8 @@ class MagnusElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MagnusElement):
             return NotImplemented
-        if self.trunc != other.trunc:
-            return False
-        for d in range(1, self.trunc + 1):
-            a, b = self._deg[d], other._deg[d]
-            if a is None and b is None:
-                continue
-            if (a or [0] * (1 << d)) != (b or [0] * (1 << d)):
-                return False
-        return True
+        # zero rows are always stored as None, so equal elements hold equal lists
+        return self.trunc == other.trunc and self._deg == other._deg
 
     def __hash__(self):
         return hash(
@@ -184,41 +200,37 @@ class MagnusElement:
         return f"MagnusElement(trunc={self.trunc}, degrees={nz})"
 
 
-def _add_rows(a: list[int] | None, b: list[int] | None, sign: int) -> list[int] | None:
-    """a + sign * b as a fresh row; None stands for a zero row."""
-    if b is None:
-        return None if a is None else list(a)
-    if a is None:
-        return list(b) if sign > 0 else list(map(operator.neg, b))
-    return list(map(operator.add if sign > 0 else operator.sub, a, b))
+def _add_rows(a: list[int] | None, b: list[int] | None) -> list[int] | None:
+    """a + b as a fresh row; None stands for a zero row."""
+    if a is None or b is None:
+        row = a if b is None else b
+        return None if row is None else list(row)
+    return list(map(operator.add, a, b))
 
 
-def _convolve(out: Rows, p: Rows, q: Rows) -> Rows:
-    """Add the degree-row product of p and q (no constant terms) into out,
-    truncated at degree len(out) - 1, and return out.
+def _nonzero_rows(rows: Rows, top: int) -> list[Entries | None]:
+    """Nonzero entries of each row up to degree top.  A product truncated at T
+    reads row d of one factor only when d <= T - weight(other factor)."""
+    return [r and nonzero(r) for r in rows[: top + 1]]
 
-    Row i of p times row j of q adds c1 * c2 at index m1 << j | m2 of row
-    i + j; zero coefficients are skipped, since rows are sparse in practice.
-    Rows of p beyond its length count as zero.
+
+def _convolve(out: Rows, p: list[Entries | None], q: list[Entries | None], scale: int) -> Rows:
+    """Add scale times the degree-row product of p and q (no constant terms,
+    rows given by their nonzero entries) into out, truncated at degree
+    len(out) - 1, and return out.  Rows past the end of p or q count as zero.
     """
     T = len(out) - 1
     for i, pi in enumerate(p[1:T], 1):
         if pi is None:
             continue
-        for j in range(1, T + 1 - i):
-            qj = q[j]
+        for j, qj in enumerate(q[1 : T + 1 - i], 1):
             if qj is None:
                 continue
             d = i + j
             acc = out[d]
             if acc is None:
                 acc = out[d] = [0] * (1 << d)
-            for m1, c1 in enumerate(pi):
-                if c1:
-                    base = m1 << j
-                    for m2, c2 in enumerate(qj):
-                        if c2:
-                            acc[base | m2] += c1 * c2
+            mul_rows(acc, pi, qj, j, scale)
     return out
 
 
@@ -267,19 +279,16 @@ def commutator(g: MagnusElement, h: MagnusElement) -> MagnusElement:
     """
     g._check(h)
     T = g.trunc
-    p, q = g._deg, h._deg
-    pq = _convolve([None] * (T + 1), p, q)
-    qp = _convolve([None] * (T + 1), q, p)
-    # 1 + (PQ - QP), so that zero rows are dropped and weight() applies
-    diff = MagnusElement(T, [_add_rows(a, b, -1) for a, b in zip(pq, qp)])
-    lowest = diff._weight()
-    if lowest > T:
-        return MagnusElement.one(T)
-    out = [None if r is None else list(r) for r in diff._deg]
+    ps = _nonzero_rows(g._deg, T - h._weight())
+    qs = _nonzero_rows(h._deg, T - g._weight())
+    out = _convolve([None] * (T + 1), ps, qs, 1)
+    _convolve(out, qs, ps, -1)
+    # as 1 + (PQ - QP), so that rows that cancelled are dropped
+    lowest = MagnusElement(T, out)._weight()
     if lowest < T:
         low = T - lowest
         hg_inv = (h.truncate(low) * g.truncate(low)).inverse()
-        _convolve(out, hg_inv._deg, diff._deg)
+        _convolve(out, _nonzero_rows(hg_inv._deg, low), _nonzero_rows(out, T - 1), 1)
     return MagnusElement(T, out)
 
 
@@ -346,7 +355,7 @@ def leading_lie(g: MagnusElement, basis):
         raise ValueError("identity element has no leading term")
     if k > basis.max_weight:
         raise ValueError("leading weight exceeds basis truncation")
-    return basis.from_words(freelie.lie_coordinates(g.degree_terms(k)))
+    return basis.from_words(freelie.lie_coordinates(g._deg[k]))
 
 
 def check_group_identity(n: int, trunc: int | None = None) -> bool:

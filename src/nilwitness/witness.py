@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 # largest truncation weight accepted: degree-K tables hold 2^K coefficients,
-# and K = 13 already peaks near 2 GB
+# and a K = 13 construct already peaks at 1.38 GB of RSS
 MAX_K = 20
 
 

@@ -17,7 +17,8 @@ group and cache.
 
 Text syntax: letters a, A (= a^-1), b, B (= b^-1); commutators "[u,v]",
 left-normalized chains "[u,v,w,...]", iterated form "[u,_n v]" with
-0 <= n <= MAX_ITERATE; powers "w^n" with integer n.  Whitespace is ignored.
+0 <= n <= MAX_ITERATE; powers "w^n" with integer n.  One chain holds at most
+MAX_ITERATE brackets, an entry "_n v" counting n.  Whitespace is ignored.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 _LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
 _SIGNED = {"a": 1, "A": -1, "b": 2, "B": -2}
 
-# largest n accepted in "[u,_n v]"; a witness of depth K writes at most K
+# largest n accepted in "[u,_n v]", and most brackets in one chain
+# "[u,v,_n w,...]"; the chains of a witness of depth K hold about K brackets
 MAX_ITERATE = 64
 
 
@@ -339,8 +341,10 @@ class _Parser:
             expr = self.parse_product(stop_chars=",]")
             if isinstance(expr, Prod) and not expr.parts:
                 raise WordSyntaxError(f"empty commutator argument at {self.pos}")
+            brackets = 0
             while self.peek() == ",":
                 self.pos += 1
+                count = 1
                 if self.peek() == "_":
                     self.pos += 1
                     count = self.parse_int()
@@ -348,17 +352,16 @@ class _Parser:
                         raise WordSyntaxError(
                             f"iterate count {count} outside 0..{MAX_ITERATE} at {self.pos}"
                         )
-                    arg = self.parse_product(stop_chars=",]")
-                    if isinstance(arg, Prod) and not arg.parts:
-                        raise WordSyntaxError(f"bad iterated commutator at {self.pos}")
-                    for _ in range(count):
-                        expr = Comm(expr, arg)
-                else:
-                    arg = self.parse_product(stop_chars=",]")
-                    if isinstance(arg, Prod) and not arg.parts:
-                        raise WordSyntaxError(
-                            f"empty commutator argument at {self.pos}"
-                        )
+                # the text of each new bracket walks back over its chain
+                brackets += count
+                if brackets > MAX_ITERATE:
+                    raise WordSyntaxError(
+                        f"more than {MAX_ITERATE} brackets in one chain at {self.pos}"
+                    )
+                arg = self.parse_product(stop_chars=",]")
+                if isinstance(arg, Prod) and not arg.parts:
+                    raise WordSyntaxError(f"empty commutator argument at {self.pos}")
+                for _ in range(count):
                     expr = Comm(expr, arg)
             if self.peek() != "]":
                 raise WordSyntaxError(f"unclosed bracket at {self.pos}")

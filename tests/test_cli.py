@@ -189,13 +189,17 @@ def test_coinv_bad_series_file_is_input_error(tmp_path, capsys):
         assert err.startswith(prefix) and err.count("\n") == 1, text
 
 
+# 3840 brackets in one chain, a 400-byte line
+WIDE_CHAIN = "[a," + ",".join(["_64 b"] * 60) + "]"
+
+
 def test_verify_hostile_nesting_is_input_error(tmp_path, capsys):
     data = _witness_data(tmp_path)
     nested = "a"
     for i in range(30):
         nested = f"[{nested},_50 {'ba'[i % 2]}]"
     bad = tmp_path / "bad.json"
-    for word in ("[a,_1500 b]", nested):
+    for word in ("[a,_1500 b]", nested, WIDE_CHAIN):
         data["r_factors"][0] = word
         bad.write_text(json.dumps(data))
         code, _ = run_cli(["verify", "--in", str(bad)])
@@ -224,6 +228,26 @@ def test_weight_limits_checked_before_any_work(tmp_path, monkeypatch):
 
     weight = str(cli.MAX_COINV_WEIGHT + 1)
     code, _ = run_cli(["coinv", "--ring", "Zp:3", "--weight", weight])
+    assert code == cli.EXIT_USAGE
+
+
+def test_report_weight_limit_checked_before_any_work(monkeypatch):
+    monkeypatch.setattr(cli.freelie, "hall_basis", _refuse)
+    for weight in (cli.witness.MAX_K + 1, 0):
+        code, _ = run_cli(["report", "--weight", str(weight)])
+        assert code == cli.EXIT_USAGE
+
+
+def test_identities_limit_checked_before_any_work(monkeypatch):
+    monkeypatch.setattr(cli.freelie, "check_identity", _refuse)
+    monkeypatch.setattr(cli.magnus, "check_group_identity", _refuse)
+    max_n = (cli.witness.MAX_K - 2) // 2
+    code, _ = run_cli(["identities", "--max-n", str(max_n + 1)])
+    assert code == cli.EXIT_USAGE
+
+
+def test_phi_wide_chain_is_usage_error():
+    code, _ = run_cli(["phi", "--word", WIDE_CHAIN, "--weight", "5"])
     assert code == cli.EXIT_USAGE
 
 

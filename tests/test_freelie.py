@@ -83,6 +83,24 @@ def expand_oracle(coeffs: dict[str, int]) -> dict[str, int]:
     return out
 
 
+def poly_rows(poly: dict[str, int]) -> dict[int, list[int]]:
+    """A polynomial as one dense row per degree: the coefficient of a word
+    sits at the binary number its letters spell (a = 0, b = 1)."""
+    rows: dict[int, list[int]] = {}
+    for word, c in poly.items():
+        row = rows.setdefault(len(word), [0] * 2 ** len(word))
+        row[int(word.replace("a", "0").replace("b", "1"), 2)] += c
+    return rows
+
+
+def coordinates_by_weight(poly: dict[str, int]) -> dict[str, int]:
+    """`lie_coordinates` of each homogeneous part of a polynomial, merged."""
+    out: dict[str, int] = {}
+    for _, row in sorted(poly_rows(poly).items()):
+        out.update(fl.lie_coordinates(row))
+    return out
+
+
 def spanning_rank(weight: int) -> int:
     """Rank of the integer span of all left-normalized brackets of the given
     weight inside the degree-`weight` part of Z<a,b>, by exact elimination
@@ -258,15 +276,23 @@ def test_lie_coordinates_reads_back_expansions():
     basis = fl.hall_basis(7)
     for _ in range(50):
         coeffs = _random_element(basis, rng, max_weight=7, support=4).coeffs
-        assert fl.lie_coordinates(expand_oracle(dict(coeffs))) == dict(coeffs)
+        assert coordinates_by_weight(expand_oracle(dict(coeffs))) == dict(coeffs)
 
 
 def test_lie_coordinates_rejects_non_lie_polynomials():
     with pytest.raises(ValueError):
-        fl.lie_coordinates({"ab": 1})
+        coordinates_by_weight({"ab": 1})
     with pytest.raises(ValueError):
-        fl.lie_coordinates({"ab": 1, "ba": -1, "abb": 1})
-    assert fl.lie_coordinates({"ab": 2, "ba": -2}) == {"ab": 2}
+        coordinates_by_weight({"ab": 1, "ba": -1, "abb": 1})
+    assert coordinates_by_weight({"ab": 2, "ba": -2}) == {"ab": 2}
+
+
+def test_word_expansion_rows_match_the_oracle():
+    for w in fl.lyndon_words(10):
+        (row,) = poly_rows(lyndon_bracket_expansion(w)).values()
+        masks, coeffs = fl.word_expansion(w)
+        assert list(masks) == [m for m, c in enumerate(row) if c]
+        assert list(coeffs) == [c for c in row if c]
 
 
 # --- engel brackets and the alternating identity ---------------------------

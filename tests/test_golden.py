@@ -8,7 +8,8 @@ with the argv listed for it in ``CASES`` (``verify`` reads the recorded
 ``construct_K8.json``), run from the repository root. The files were
 recorded before the word, series and lamplighter layers were rebuilt on one
 expression walk (``report_w8`` before the free Lie layer moved to
-word-keyed coordinates), and pin those outputs across refactors. When a change is
+word-keyed coordinates, ``construct_K10`` before the free Lie layer moved to
+Magnus rows), and pin those outputs across refactors. When a change is
 meant to alter an output, re-run the command by hand, write its stdout over
 the file and say so in the change.
 """
@@ -29,6 +30,7 @@ CASES = {
     "phi_Q": ["phi", "--word", PHI_WORD, "--weight", "8", "--ring", "Q"],
     "phi_Zp5": ["phi", "--word", PHI_WORD, "--weight", "8", "--ring", "Zp:5"],
     "construct_K8": ["construct", "--q", "1,0,1,1,0,1", "-K", "8"],
+    "construct_K10": ["construct", "--q", "1,0,1,1,0,1", "-K", "10"],
     "verify_K8": ["verify", "--in", str(GOLDEN / "construct_K8.json")],
     "coinv_Q_K8": ["coinv", "--ring", "Q", "--weight", "8"],
     "coinv_Zp3_K8": ["coinv", "--ring", "Zp:3", "--weight", "8"],

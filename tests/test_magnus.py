@@ -332,6 +332,18 @@ def test_parser_rejects_unbounded_iterate_count(monkeypatch):
     assert str(wd.parse_word_expr(text)) == text
 
 
+def test_parser_bounds_brackets_in_one_chain():
+    for text in (
+        "[a," + ",".join([f"_{wd.MAX_ITERATE} b"] * 60) + "]",
+        "[a" + ",b" * (wd.MAX_ITERATE + 1) + "]",
+        f"[a,_{wd.MAX_ITERATE} b,a]",
+    ):
+        with pytest.raises(wd.WordSyntaxError):
+            wd.parse_word_expr(text)
+    at_limit = "[a" + ",b,a" * (wd.MAX_ITERATE // 2) + "]"
+    assert str(wd.parse_word_expr(at_limit)) == at_limit
+
+
 def test_power_of_a_power_round_trips():
     for text, folded in (("(A)^-1", "a"), ("(a^-1)^-1", "a"), ("((a b)^-1)^-1", "a b")):
         expr = wd.parse_word_expr(text)
