@@ -42,6 +42,7 @@ from .coinv import (
     InvolutiveField,
     build_coinvariants,
     check_involution_exactness,
+    pairing,
     theta,
 )
 from .witness import (

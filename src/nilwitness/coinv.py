@@ -4,8 +4,8 @@ tester.
 The coinvariant model: the exterior square of R[x]/x^K has basis
 x^i ^ x^j for i < j (dimension K(K-1)/2); the cyclic shift acts diagonally
 through multiplication by (1 + x), and the coinvariant space is the
-quotient by the span of g.v ^ g.w - v ^ w.  Ranks come from exact elimination, over the rationals or
-over Z/p, and can be cross-checked by re-eliminating in a different order.
+quotient by the span of g.v ^ g.w - v ^ w.  Ranks come from exact elimination over Q or Z/p,
+cross-checked by re-eliminating in a different order; classes come in closed form.
 
 The second half models a field K with a nontrivial involution acting
 semilinearly on a vector space V, the subspace D spanned by the tensors
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .series import PrimeField, Ring, TruncatedSeries, one_plus_x_power
+from .series import PrimeField, Ring, TruncatedSeries, one_plus_x_power, sigma_tilde
 
 
 # --- exterior-square coinvariants
@@ -36,29 +36,18 @@ from .series import PrimeField, Ring, TruncatedSeries, one_plus_x_power
 
 @dataclass(frozen=True)
 class CoinvariantSpace:
-    """Quotient presentation of the truncated exterior square by the diagonal
-    action of the shift t = 1 + x."""
+    """Ranks of the quotient of the truncated exterior square by the
+    diagonal action of the shift t = 1 + x."""
 
     ring: Ring
     trunc: int
     pairs: tuple[tuple[int, int], ...]
     rank: int
     rel_rank: int
-    _rref_rows: tuple
-    _rref_pivots: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return len(self.pairs)
-
-    def reduce(self, vec) -> tuple:
-        """Canonical representative of a wedge-coordinate vector modulo the
-        relation row space."""
-        p = self.ring.p if isinstance(self.ring, PrimeField) else None
-        out = linalg.reduce_mod_rowspace(
-            list(vec), [list(r) for r in self._rref_rows], list(self._rref_pivots), p
-        )
-        return tuple(out)
 
     def to_json(self) -> dict:
         return {
@@ -113,30 +102,51 @@ def build_coinvariants(ring: Ring, trunc: int) -> CoinvariantSpace:
     powers span no more than the integer ones.  The saturation tests re-check
     this by eliminating rows of further integer and fractional exponents
     (built by `_relation_rows`) and comparing ranks, pivots and rows.
+
+    The quotient has rank floor(K/2), and `theta` reads classes off in
+    closed form.  Write A = R[x]/x^K, sigma for `sigma_tilde` (the ring
+    involution with sigma(t) = t^-1), and A+, A- for its +1 and -1
+    eigenspaces; A = A+ (+) A- because 2 is invertible in R.
+
+    1. The powers t^0 .. t^(K-1) span A, and applying t^-r to both factors
+       gives v ^ t^r = t^-r v ^ 1 in the quotient.  So theta, f -> class of
+       f ^ 1, maps A onto the quotient.
+    2. Likewise t^r ^ 1 = 1 ^ t^-r = -(t^-r ^ 1), so the elements
+       t^r + t^-r, which span A+, lie in the kernel of theta.
+    3. The pairing Phi(v ^ w) = (v sigma(w) - sigma(v) w) / 2 is
+       antisymmetric, and it is t-invariant because t sigma(t) = 1, so it
+       is defined on the quotient.  Phi(f ^ 1) = (f - sigma(f)) / 2 is the
+       A- part of f, so the kernel of theta is exactly A+, and Phi
+       identifies the quotient with A-.
+    4. sigma(x^k) = (-1)^k x^k + (higher terms): sigma is triangular on the
+       monomials with diagonal (-1)^k, so A- has rank floor(K/2), and a
+       nonzero element of A- has odd lowest degree.  The odd-degree
+       coefficients are therefore coordinates on A-.
     """
     pairs, rows = _relation_rows(ring, trunc, (1,))
     p = ring.p if isinstance(ring, PrimeField) else None
-    rel_rank, pivots, rref_rows = linalg.rref(rows, p)
+    rel_rank = linalg.field_rank(rows, p)
     return CoinvariantSpace(
         ring=ring,
         trunc=trunc,
         pairs=pairs,
         rank=len(pairs) - rel_rank,
         rel_rank=rel_rank,
-        _rref_rows=tuple(tuple(r) for r in rref_rows),
-        _rref_pivots=tuple(pivots),
     )
 
 
-def theta(f: TruncatedSeries, space: CoinvariantSpace) -> tuple:
-    """Class of f ^ 1 in the coinvariant quotient (canonical representative).
+def pairing(v: TruncatedSeries, w: TruncatedSeries) -> TruncatedSeries:
+    """Phi(v ^ w) = (v sigma(w) - sigma(v) w) / 2, the t-invariant pairing
+    that identifies the coinvariant quotient with the -1 eigenspace of
+    sigma.  Over Z it raises ValueError: 1/2 is not an integer."""
+    return (v * sigma_tilde(w) - sigma_tilde(v) * w).scale(Fraction(1, 2))
 
-    Linear in f; the constant term contributes nothing since 1 ^ 1 = 0.
-    """
-    if f.ring != space.ring or f.trunc != space.trunc:
-        raise ValueError("series does not match the space")
-    one = TruncatedSeries.one(space.ring, space.trunc)
-    return space.reduce(wedge_coords(f, one, space.pairs))
+
+def theta(f: TruncatedSeries) -> tuple:
+    """Coordinates of the class of f ^ 1 in the coinvariant quotient: the
+    floor(K/2) odd-degree coefficients of (f - sigma(f)) / 2, which vanish
+    exactly when sigma(f) = f."""
+    return pairing(f, TruncatedSeries.one(f.ring, f.trunc)).coeffs[1::2]
 
 
 def coinvariant_rank_oracle(ring: Ring, trunc: int) -> int:

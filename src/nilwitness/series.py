@@ -22,6 +22,8 @@ RationalExponent = Fraction  # exact rational, stdlib keeps lowest terms
 
 # the weight (and valuation) of an element that is trivial at truncation
 INFINITE_WEIGHT = math.inf
+# the largest p of Z/p: primality is checked by trial division up to sqrt(p)
+MAX_PRIME = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,8 @@ class PrimeField:
     def __post_init__(self):
         if self.p == 2:
             raise ValueError("characteristic 2 is not supported (odd primes only)")
+        if self.p > MAX_PRIME:
+            raise ValueError(f"p must be at most {MAX_PRIME}")
         if self.p < 3 or any(
             self.p % q == 0 for q in range(2, math.isqrt(self.p) + 1)
         ):

@@ -4,7 +4,7 @@ import io
 import json
 import sys
 
-from nilwitness import cli
+from nilwitness import cli, lamplighter
 
 
 def run_cli(argv):
@@ -191,15 +191,16 @@ def test_coinv_bad_series_file_is_input_error(tmp_path, capsys):
 
 # 3840 brackets in one chain, a 400-byte line
 WIDE_CHAIN = "[a," + ",".join(["_64 b"] * 60) + "]"
+# 30 nested brackets, each iterated 50 times: past the recursion limit
+DEEP_NESTING = "a"
+for _i in range(30):
+    DEEP_NESTING = f"[{DEEP_NESTING},_50 {'ba'[_i % 2]}]"
 
 
 def test_verify_hostile_nesting_is_input_error(tmp_path, capsys):
     data = _witness_data(tmp_path)
-    nested = "a"
-    for i in range(30):
-        nested = f"[{nested},_50 {'ba'[i % 2]}]"
     bad = tmp_path / "bad.json"
-    for word in ("[a,_1500 b]", nested, WIDE_CHAIN):
+    for word in ("[a,_1500 b]", DEEP_NESTING, WIDE_CHAIN):
         data["r_factors"][0] = word
         bad.write_text(json.dumps(data))
         code, _ = run_cli(["verify", "--in", str(bad)])
@@ -215,6 +216,7 @@ def test_weight_limits_checked_before_any_work(tmp_path, monkeypatch):
     for name in ("_basis", "_magnus_evaluator", "_lamp_evaluator"):
         monkeypatch.setattr(cli.witness, name, _refuse)
     monkeypatch.setattr(cli.coinv, "_relation_rows", _refuse)
+    monkeypatch.setattr(lamplighter, "LampEvaluator", _refuse)
     big = cli.witness.MAX_K + 1
 
     data = {"q": [1], "K": big, "r_factors": [], "s_factors": [], "n": []}
@@ -226,8 +228,10 @@ def test_weight_limits_checked_before_any_work(tmp_path, monkeypatch):
     code, _ = run_cli(["construct", "--q", "1", "--weight", str(big)])
     assert code == cli.EXIT_USAGE
 
-    weight = str(cli.MAX_COINV_WEIGHT + 1)
+    weight = str(cli.MAX_SERIES_WEIGHT + 1)
     code, _ = run_cli(["coinv", "--ring", "Zp:3", "--weight", weight])
+    assert code == cli.EXIT_USAGE
+    code, _ = run_cli(["phi", "--word", "b a", "--weight", weight])
     assert code == cli.EXIT_USAGE
 
 
@@ -251,6 +255,19 @@ def test_phi_wide_chain_is_usage_error():
     assert code == cli.EXIT_USAGE
 
 
+def test_phi_deep_nesting_is_usage_error(capsys):
+    code, _ = run_cli(["phi", "--word", DEEP_NESTING, "--weight", "8"])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_prime_above_limit_is_usage_error():
+    # the least prime above 2^31; trial division up to sqrt(p) is not run
+    for argv in (["coinv", "--weight", "4"], ["phi", "--word", "b a", "--weight", "4"]):
+        code, _ = run_cli(argv + ["--ring", "Zp:2147483659"])
+        assert code == cli.EXIT_USAGE, argv[0]
+
+
 def test_runtime_error_is_internal_error(monkeypatch, capsys):
     def fail(q, K):
         raise RuntimeError("defect lost weight")
@@ -270,11 +287,17 @@ def test_report_witness_classes_checked(monkeypatch):
     code, out = run_cli(["report", "--weight", "6", "--seed", "1"])
     assert code == 0
     section = json.loads(out)["sections"]["witness_classes"]
-    assert section["canonical"] and section["zero_to_zero"] and section["ok"]
+    assert set(section) == {
+        "rank", "witnesses_fixed", "theta_zero_iff_fixed", "pairing_kills_relations", "ok"
+    }
+    assert section["rank"] == 4
+    assert all(section.values())
 
-    # a theta that sends everything to a fixed nonzero vector breaks both checks
-    monkeypatch.setattr(cli.coinv, "theta", lambda f, space: (1,) * space.dim)
+    # a theta that sends everything to a fixed nonzero vector breaks the
+    # zero-iff-fixed check, and with it the section
+    monkeypatch.setattr(cli.coinv, "theta", lambda f: (1,) * (f.trunc // 2))
     code, out = run_cli(["report", "--weight", "6", "--seed", "1"])
     assert code == cli.EXIT_CHECK_FAILED
     section = json.loads(out)["sections"]["witness_classes"]
-    assert not (section["canonical"] or section["zero_to_zero"] or section["ok"])
+    assert not (section["theta_zero_iff_fixed"] or section["ok"])
+    assert section["witnesses_fixed"] and section["pairing_kills_relations"]

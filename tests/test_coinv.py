@@ -33,8 +33,25 @@ def eliminate(ring, K, exponents):
     return len(pairs) - rel_rank, tuple(pivots), tuple(tuple(r) for r in rref_rows)
 
 
-def eliminated(space):
-    return space.rank, space._rref_pivots, space._rref_rows
+def eliminated(ring, K):
+    """The single-shift elimination, which `build_coinvariants` runs for its
+    rank."""
+    return eliminate(ring, K, (1,))
+
+
+def elimination_class_map(ring, K):
+    """The class map by elimination, kept here as an oracle for the closed
+    form: wedge coordinates of f ^ 1 reduced modulo the rref of the relation
+    rows."""
+    pairs, rows = cv._relation_rows(ring, K, (1,))
+    p = ring.p if isinstance(ring, sr.PrimeField) else None
+    _, pivots, red = linalg.rref(rows, p)
+    one = sr.TruncatedSeries.one(ring, K)
+
+    def reduce(vec):
+        return tuple(linalg.reduce_mod_rowspace(list(vec), red, pivots, p))
+
+    return pairs, reduce, lambda f: reduce(cv.wedge_coords(f, one, pairs))
 
 
 # --- exterior square and quotient --------------------------------------------
@@ -48,16 +65,15 @@ def test_lambda2_dimension():
 
 def test_action_classes_collapse():
     rng = random.Random(0)
-    S = cv.build_coinvariants(sr.QQ, 6)
+    pairs, reduce, _ = elimination_class_map(sr.QQ, 6)
     for _ in range(20):
         v = rand_series(sr.QQ, 6, rng)
         w = rand_series(sr.QQ, 6, rng)
         r = Fraction(rng.randint(1, 6))
         t_r = sr.one_plus_x_power(sr.QQ, r, 6)
         tv, tw = t_r * v, t_r * w
-        assert S.reduce(cv.wedge_coords(v, w, S.pairs)) == S.reduce(
-            cv.wedge_coords(tv, tw, S.pairs)
-        )
+        assert reduce(cv.wedge_coords(v, w, pairs)) == reduce(cv.wedge_coords(tv, tw, pairs))
+        assert cv.pairing(v, w) == cv.pairing(tv, tw)
 
 
 def test_rank_matches_independent_oracle():
@@ -84,79 +100,59 @@ def test_oracle_builds_only_its_own_rows(monkeypatch):
 @pytest.mark.parametrize("ring", [sr.QQ, sr.PrimeField(3)], ids=["Q", "Z3"])
 def test_single_shift_gives_the_rref_of_all_shifts(ring):
     for K in range(2, 11):
-        one = cv.build_coinvariants(ring, K)
-        assert eliminated(one) == eliminate(ring, K, range(1, K + 1))
+        assert eliminated(ring, K) == eliminate(ring, K, range(1, K + 1))
+        assert cv.build_coinvariants(ring, K).rank == eliminated(ring, K)[0]
 
 
 def test_relation_saturation():
     for K in (4, 6, 8):
-        base = cv.build_coinvariants(sr.QQ, K)
         more = tuple(range(1, K + 2)) + (Fraction(1, 2),)
-        assert eliminated(base) == eliminate(sr.QQ, K, more)
+        assert eliminated(sr.QQ, K) == eliminate(sr.QQ, K, more)
     # mod-p variant: a single shift generates, extra powers change nothing
     Z3 = sr.PrimeField(3)
     for K in (4, 8):
-        assert eliminated(cv.build_coinvariants(Z3, K)) == eliminate(Z3, K, (1, 2, 3))
+        assert eliminated(Z3, K) == eliminate(Z3, K, (1, 2, 3))
 
 
 def test_redundant_relation_keeps_rank():
-    S = cv.build_coinvariants(sr.QQ, 5)
-    assert eliminated(S) == eliminate(sr.QQ, 5, (1, 2))
+    assert eliminated(sr.QQ, 5) == eliminate(sr.QQ, 5, (1, 2))
 
 
 def test_theta_linear_and_kills_constants():
     rng = random.Random(1)
     for ring in (sr.QQ, sr.PrimeField(3)):
-        S = cv.build_coinvariants(ring, 6)
         zero = sr.TruncatedSeries.zero(ring, 6)
         one = sr.TruncatedSeries.one(ring, 6)
-        assert all(c == 0 for c in cv.theta(zero, S))
-        assert all(c == 0 for c in cv.theta(one, S))
+        assert all(c == 0 for c in cv.theta(zero))
+        assert all(c == 0 for c in cv.theta(one))
         for _ in range(25):
             f = rand_series(ring, 6, rng)
             g = rand_series(ring, 6, rng)
-            lhs = cv.theta(f + g, S)
-            rhs = tuple(
-                ring.coerce(u + v) for u, v in zip(cv.theta(f, S), cv.theta(g, S))
-            )
+            lhs = cv.theta(f + g)
+            rhs = tuple(ring.coerce(u + v) for u, v in zip(cv.theta(f), cv.theta(g)))
             assert lhs == rhs
             c = ring.coerce(3)
-            assert cv.theta(f.scale(c), S) == tuple(
-                ring.coerce(c * u) for u in cv.theta(f, S)
-            )
+            assert cv.theta(f.scale(c)) == tuple(ring.coerce(c * u) for u in cv.theta(f))
 
 
 def test_theta_classes_of_built_witnesses_reported():
-    # classes of the witness series are computed and compared pairwise;
-    # no distinctness claim is made, the comparisons are simply recorded
+    # every witness series is fixed by the involution, so its class is zero,
+    # by the closed form and by the elimination oracle alike
     S = cv.build_coinvariants(sr.QQ, 8)
-    classes = {}
+    _, _, by_elimination = elimination_class_map(sr.QQ, 8)
     for q in [(0, 0, 0), (1, 0, 1), (1, 1, 0)]:
         pair = wt.build_witness(q, 8)
         f = wt.witness_series(pair)
         fq = sr.TruncatedSeries.from_coeffs(sr.QQ, 8, f.coeffs)
-        classes[q] = cv.theta(fq, S)
-    assert len(classes) == 3
-    assert S.rank <= S.dim
-    comparisons = {
-        (q1, q2): classes[q1] == classes[q2]
-        for q1 in classes
-        for q2 in classes
-        if q1 < q2
-    }
-    assert len(comparisons) == 3
-    # the zero sequence lands on the zero class; theta is a class map, so
-    # each vector is already its canonical representative
-    assert all(c == 0 for c in classes[(0, 0, 0)])
-    for vec in classes.values():
-        assert S.reduce(list(vec)) == vec
+        vec = cv.theta(fq)
+        assert len(vec) == S.rank == 4
+        assert not any(vec) and not any(by_elimination(fq))
 
 
-def test_mismatched_series_rejected():
-    S = cv.build_coinvariants(sr.QQ, 6)
-    f = sr.TruncatedSeries.one(sr.PrimeField(3), 6)
+def test_theta_rejects_series_over_Z():
+    f = sr.TruncatedSeries.x(sr.ZZ, 6)
     with pytest.raises(ValueError):
-        cv.theta(f, S)
+        cv.theta(f)
 
 
 # --- involutive fields --------------------------------------------------------
@@ -244,11 +240,10 @@ def test_theta_kills_involution_symmetrized_series():
 
     rng = random.Random(6)
     for K in (5, 8):
-        S = cv.build_coinvariants(sr.QQ, K)
         for _ in range(15):
             g = rand_series(sr.QQ, K, rng)
             f = g + sigma_tilde(g)
-            assert all(c == 0 for c in cv.theta(f, S))
+            assert all(c == 0 for c in cv.theta(f))
 
 
 def test_witness_series_are_involution_fixed():
@@ -261,16 +256,67 @@ def test_witness_series_are_involution_fixed():
     from nilwitness.series import sigma_tilde
 
     K = 8
-    S = cv.build_coinvariants(sr.QQ, K)
     x = sr.TruncatedSeries.x(sr.QQ, K)
     for q in [(1, 1, 1), (1, 0, 1), (0, 1, 0)]:
         pair = wt.build_witness(q, K)
         fq = sr.TruncatedSeries.from_coeffs(sr.QQ, K, wt.witness_series(pair).coeffs)
         assert sigma_tilde(fq) == fq
-        assert all(c == 0 for c in cv.theta(fq, S))
+        assert all(c == 0 for c in cv.theta(fq))
     assert sr.TruncatedSeries.from_coeffs(
         sr.QQ, K, wt.witness_series(wt.build_witness((1, 1, 1), K)).coeffs
     ) == x + sigma_tilde(x)
     # the quotient is far from degenerate: monomial classes are nonzero
-    assert any(c != 0 for c in cv.theta(x, S))
-    assert any(c != 0 for c in cv.theta(x * x, S))
+    assert any(c != 0 for c in cv.theta(x))
+    assert any(c != 0 for c in cv.theta(x * x))
+
+
+# --- closed-form classes through the involution -------------------------------
+
+RINGS = [sr.QQ, sr.PrimeField(3), sr.PrimeField(5)]
+RING_IDS = ["Q", "Z3", "Z5"]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_rank_is_half_the_truncation(ring):
+    for K in range(2, 21):
+        assert cv.build_coinvariants(ring, K).rank == K // 2
+
+
+@pytest.mark.parametrize("ring", RINGS + [sr.PrimeField(7)], ids=RING_IDS + ["Z7"])
+def test_theta_matches_the_elimination_class_map(ring):
+    # theta(f) = theta(g) exactly when f ^ 1 and g ^ 1 reduce to the same
+    # representative, on random pairs and on pairs that differ by a
+    # symmetrized series h + sigma(h)
+    rng = random.Random(7)
+    for K in range(2, 11):
+        _, _, by_elimination = elimination_class_map(ring, K)
+        for _ in range(6):
+            f = rand_series(ring, K, rng)
+            h = rand_series(ring, K, rng)
+            sym = h + sr.sigma_tilde(h)
+            assert len(cv.theta(f)) == K // 2
+            for g in (rand_series(ring, K, rng), f + sym, sym):
+                same = by_elimination(f) == by_elimination(g)
+                assert (cv.theta(f) == cv.theta(g)) == same
+                assert (not any(cv.theta(g))) == (not any(by_elimination(g)))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_pairing_kills_relation_rows(ring):
+    for K in (2, 5, 8):
+        x = [sr.TruncatedSeries.monomial(ring, K, k) for k in range(K)]
+        t = sr.one_plus_x_power(ring, 1, K)
+        for i in range(K):
+            for j in range(K):
+                assert cv.pairing(t * x[i], t * x[j]) == cv.pairing(x[i], x[j])
+                assert cv.pairing(x[i], x[j]) == -cv.pairing(x[j], x[i])
+
+
+def test_theta_zero_exactly_on_fixed_series():
+    rng = random.Random(8)
+    for ring in RINGS:
+        for K in (3, 6, 9):
+            for _ in range(10):
+                f = rand_series(ring, K, rng)
+                for g in (f, f + sr.sigma_tilde(f)):
+                    assert (not any(cv.theta(g))) == (sr.sigma_tilde(g) == g)

@@ -5,11 +5,14 @@ Each ``tests/golden/<name>.json`` is the stdout of
     PYTHONPATH=src python -m nilwitness.cli <argv>
 
 with the argv listed for it in ``CASES`` (``verify`` reads the recorded
-``construct_K8.json``), run from the repository root. The files were
-recorded before the word, series and lamplighter layers were rebuilt on one
-expression walk (``report_w8`` before the free Lie layer moved to
-word-keyed coordinates, ``construct_K10`` before the free Lie layer moved to
-Magnus rows), and pin those outputs across refactors. When a change is
+``construct_K8.json``, and ``coinv_Zp3_K8_in`` classifies the series in
+``series_K8.json``), run from the repository root. The files were recorded
+before the word, series and lamplighter layers were rebuilt on one
+expression walk (``construct_K10`` before the free Lie layer moved to Magnus
+rows), and pin those outputs across refactors. ``report_w8`` was re-recorded
+and ``coinv_Zp3_K8_in`` recorded when the coinvariant classes moved to the
+closed form through the involution, which changed the ``witness_classes``
+section of ``report`` and the shape of ``theta_classes``. When a change is
 meant to alter an output, re-run the command by hand, write its stdout over
 the file and say so in the change.
 """
@@ -34,6 +37,9 @@ CASES = {
     "verify_K8": ["verify", "--in", str(GOLDEN / "construct_K8.json")],
     "coinv_Q_K8": ["coinv", "--ring", "Q", "--weight", "8"],
     "coinv_Zp3_K8": ["coinv", "--ring", "Zp:3", "--weight", "8"],
+    "coinv_Zp3_K8_in": [
+        "coinv", "--ring", "Zp:3", "--weight", "8", "--in", str(GOLDEN / "series_K8.json")
+    ],
     "identities_n2": ["identities", "--max-n", "2"],
     "involution_t5": ["involution", "--trials", "5"],
     "report_w8": ["report", "--weight", "8", "--seed", "0"],

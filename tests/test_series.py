@@ -190,6 +190,12 @@ def test_mod2_rejected():
         sr.ring_from_tag("Zp:2")
 
 
+def test_prime_bounded_before_trial_division():
+    assert sr.PrimeField(2**31 - 1).p == sr.MAX_PRIME
+    with pytest.raises(ValueError, match="at most"):
+        sr.PrimeField(2**61 - 1)
+
+
 def test_ring_tags_roundtrip():
     assert sr.ring_from_tag("Z") == sr.ZZ
     assert sr.ring_from_tag("Q") == sr.QQ
