@@ -27,6 +27,8 @@ EXIT_RESOURCE = 3
 
 # largest coinv/phi --weight K: coinv eliminates K(K-1)/2 columns, phi takes time ~K^2
 MAX_SERIES_WEIGHT = 64
+# largest involution --trials: the time is linear in it, about 3 s at 1000
+MAX_TRIALS = 1000
 
 
 class UsageError(ValueError):
@@ -142,8 +144,8 @@ def cmd_coinv(args) -> int:
     ring = series.ring_from_tag(args.ring)
     if isinstance(ring, series.IntegerRing):
         raise UsageError("coinvariants are computed over Q or Z/p")
-    if args.weight > MAX_SERIES_WEIGHT:
-        raise UsageError(f"--weight must be at most {MAX_SERIES_WEIGHT}")
+    if not 2 <= args.weight <= MAX_SERIES_WEIGHT:
+        raise UsageError(f"--weight must be in 2..{MAX_SERIES_WEIGHT}")
     inputs = {}
     if args.infile:
         data = _load_json(args.infile, "series")
@@ -170,6 +172,8 @@ def cmd_coinv(args) -> int:
 
 
 def cmd_involution(args) -> int:
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise UsageError(f"--trials must be in 1..{MAX_TRIALS}")
     instances = [(-1, 2), (2, 2), (5, 3)]
     results = [
         coinv.involution_exactness_report(

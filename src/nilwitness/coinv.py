@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,10 +119,11 @@ def build_coinvariants(ring: Ring, trunc: int) -> CoinvariantSpace:
        is defined on the quotient.  Phi(f ^ 1) = (f - sigma(f)) / 2 is the
        A- part of f, so the kernel of theta is exactly A+, and Phi
        identifies the quotient with A-.
-    4. sigma(x^k) = (-1)^k x^k + (higher terms): sigma is triangular on the
-       monomials with diagonal (-1)^k, so A- has rank floor(K/2), and a
-       nonzero element of A- has odd lowest degree.  The odd-degree
-       coefficients are therefore coordinates on A-.
+    4. On the monomials sigma is the signed Pascal matrix of `sigma_tilde`,
+       triangular with diagonal (-1)^n: sigma(x^k) = (-1)^k x^k + (higher
+       terms).  So A- has rank floor(K/2), and a nonzero element of A- has
+       odd lowest degree.  The odd-degree coefficients are therefore
+       coordinates on A-.
     """
     pairs, rows = _relation_rows(ring, trunc, (1,))
     p = ring.p if isinstance(ring, PrimeField) else None
@@ -316,10 +318,6 @@ def involution_exactness_report(
     * psi kills `trials` random additive combinations of pure tensors;
     * the plus/minus decomposition identities hold on random vectors.
     """
-    import random
-
-    if F.dim < 1:
-        raise ValueError("degenerate space")
     rng = random.Random(seed)
     d_rows = _diagonal_span_rows(F)
     rel_rank, pivots, rref_rows = linalg.rref(d_rows)
@@ -355,7 +353,6 @@ def involution_exactness_report(
 
     psi_ok = True
     for _ in range(trials):
-        total = None
         terms = []
         for _ in range(rng.randint(1, 4)):
             w = F.random_vec(rng)

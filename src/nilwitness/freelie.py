@@ -324,7 +324,7 @@ def engel_lie(basis: HallBasis, n: int) -> FreeLieElement:
     return basis.from_words({"a" + "b" * n: 1})
 
 
-def check_identity(n: int, basis: HallBasis | None = None) -> bool:
+def check_identity(n: int) -> bool:
     """Alternating-sum bracket identity in weight 2n + 2.
 
     Checks [[a,_2n b], a] == [sum_{i<n} (-1)^i [[a,_{2n-1-i} b], [a,_i b]], b]
@@ -332,10 +332,7 @@ def check_identity(n: int, basis: HallBasis | None = None) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if basis is None:
-        basis = hall_basis(2 * n + 2)
-    if 2 * n + 2 > basis.max_weight:
-        raise WeightOverflowError("basis too small for weight 2n + 2")
+    basis = hall_basis(2 * n + 2)
     a, b = basis.gen("a"), basis.gen("b")
     lhs = bracket(engel_lie(basis, 2 * n), a)
     acc = basis.zero()

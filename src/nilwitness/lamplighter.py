@@ -29,7 +29,6 @@ from .series import (
     ZZ,
     one_plus_x_power,
     ring_from_tag,
-    square_and_multiply,
 )
 from .words import GroupWord, WordExpr, evaluate, parse_word_expr
 
@@ -66,9 +65,25 @@ class LampElement:
         return f"({self.f}, t^{self.e})"
 
 
+def square_and_multiply(x, n: int, one):
+    """x^n for an integer n by repeated squaring from the identity `one`;
+    a negative n powers the inverse of x."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
 def _shift(f: TruncatedSeries, e) -> TruncatedSeries:
-    """Action of t^e on a series: multiplication by (1 + x)^e."""
-    if e == 0:
+    """Action of t^e on a series: multiplication by (1 + x)^e.  A zero series
+    is returned as it is, so powers of a pure shift build no (1 + x)^e."""
+    if e == 0 or f.is_zero():
         return f
     return one_plus_x_power(f.ring, e, f.trunc) * f
 
@@ -104,8 +119,8 @@ class LampEvaluator:
     def generator(self, name: str) -> LampElement:
         return (lamp_a if name == "a" else lamp_b)(self.ring, self.trunc)
 
-    def comm(self, u: LampElement, right: WordExpr) -> LampElement:
-        return u.commutator(self.eval(right))
+    def comm(self, u: LampElement, v: LampElement) -> LampElement:
+        return u.commutator(v)
 
 
 def phi_word(

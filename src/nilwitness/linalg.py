@@ -10,11 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _row_axpy(dst: list[int], src: list[int], c: int) -> None:
-    for k in range(len(dst)):
-        dst[k] += c * src[k]
-
-
 def hnf_with_transform(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int]:
     """Row Hermite normal form H = U * mat with U unimodular; returns
     (H, U, rank).  Pivot entries positive, entries above pivots reduced."""
@@ -41,8 +36,8 @@ def hnf_with_transform(mat: list[list[int]]) -> tuple[list[list[int]], list[list
                 if H[i][c]:
                     q = H[i][c] // p
                     if q:
-                        _row_axpy(H[i], H[r], -q)
-                        _row_axpy(U[i], U[r], -q)
+                        H[i] = _sub_multiple(H[i], q, H[r], None)
+                        U[i] = _sub_multiple(U[i], q, U[r], None)
                     if H[i][c]:
                         clean = False
             if clean:
@@ -56,8 +51,8 @@ def hnf_with_transform(mat: list[list[int]]) -> tuple[list[list[int]], list[list
             for i in range(r):
                 q = H[i][c] // p
                 if q:
-                    _row_axpy(H[i], H[r], -q)
-                    _row_axpy(U[i], U[r], -q)
+                    H[i] = _sub_multiple(H[i], q, H[r], None)
+                    U[i] = _sub_multiple(U[i], q, U[r], None)
             r += 1
     return H, U, r
 
@@ -90,7 +85,8 @@ def lattices_equal(a: list[list[int]], b: list[list[int]]) -> bool:
 # --- field elimination
 #
 # Entries are Fractions over Q (p=None) or ints in [0, p) over Z/p.  The
-# helpers act on whole rows, reducing mod p only when a prime is set.
+# helpers act on whole rows, reducing mod p only when a prime is set; the
+# Hermite form above subtracts integer rows with _sub_multiple and p=None.
 
 
 def _coerce_row(row, p: int | None) -> list:

@@ -23,13 +23,22 @@ single letter (1 + X)^+-1 goes through one letter step, _letter_rows.
 
 from __future__ import annotations
 
-import math
 import operator
 from itertools import compress
 from typing import Sequence
 
-from .series import INFINITE_WEIGHT
-from .words import Gen, GroupWord, WordExpr, evaluate, parse_word_expr
+from .series import INFINITE_WEIGHT, binomials
+from .words import (
+    A,
+    B,
+    Comm,
+    GroupWord,
+    WordExpr,
+    alternating_engel_product,
+    engel,
+    evaluate,
+    parse_word_expr,
+)
 
 # degree rows: index d holds the 2^d coefficients of degree d, None when zero
 Rows = list[list[int] | None]
@@ -155,10 +164,9 @@ class MagnusElement:
             return MagnusElement.one(T)
         acc: Rows = [None] * (T + 1)
         u = power = _nonzero_rows(self._deg, T)
-        for j in range(1, T // w + 1):
+        for j, coeff in enumerate(binomials(n, T // w + 1)[1:], 1):
             if j > 1:
                 power = _nonzero_rows(_convolve([None] * (T + 1), power, u, 1), T)
-            coeff = _binomial_int(n, j)
             for d, entries in enumerate(power):
                 if entries and coeff:
                     if acc[d] is None:
@@ -261,14 +269,6 @@ def _letter_rows(p: Rows, letter: int, left: bool) -> Rows:
     return out
 
 
-def _binomial_int(n: int, j: int) -> int:
-    """Generalized binomial coefficient of an integer argument (exact)."""
-    num = 1
-    for t in range(j):
-        num *= n - t
-    return num // math.factorial(j)
-
-
 def commutator(g: MagnusElement, h: MagnusElement) -> MagnusElement:
     """g^-1 h^-1 g h, computed as 1 + (hg)^-1 (gh - hg).
 
@@ -290,11 +290,6 @@ def commutator(g: MagnusElement, h: MagnusElement) -> MagnusElement:
         hg_inv = (h.truncate(low) * g.truncate(low)).inverse()
         _convolve(out, _nonzero_rows(hg_inv._deg, low), _nonzero_rows(out, T - 1), 1)
     return MagnusElement(T, out)
-
-
-def letter_commutator(g: MagnusElement, letter: int) -> MagnusElement:
-    """[g, x] = g^-1 x^-1 g x for a generator or inverse generator x."""
-    return g.inverse() * g.conjugate_letter(letter)
 
 
 def eval_word(w: GroupWord | WordExpr | str, trunc: int) -> MagnusElement:
@@ -329,10 +324,8 @@ class MagnusEvaluator:
     def generator(self, name: str) -> MagnusElement:
         return MagnusElement.generator(name, self.trunc)
 
-    def comm(self, g: MagnusElement, right: WordExpr) -> MagnusElement:
-        if isinstance(right, Gen):
-            return letter_commutator(g, 1 if right.name == "a" else 2)
-        return commutator(g, self.eval(right))
+    def comm(self, g: MagnusElement, h: MagnusElement) -> MagnusElement:
+        return commutator(g, h)
 
 
 def gamma_weight(g: MagnusElement) -> int | float:
@@ -358,21 +351,16 @@ def leading_lie(g: MagnusElement, basis):
     return basis.from_words(freelie.lie_coordinates(g._deg[k]))
 
 
-def check_group_identity(n: int, trunc: int | None = None) -> bool:
+def check_group_identity(n: int) -> bool:
     """Group-word form of the weight-(2n + 2) alternating Engel identity.
 
     Checks that [[a,_2n b], a] and the alternating product of
     [[a,_{2n-1-i} b], [a,_i b]] bracketed with b agree modulo
     gamma_{2n+3}(F), by comparing images truncated at degree 2n + 2.
     """
-    from .words import alternating_engel_product, commutator as wcomm, engel, A, B
-
     if n < 1:
         raise ValueError("n must be >= 1")
-    T = trunc if trunc is not None else 2 * n + 2
-    if T < 2 * n + 2:
-        raise ValueError("truncation weight must be >= 2n + 2")
-    ev = MagnusEvaluator(T)
-    lhs = ev.eval(wcomm(engel(2 * n), A))
-    rhs = ev.eval(wcomm(alternating_engel_product(n), B))
+    ev = MagnusEvaluator(2 * n + 2)
+    lhs = ev.eval(Comm(engel(2 * n), A))
+    rhs = ev.eval(Comm(alternating_engel_product(n), B))
     return lhs == rhs

@@ -165,34 +165,6 @@ class TruncatedSeries:
         c = ring.coerce(c)
         return TruncatedSeries(ring, self.trunc, tuple(ring.coerce(c * u) for u in self.coeffs))
 
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be a unit."""
-        c0 = self.coeffs[0]
-        ring = self.ring
-        if isinstance(ring, IntegerRing):
-            if c0 not in (1, -1):
-                raise ValueError("constant term is not a unit of Z")
-            inv0 = c0
-        elif isinstance(ring, RationalRing):
-            if c0 == 0:
-                raise ValueError("constant term is zero")
-            inv0 = Fraction(1) / c0
-        else:
-            if c0 % ring.p == 0:
-                raise ValueError("constant term is zero mod p")
-            inv0 = pow(c0, ring.p - 2, ring.p)
-        K = self.trunc
-        out = [ring.coerce(inv0)] + [ring.coerce(0)] * (K - 1)
-        for d in range(1, K):
-            s = 0
-            for i in range(1, d + 1):
-                s += self.coeffs[i] * out[d - i]
-            out[d] = ring.coerce(-inv0 * s)
-        return TruncatedSeries(ring, K, tuple(out))
-
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        return square_and_multiply(self, n, TruncatedSeries.one(self.ring, self.trunc))
-
     def valuation(self) -> int | float:
         for i, c in enumerate(self.coeffs):
             if c != 0:
@@ -283,30 +255,26 @@ def antipode(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly.from_terms(p.ring, {-e: c for e, c in p.terms.items()})
 
 
-def square_and_multiply(x, n: int, one):
-    """x^n for an integer n by repeated squaring from the identity `one`;
-    a negative n powers the inverse of x."""
-    if n < 0:
-        x, n = x.inverse(), -n
-    out = one
-    while n:
-        if n & 1:
-            out = out * x
-        n >>= 1
-        if n:
-            x = x * x
+def binomials(r, n: int) -> list:
+    """C(r, 0), ..., C(r, n - 1) for rational r, by the recurrence
+    C(r, k + 1) = C(r, k) (r - k) / (k + 1): exact ints when r is an integer
+    (each division is exact), Fractions otherwise."""
+    r = Fraction(r)
+    if r.denominator == 1:
+        r = r.numerator
+    out, c = [], 1
+    for k in range(n):
+        out.append(c)
+        c = c * (r - k) // (k + 1) if isinstance(r, int) else c * (r - k) / (k + 1)
     return out
 
 
 def one_plus_x_power(ring: Ring, r, trunc: int) -> TruncatedSeries:
-    """(1 + x)^r for rational r: an integer power (negative ones through the
-    geometric inverse), otherwise the binomial series rat_pow, which needs
-    the rational ring."""
-    base = TruncatedSeries.from_coeffs(ring, trunc, (1, 1))
-    r = Fraction(r)
-    if r.denominator == 1:
-        return base**r.numerator
-    return rat_pow(base, r)
+    """(1 + x)^r for rational r: the coefficients are the binomials C(r, k).
+    A non-integer r needs the rational ring."""
+    if Fraction(r).denominator != 1 and not isinstance(ring, RationalRing):
+        raise ValueError("rational powers need the rational coefficient ring")
+    return TruncatedSeries.from_coeffs(ring, trunc, binomials(r, trunc))
 
 
 def tau(p: LaurentPoly, trunc: int) -> TruncatedSeries:
@@ -320,14 +288,18 @@ def tau(p: LaurentPoly, trunc: int) -> TruncatedSeries:
 def sigma_tilde(f: TruncatedSeries) -> TruncatedSeries:
     """Involution of R[x]/x^K induced by the antipode through tau.
 
-    Substitutes x -> (1 + x)^-1 - 1 = -x + x^2 - x^3 + ...; applying it twice
-    is the identity at truncation.
+    It substitutes x -> (1 + x)^-1 - 1 = -x / (1 + x), so x^k maps to
+    (-x)^k (1 + x)^-k, and coefficient n >= 1 of the image is
+    (-1)^n sum_{k=1..n} C(n - 1, k - 1) f_k: a signed Pascal matrix,
+    triangular with diagonal (-1)^n.  Applying it twice is the identity at
+    truncation.
     """
-    s = one_plus_x_power(f.ring, -1, f.trunc) - TruncatedSeries.one(f.ring, f.trunc)
-    acc = TruncatedSeries.zero(f.ring, f.trunc)
-    for c in reversed(f.coeffs):
-        acc = acc * s + TruncatedSeries.from_coeffs(f.ring, f.trunc, (c,))
-    return acc
+    c = f.coeffs
+    out = [c[0]]
+    for n in range(1, f.trunc):
+        s = sum(math.comb(n - 1, k - 1) * c[k] for k in range(1, n + 1))
+        out.append(-s if n % 2 else s)
+    return TruncatedSeries.from_coeffs(f.ring, f.trunc, out)
 
 
 def rat_pow(f: TruncatedSeries, r) -> TruncatedSeries:
@@ -340,16 +312,13 @@ def rat_pow(f: TruncatedSeries, r) -> TruncatedSeries:
         raise ValueError("rational powers need the rational coefficient ring")
     if f.coeffs[0] != 1:
         raise ValueError("rational powers need constant term 1")
-    r = Fraction(r)
     u = f - TruncatedSeries.one(f.ring, f.trunc)
     acc = TruncatedSeries.one(f.ring, f.trunc)
     term = TruncatedSeries.one(f.ring, f.trunc)
-    binom = Fraction(1)
-    for n in range(1, f.trunc):
+    for binom in binomials(r, f.trunc)[1:]:
         term = term * u
         if term.is_zero():
             break
-        binom = binom * (r - n + 1) / n
         acc = acc + term.scale(binom)
     return acc
 
@@ -362,15 +331,11 @@ def tau_q(r, trunc: int) -> TruncatedSeries:
 # --- the augmentation-filtration isomorphism certificate
 
 
-def _tau_row(ring: Ring, e: int, n: int) -> list:
-    return list(one_plus_x_power(ring, e, n).coeffs)
-
-
-def augmentation_iso_report(ring: Ring, n: int, span_pad: int = 2) -> dict:
+def augmentation_iso_report(ring: Ring, n: int) -> dict:
     """Certificates that tau identifies R[C]/I^n with R[x]/x^n.
 
     I is the augmentation ideal (kernel of t -> 1).  Working over the
-    spanning set {t^-N, ..., t^N}, N = n + span_pad, the report certifies:
+    spanning set {t^-N, ..., t^N}, N = n + 2, the report certifies:
 
     * surjectivity - the rows tau(t^j) mod x^n span R^n (over Z: with all
       elementary divisors 1, so the row lattice is the full lattice);
@@ -381,15 +346,14 @@ def augmentation_iso_report(ring: Ring, n: int, span_pad: int = 2) -> dict:
     * stability - the same certificates hold after growing N by one.
 
     R[C] has infinite rank, so a finite check is only honest together with
-    the stability certificate; that is what the span_pad growth re-run is.
+    the stability certificate; that is what the re-run at N = n + 3 is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     results = {}
-    for pad in (span_pad, span_pad + 1):
-        N = n + pad
+    for N in (n + 2, n + 3):
         exps = list(range(-N, N + 1))
-        rows = [_tau_row(ring, e, n) for e in exps]
+        rows = [list(one_plus_x_power(ring, e, n).coeffs) for e in exps]
         # coefficient vectors of (t-1)^n t^j over the t-power basis
         binom = [_binomial_signed(n, k) for k in range(n + 1)]
         ideal_rows = []

@@ -32,9 +32,9 @@ from .magnus import (
     INFINITE_WEIGHT,
     MagnusElement,
     MagnusEvaluator,
+    commutator as magnus_commutator,
     gamma_weight,
     leading_lie,
-    letter_commutator,
 )
 from .series import TruncatedSeries, ZZ
 from .words import (
@@ -160,7 +160,8 @@ def _basis(max_weight: int) -> HallBasis:
 
 def _defect(R: MagnusElement, S: MagnusElement) -> MagnusElement:
     """[R, a] [S, b] at the truncation of the inputs."""
-    return letter_commutator(R, 1) * letter_commutator(S, 2)
+    a, b = (MagnusElement.generator(name, R.trunc) for name in "ab")
+    return magnus_commutator(R, a) * magnus_commutator(S, b)
 
 
 def _lift_inverse(elt: FreeLieElement) -> WordExpr:

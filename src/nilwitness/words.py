@@ -119,10 +119,9 @@ class WordExpr:
 def evaluate(expr: WordExpr, cache: dict, group):
     """Value of expr in `group`, memoized in `cache` on expr.key().
 
-    `group` supplies one(), generator(name) and comm(value, right), where
-    value is the evaluated left argument and right the unevaluated right
-    one, so that a group can take a shortcut for a letter on the right.
-    Values need only * and ** with an integer exponent.
+    `group` supplies one(), generator(name) and comm(u, v), the commutator
+    [u, v] of two values.  Values need only * and ** with an integer
+    exponent.
     """
     key = expr.key()
     hit = cache.get(key)
@@ -133,7 +132,8 @@ def evaluate(expr: WordExpr, cache: dict, group):
     elif isinstance(expr, Pow):
         out = evaluate(expr.base, cache, group) ** expr.exp
     elif isinstance(expr, Comm):
-        out = group.comm(evaluate(expr.left, cache, group), expr.right)
+        left = evaluate(expr.left, cache, group)
+        out = group.comm(left, evaluate(expr.right, cache, group))
     elif isinstance(expr, Prod):
         out = group.one()
         for p in expr.parts:
@@ -159,8 +159,8 @@ class _LetterWords:
     def generator(self, name: str) -> GroupWord:
         return GroupWord((_SIGNED[name],))
 
-    def comm(self, value: GroupWord, right: WordExpr) -> GroupWord:
-        return value.commutator(self.eval(right))
+    def comm(self, u: GroupWord, v: GroupWord) -> GroupWord:
+        return u.commutator(v)
 
 
 class Gen(WordExpr):
@@ -258,12 +258,11 @@ def commutator(left: WordExpr, right: WordExpr) -> WordExpr:
     return Comm(left, right)
 
 
-def engel(n: int, base: WordExpr = A, step: WordExpr = B) -> WordExpr:
-    """Iterated commutator with n copies of `step` on the right; n = 0 gives
-    `base` itself."""
-    expr = base
+def engel(n: int) -> WordExpr:
+    """The iterated commutator [a,_n b]; n = 0 gives a itself."""
+    expr = A
     for _ in range(n):
-        expr = Comm(expr, step)
+        expr = Comm(expr, B)
     return expr
 
 

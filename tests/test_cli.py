@@ -2,9 +2,14 @@
 
 import io
 import json
+import math
+import shlex
 import sys
+from pathlib import Path
 
-from nilwitness import cli, lamplighter
+from nilwitness import cli, lamplighter, series
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(argv):
@@ -235,6 +240,43 @@ def test_weight_limits_checked_before_any_work(tmp_path, monkeypatch):
     assert code == cli.EXIT_USAGE
 
 
+def test_involution_trials_bounded_before_any_work(monkeypatch):
+    monkeypatch.setattr(cli.coinv, "involution_exactness_report", _refuse)
+    for trials in (0, -5, cli.MAX_TRIALS + 1):
+        code, _ = run_cli(["involution", "--trials", str(trials)])
+        assert code == cli.EXIT_USAGE, trials
+
+
+def test_coinv_weight_bounded_before_reading_the_file(monkeypatch):
+    monkeypatch.setattr(cli, "_load_json", _refuse)
+    monkeypatch.setattr(cli.coinv, "_relation_rows", _refuse)
+    infile = str(ROOT / "tests" / "golden" / "series_K8.json")
+    for weight in (0, 1, cli.MAX_SERIES_WEIGHT + 1):
+        code, _ = run_cli(["coinv", "--weight", str(weight), "--in", infile])
+        assert code == cli.EXIT_USAGE, weight
+
+
+def test_huge_shift_exponent_costs_few_series_products(monkeypatch):
+    # square-and-multiply shifts made 30,772 series products here; binomial
+    # shifts made 262, all but one of them shifting the zero series of b^k
+    calls = []
+    mul = series.TruncatedSeries.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(series.TruncatedSeries, "__mul__", counting)
+    N = 10**60
+    code, out = run_cli(["phi", "--word", f"[a,b^{N}]", "--ring", "Z", "--weight", "20"])
+    assert code == cli.EXIT_OK
+    assert len(calls) <= 100
+    # [a, b^N] maps to ((1 + x)^N - 1, 0)
+    image = json.loads(out)["image"]
+    assert image["e"] == "0"
+    assert image["f"] == ["0"] + [str(math.comb(N, k)) for k in range(1, 20)]
+
+
 def test_report_weight_limit_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(cli.freelie, "hall_basis", _refuse)
     for weight in (cli.witness.MAX_K + 1, 0):
@@ -301,3 +343,20 @@ def test_report_witness_classes_checked(monkeypatch):
     section = json.loads(out)["sections"]["witness_classes"]
     assert not (section["theta_zero_iff_fixed"] or section["ok"])
     assert section["witnesses_fixed"] and section["pairing_kills_relations"]
+
+
+def readme_cli_commands():
+    """The argv of each command in the fenced block under "## CLI"."""
+    block = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("nilwitness ")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the examples name files relative to the root
+    commands = readme_cli_commands()
+    assert commands
+    for argv in commands:
+        argv = [str(tmp_path / arg) if arg == "witness.json" else arg for arg in argv]
+        code, _ = run_cli(argv)
+        assert code == cli.EXIT_OK, argv

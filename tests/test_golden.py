@@ -5,16 +5,20 @@ Each ``tests/golden/<name>.json`` is the stdout of
     PYTHONPATH=src python -m nilwitness.cli <argv>
 
 with the argv listed for it in ``CASES`` (``verify`` reads the recorded
-``construct_K8.json``, and ``coinv_Zp3_K8_in`` classifies the series in
-``series_K8.json``), run from the repository root. The files were recorded
+``construct_K8.json``, ``coinv_Zp3_K8_in`` classifies the series in
+``series_K8.json`` and ``coinv_Q_K12_in`` the rational series in
+``series_K12.json``), run from the repository root. The files were recorded
 before the word, series and lamplighter layers were rebuilt on one
 expression walk (``construct_K10`` before the free Lie layer moved to Magnus
 rows), and pin those outputs across refactors. ``report_w8`` was re-recorded
 and ``coinv_Zp3_K8_in`` recorded when the coinvariant classes moved to the
 closed form through the involution, which changed the ``witness_classes``
-section of ``report`` and the shape of ``theta_classes``. When a change is
-meant to alter an output, re-run the command by hand, write its stdout over
-the file and say so in the change.
+section of ``report`` and the shape of ``theta_classes``. ``phi_Q_K24``
+(shifts by large and negative powers of b) and ``coinv_Q_K12_in`` were
+recorded before (1 + x)^r and the involution moved to their binomial closed
+forms, and pin those two maps. When a change is meant to alter an output,
+re-run the command by hand, write its stdout over the file and say so in
+the change.
 """
 
 import io
@@ -27,11 +31,13 @@ from nilwitness import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PHI_WORD = "[a,_3 b] [a,b,a]^-2 b"
+PHI_SHIFTS = "[a,b^-3] [[a,b^1346],b^-52]^-2 [a,b^286092] b^-5"
 
 CASES = {
     "phi_Z": ["phi", "--word", PHI_WORD, "--weight", "8", "--ring", "Z"],
     "phi_Q": ["phi", "--word", PHI_WORD, "--weight", "8", "--ring", "Q"],
     "phi_Zp5": ["phi", "--word", PHI_WORD, "--weight", "8", "--ring", "Zp:5"],
+    "phi_Q_K24": ["phi", "--word", PHI_SHIFTS, "--weight", "24", "--ring", "Q"],
     "construct_K8": ["construct", "--q", "1,0,1,1,0,1", "-K", "8"],
     "construct_K10": ["construct", "--q", "1,0,1,1,0,1", "-K", "10"],
     "verify_K8": ["verify", "--in", str(GOLDEN / "construct_K8.json")],
@@ -39,6 +45,9 @@ CASES = {
     "coinv_Zp3_K8": ["coinv", "--ring", "Zp:3", "--weight", "8"],
     "coinv_Zp3_K8_in": [
         "coinv", "--ring", "Zp:3", "--weight", "8", "--in", str(GOLDEN / "series_K8.json")
+    ],
+    "coinv_Q_K12_in": [
+        "coinv", "--ring", "Q", "--weight", "12", "--in", str(GOLDEN / "series_K12.json")
     ],
     "identities_n2": ["identities", "--max-n", "2"],
     "involution_t5": ["involution", "--trials", "5"],

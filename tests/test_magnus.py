@@ -272,11 +272,6 @@ def test_group_identity(n):
     assert mg.check_group_identity(n)
 
 
-def test_group_identity_needs_enough_truncation():
-    with pytest.raises(ValueError):
-        mg.check_group_identity(2, trunc=5)
-
-
 # --- parser and word canonical form ----------------------------------------
 
 

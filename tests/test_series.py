@@ -104,6 +104,26 @@ def test_sigma_tilde_squares_to_identity_on_monomials_k32():
         assert sr.sigma_tilde(sr.sigma_tilde(f)) == f
 
 
+def sigma_by_substitution(f):
+    """The involution as the substitution x -> (1 + x)^-1 - 1, by Horner's
+    rule in series products: the reference for the Pascal-matrix form."""
+    ring, K = f.ring, f.trunc
+    s = sr.TruncatedSeries.from_coeffs(ring, K, [0] + [(-1) ** k for k in range(1, K)])
+    acc = sr.TruncatedSeries.zero(ring, K)
+    for c in reversed(f.coeffs):
+        acc = acc * s + sr.TruncatedSeries.from_coeffs(ring, K, (c,))
+    return acc
+
+
+def test_sigma_tilde_matches_the_substitution():
+    rng = random.Random(8)
+    for ring in (sr.ZZ, sr.QQ, sr.PrimeField(3), sr.PrimeField(5)):
+        for K in range(1, 13):
+            for _ in range(5):
+                f = rand_series(ring, K, rng)
+                assert sr.sigma_tilde(f) == sigma_by_substitution(f), (ring, K)
+
+
 def test_sigma_tilde_compatible_with_antipode():
     rng = random.Random(3)
     for _ in range(30):
@@ -159,6 +179,20 @@ def test_tau_q_multiplicative_on_group_elements():
         r1 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         r2 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         assert sr.tau_q(r1 + r2, 8) == sr.tau_q(r1, 8) * sr.tau_q(r2, 8)
+
+
+def test_integer_powers_of_one_plus_x_add():
+    K = 10
+    for ring in (sr.ZZ, sr.PrimeField(5)):
+        power = {r: sr.one_plus_x_power(ring, r, K) for r in range(-18, 19)}
+        assert power[0] == sr.TruncatedSeries.one(ring, K)
+        assert power[1] == sr.TruncatedSeries.from_coeffs(ring, K, (1, 1))
+        for r in range(-9, 10):
+            for s in range(-9, 10):
+                assert power[r] * power[s] == power[r + s], (ring, r, s)
+        for r in (Fraction(1, 2), Fraction(-3, 5)):
+            with pytest.raises(ValueError):
+                sr.one_plus_x_power(ring, r, K)
 
 
 # --- the filtration isomorphism certificates ---------------------------------
