@@ -39,6 +39,23 @@ class InputError(Exception):
     """An input file that was read but holds bad data (exit 3)."""
 
 
+class OutputLimitError(Exception):
+    """A computed number too long to write as text (exit 3)."""
+
+
+def _as_text(render):
+    """render(), which writes computed numbers as text.  Python refuses to
+    write an integer of more than sys.get_int_max_str_digits() digits; for a
+    computed result that is a resource limit, not bad usage."""
+    try:
+        return render()
+    except ValueError:
+        raise OutputLimitError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit for writing an integer as text"
+        ) from None
+
+
 def _emit(report: dict, out_path: str | None) -> None:
     text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if out_path:
@@ -132,7 +149,7 @@ def cmd_phi(args) -> int:
         "schema": SCHEMA,
         "command": "phi",
         "config": {"word": args.word, "ring": args.ring, "K": args.weight},
-        "image": img.to_json(),
+        "image": _as_text(img.to_json),
         "weight": "inf" if weight == series.INFINITE_WEIGHT else weight,
         "ok": True,
     }
@@ -157,7 +174,8 @@ def cmd_coinv(args) -> int:
         except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad series file: {type(exc).__name__}: {exc}") from None
     space = coinv.build_coinvariants(ring, args.weight)
-    classes = {name: [str(c) for c in coinv.theta(f)] for name, f in inputs.items()}
+    thetas = {name: coinv.theta(f) for name, f in inputs.items()}
+    classes = _as_text(lambda: {name: list(map(str, t)) for name, t in thetas.items()})
     oracle = coinv.coinvariant_rank_oracle(ring, args.weight)
     payload = {
         "schema": SCHEMA,
@@ -346,6 +364,9 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILED
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except OutputLimitError as exc:
+        print(f"resource limit exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -12,13 +12,20 @@ of masks.  A degree with no nonzero coefficients is stored as None, which is
 what keeps products of deep-weight elements cheap.  This module owns the row
 format: the free Lie layer holds its homogeneous polynomials as rows too.
 
+Rows are immutable once an element holds them, so elements share them: a
+truncation holds the rows of its source, and a product holds each row of a
+factor that no partial product reaches.  Only rows being built are written.
+
 Every product of two rows goes through one kernel, mul_rows: the monomial
 m1 of degree i followed by m2 of degree j has index m1 << j | m2 in degree
 i + j, so the block that row i times row j adds is their flattened outer
-product, taken over the nonzero entries only.  _convolve runs it over the
-degrees of two series; commutator runs it for PQ - QP into one table; the
-free Lie layer runs it for every bracket.  Multiplying or dividing by a
-single letter (1 + X)^+-1 goes through one letter step, _letter_rows.
+product, taken over the nonzero entries only, with the side that has more
+entries in the inner loop.  _convolve runs it over the degrees of two
+series; commutator runs it for PQ - QP into one table; the free Lie layer
+runs it for every bracket.  Multiplying or dividing by a single letter
+(1 + X)^+-1 goes through one letter step, _letter_rows.  A deep element,
+2 weight(u) > trunc for u = g - 1, has u^2 = 0, so its powers take the
+closed form (1 + u)^n = 1 + n u, one scaled copy per row.
 """
 
 from __future__ import annotations
@@ -73,17 +80,27 @@ def mul_rows(acc: list[int], p: Entries, q: Entries, j: int, scale: int) -> None
     """acc += scale * P * Q for homogeneous P and Q given by their nonzero
     entries, Q of degree j: m1 followed by m2 has index m1 << j | m2.
 
-    The one place where two coefficient rows are multiplied.
+    The one place where two coefficient rows are multiplied.  The side with
+    more entries runs innermost, so a row times a single letter is one loop.
     """
-    qm, qc = q
-    for m1, c1 in zip(*p):
-        base, c1 = m1 << j, scale * c1
+    (pm, pc), (qm, qc) = p, q
+    if len(pm) < len(qm):
+        for m1, c1 in zip(pm, pc):
+            base, c1 = m1 << j, scale * c1
+            for m2, c2 in zip(qm, qc):
+                acc[base | m2] += c1 * c2
+    else:
         for m2, c2 in zip(qm, qc):
-            acc[base | m2] += c1 * c2
+            c2 *= scale
+            for m1, c1 in zip(pm, pc):
+                acc[m1 << j | m2] += c1 * c2
 
 
 class MagnusElement:
-    """Unit of the truncated series ring with constant term 1; immutable."""
+    """Unit of the truncated series ring with constant term 1; immutable.
+
+    No row is written after construction, so elements share rows freely.
+    """
 
     __slots__ = ("trunc", "_deg")
 
@@ -94,6 +111,13 @@ class MagnusElement:
             if row is not None and not any(row):
                 deg[d] = None
         self._deg = deg
+
+    @staticmethod
+    def _of(trunc: int, deg: Rows) -> "MagnusElement":
+        """An element on rows that are already normalized: none all zero."""
+        out = object.__new__(MagnusElement)
+        out.trunc, out._deg = trunc, deg
+        return out
 
     @staticmethod
     def one(trunc: int) -> "MagnusElement":
@@ -132,12 +156,19 @@ class MagnusElement:
             )
 
     def __mul__(self, other: "MagnusElement") -> "MagnusElement":
-        """(1 + P)(1 + Q) = 1 + (P + Q) + PQ."""
+        """(1 + P)(1 + Q) = 1 + (P + Q) + PQ.
+
+        PQ starts at degree weight(self) + weight(other): below it a row that
+        only one factor holds is shared, and only the rows _convolve writes
+        are fresh.
+        """
         self._check(other)
         T, p, q = self.trunc, self._deg, other._deg
-        out = [_add_rows(a, b) for a, b in zip(p, q)]
-        ps = _nonzero_rows(p, T - other._weight())
-        _convolve(out, ps, _nonzero_rows(q, T - self._weight()), 1)
+        wp, wq = self._weight(), other._weight()
+        low = min(wp + wq, T + 1)
+        out = [_add_rows(a, b) for a, b in zip(p[:low], q[:low])]
+        out += [_add_rows(a, b, fresh=True) for a, b in zip(p[low:], q[low:])]
+        _convolve(out, _nonzero_rows(p, T - wq), _nonzero_rows(q, T - wp), 1)
         return MagnusElement(T, out)
 
     def _weight(self) -> int:
@@ -156,12 +187,18 @@ class MagnusElement:
 
         Works for negative n as well (the generalized binomial coefficients
         of an integer argument are integers); u^j vanishes beyond
-        j * weight(u) > trunc, so deep elements have very short series.
+        j * weight(u) > trunc, so the series is short, and for a deep element
+        (u^2 = 0) it is 1 + n u.
         """
         T = self.trunc
         w = self._weight()
         if w > T or n == 0:
             return MagnusElement.one(T)
+        if 2 * w > T:
+            # u^2 vanishes at truncation: (1 + u)^n = 1 + n u.  The copy is
+            # exact-size, where a comprehension over-allocates: cached
+            # elements keep these rows for the life of the process.
+            return MagnusElement._of(T, [r and [n * c for c in r].copy() for r in self._deg])
         acc: Rows = [None] * (T + 1)
         u = power = _nonzero_rows(self._deg, T)
         for j, coeff in enumerate(binomials(n, T // w + 1)[1:], 1):
@@ -201,18 +238,19 @@ class MagnusElement:
     def truncate(self, trunc: int) -> "MagnusElement":
         if trunc > self.trunc:
             raise ValueError("cannot extend truncation")
-        return MagnusElement(trunc, [r if r is None else list(r) for r in self._deg[: trunc + 1]])
+        return MagnusElement._of(trunc, self._deg[: trunc + 1])
 
     def __repr__(self) -> str:
         nz = [d for d in range(1, self.trunc + 1) if self._deg[d] is not None]
         return f"MagnusElement(trunc={self.trunc}, degrees={nz})"
 
 
-def _add_rows(a: list[int] | None, b: list[int] | None) -> list[int] | None:
-    """a + b as a fresh row; None stands for a zero row."""
+def _add_rows(a: list[int] | None, b: list[int] | None, fresh: bool = False) -> list[int] | None:
+    """a + b, None standing for a zero row.  When one side is None the other
+    is returned as it is, or as a copy if fresh."""
     if a is None or b is None:
         row = a if b is None else b
-        return None if row is None else list(row)
+        return list(row) if fresh and row is not None else row
     return list(map(operator.add, a, b))
 
 
@@ -255,11 +293,10 @@ def _letter_rows(p: Rows, letter: int, left: bool) -> Rows:
     out: Rows = [None] * (T + 1)
     prev_rows = p if letter > 0 else out
     for d in range(1, T + 1):
-        acc = None if p[d] is None else list(p[d])
+        acc = p[d]
         prev = prev_rows[d - 1] if d > 1 else [1]
         if prev is not None:
-            if acc is None:
-                acc = [0] * (1 << d)
+            acc = [0] * (1 << d) if acc is None else list(acc)
             # X on the left is the top bit of degree d; on the right the lowest
             shift, hi = (0, bit << (d - 1)) if left else (1, bit)
             for m, c in enumerate(prev):

@@ -31,6 +31,9 @@ class IntegerRing:
     tag: str = "Z"
 
     def coerce(self, v):
+        # the common case first: isinstance(v, Fraction) goes through ABCMeta
+        if type(v) is int:
+            return v
         if isinstance(v, Fraction):
             if v.denominator != 1:
                 raise ValueError(f"{v} is not an integer")

@@ -23,6 +23,7 @@ MAX_ITERATE brackets, an entry "_n v" counting n.  Whitespace is ignored.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 _LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
@@ -380,9 +381,11 @@ class _Parser:
         return int(self.text[start : self.pos])
 
 
+@functools.lru_cache(maxsize=None)
 def basis_word_expr(word: str) -> WordExpr:
     """Bracket expression of a Lyndon basis word via its standard
-    factorization, e.g. 'aab' -> [a,[a,b]]."""
+    factorization, e.g. 'aab' -> [a,[a,b]]; cached, since expressions are
+    immutable."""
     from .freelie import standard_factorization
 
     if len(word) == 1:

@@ -277,6 +277,24 @@ def test_huge_shift_exponent_costs_few_series_products(monkeypatch):
     assert image["f"] == ["0"] + [str(math.comb(N, k)) for k in range(1, 20)]
 
 
+def test_result_too_long_to_write_is_resource_error(tmp_path, capsys):
+    # C(10^1000, k) has about 1000 k digits, and coinv classes of 4300-digit
+    # coefficients grow past 4300: beyond Python's limit on writing an int as
+    # text, which is a resource limit, not bad usage
+    infile = tmp_path / "series.json"
+    infile.write_text(json.dumps({"series": {"f": ["0"] + ["9" * 4300] * 19}}))
+    limit = str(sys.get_int_max_str_digits())
+    for argv in (
+        ["phi", "--word", f"[a,b^{10**1000}]", "--weight", "20"],
+        ["coinv", "--ring", "Q", "--weight", "20", "--in", str(infile)],
+    ):
+        code, out = run_cli(argv)
+        assert (code, out) == (cli.EXIT_RESOURCE, ""), argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit exceeded:") and limit in err, argv[0]
+        assert "Traceback" not in err
+
+
 def test_report_weight_limit_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(cli.freelie, "hall_basis", _refuse)
     for weight in (cli.witness.MAX_K + 1, 0):

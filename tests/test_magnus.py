@@ -2,6 +2,8 @@
 homomorphism, the lower-central weight reads off degrees, leading terms are
 Lie elements, and the group-level alternating identity holds."""
 
+import copy
+import functools
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from nilwitness import freelie as fl
 from nilwitness import lamplighter as lp
 from nilwitness import magnus as mg
+from nilwitness import witness as wt
 from nilwitness import words as wd
 
 
@@ -138,6 +141,82 @@ def test_kernel_operations_match_oracle(trunc, u, v):
         assert as_dict(g.conjugate_letter(letter)) == oracle_eval(
             inv_ch + gu + ch, trunc
         )
+
+
+# --- the row kernel against a dict oracle, in both loop orders -------------
+
+
+def _oracle_mul(p, i, q, j, scale):
+    """scale * P * Q by concatenating words, P of degree i and Q of degree j
+    given as (masks, coefficients)."""
+    out = {}
+    for m1, c1 in zip(*p):
+        for m2, c2 in zip(*q):
+            w = _word(m1, i) + _word(m2, j)
+            out[w] = out.get(w, 0) + scale * c1 * c2
+    return out
+
+
+def _word(mask, d):
+    return mg.mask_word(mask, d) if d else ""
+
+
+# (degree of P, entries of P, degree of Q, entries of Q): P longer, shorter
+# and equal, each side alone with one entry, and the degree-0 unit
+_SHAPES = [(4, 9, 3, 3), (3, 3, 4, 9), (3, 5, 3, 5), (5, 1, 4, 7), (4, 7, 1, 1),
+           (1, 1, 1, 1), (0, 1, 5, 6), (5, 6, 0, 1)]
+
+
+@pytest.mark.parametrize("i, n_p, j, n_q", _SHAPES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), scale=st.sampled_from([1, -1, 2, -3, 10**20]))
+def test_mul_rows_matches_dict_oracle(i, n_p, j, n_q, data, scale):
+    def entries(d, n):
+        masks = sorted(data.draw(st.sets(st.integers(0, (1 << d) - 1), min_size=n, max_size=n)))
+        coeffs = data.draw(st.lists(st.integers(-99, 99).filter(bool), min_size=n, max_size=n))
+        return masks, coeffs
+
+    p, q = entries(i, n_p), entries(j, n_q)
+    start = data.draw(st.lists(st.integers(-5, 5), min_size=1 << (i + j), max_size=1 << (i + j)))
+    acc = list(start)
+    mg.mul_rows(acc, p, q, j, scale)
+    added = {_word(m, i + j): c - c0 for m, (c, c0) in enumerate(zip(acc, start)) if c != c0}
+    assert added == {w: c for w, c in _oracle_mul(p, i, q, j, scale).items() if c}
+
+
+# --- rows are shared, never written -----------------------------------------
+
+
+def test_shared_rows_are_never_written(monkeypatch):
+    # a K = 8 build fills an empty evaluator cache at truncation T = 9
+    fresh = functools.lru_cache(maxsize=None)(wt._magnus_evaluator.__wrapped__)
+    monkeypatch.setattr(wt, "_magnus_evaluator", fresh)
+    wt.build_witness((1, 0, 1), 8)
+    T = 9
+    rng = random.Random(8)
+    sample = rng.sample(list(wt._magnus_evaluator(T)._cache.values()), 12)
+    assert {2 * g._weight() > T for g in sample} == {True, False}  # deep and shallow
+    for g in sample:
+        for d, row in enumerate(g._deg[1:], 1):
+            assert g.truncate(d)._deg[d] is row
+
+    def exercise(operands):
+        snapshot = [copy.deepcopy(g._deg) for g in operands]
+        made = []
+        for g in operands:
+            peers = [h for h in operands if h.trunc == g.trunc]
+            for h in rng.sample(peers, min(3, len(peers))):
+                made += [g * h, mg.commutator(g, h)]
+            made += [g**n for n in (2, 3, -1, -3)]
+            made += [g.truncate(t) for t in range(1, g.trunc + 1)]
+            for letter in (1, -1, 2, -2):
+                made += [g.mul_letter(letter), g.conjugate_letter(letter)]
+        assert [g._deg for g in operands] == snapshot
+        return made
+
+    # results share the rows of their operands, so they are operands in turn
+    made = exercise(sample)
+    exercise(sample + rng.sample(made, 40))
 
 
 # --- group laws ------------------------------------------------------------
