@@ -16,6 +16,11 @@ Rows are immutable once an element holds them, so elements share them: a
 truncation holds the rows of its source, and a product holds each row of a
 factor that no partial product reaches.  Only rows being built are written.
 
+Products need equal truncations; a commutator does not.  [g, h] at T reads
+g only up to T - weight(h) and h up to T - weight(g), so commutator returns
+its result at the larger of the two truncations and asks no more of the
+shorter side: [R, a] at T takes R at T - 1.
+
 Every product of two rows goes through one kernel, mul_rows: the monomial
 m1 of degree i followed by m2 of degree j has index m1 << j | m2 in degree
 i + j, so the block that row i times row j adds is their flattened outer
@@ -307,17 +312,24 @@ def _letter_rows(p: Rows, letter: int, left: bool) -> Rows:
 
 
 def commutator(g: MagnusElement, h: MagnusElement) -> MagnusElement:
-    """g^-1 h^-1 g h, computed as 1 + (hg)^-1 (gh - hg).
+    """g^-1 h^-1 g h, computed as 1 + (hg)^-1 (gh - hg), at the larger of
+    the two truncations T.
 
     With g = 1 + P and h = 1 + Q the difference gh - hg is PQ - QP, which
     starts at weight(g) + weight(h); so (hg)^-1 is needed only below
     T - weight(gh - hg), and the correction product only touches deep
-    degrees.
+    degrees.  Degree T reads g only up to T - weight(h) and h only up to
+    T - weight(g); a side that stops short of that raises ValueError.
     """
-    g._check(h)
-    T = g.trunc
-    ps = _nonzero_rows(g._deg, T - h._weight())
-    qs = _nonzero_rows(h._deg, T - g._weight())
+    T = max(g.trunc, h.trunc)
+    wg, wh = g._weight(), h._weight()
+    if g.trunc < T - wh or h.trunc < T - wg:
+        raise ValueError(
+            f"truncations {g.trunc} and {h.trunc} need to reach {T - wh} and "
+            f"{T - wg} for a commutator at {T}"
+        )
+    ps = _nonzero_rows(g._deg, T - wh)
+    qs = _nonzero_rows(h._deg, T - wg)
     out = _convolve([None] * (T + 1), ps, qs, 1)
     _convolve(out, qs, ps, -1)
     # as 1 + (PQ - QP), so that rows that cancelled are dropped

@@ -19,6 +19,10 @@ and appends the inverse lifts; on even steps an iterated-commutator power
 [a,_k b]^m fixes the controlled lamplighter coefficient and the matching
 alternating product on the s-side repairs the relation. Exponents of the
 sequence beyond its stored length are taken to be zero.
+
+Every word is evaluated at truncation K, the depth the certificate reaches:
+the last check of (1) is at K + 1, but [R, a][S, b] there reads R and S only
+up to K (see _defect), and nothing else reads degree K + 1.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ __all__ = [
 ]
 
 # largest truncation weight accepted: degree-K tables hold 2^K coefficients,
-# and a K = 13 construct already peaks at 1.38 GB of RSS
+# and a K = 13 construct already peaks at about 540 MB of RSS
 MAX_K = 20
 
 
@@ -159,8 +163,9 @@ def _basis(max_weight: int) -> HallBasis:
 
 
 def _defect(R: MagnusElement, S: MagnusElement) -> MagnusElement:
-    """[R, a] [S, b] at the truncation of the inputs."""
-    a, b = (MagnusElement.generator(name, R.trunc) for name in "ab")
+    """[R, a] [S, b] one degree past the truncation of the inputs: a and b
+    have weight 1, so each commutator at T reads R and S only below T."""
+    a, b = (MagnusElement.generator(name, R.trunc + 1) for name in "ab")
     return magnus_commutator(R, a) * magnus_commutator(S, b)
 
 
@@ -181,9 +186,8 @@ def build_witness(q, K: int) -> WitnessPair:
     if not 3 <= K <= MAX_K:
         raise ValueError(f"K must be in 3..{MAX_K}")
     q = tuple(int(v) for v in q)
-    T = K + 1
-    basis = _basis(T)
-    ev = _magnus_evaluator(T)
+    basis = _basis(K + 1)
+    ev = _magnus_evaluator(K)
     lamp = _lamp_evaluator(K)
 
     def q_at(i: int) -> int:
@@ -198,8 +202,7 @@ def build_witness(q, K: int) -> WitnessPair:
     lamp_r = lamp.eval(r3)
 
     for k in range(3, K):
-        Tk = k + 2
-        D = _defect(R.truncate(Tk), S.truncate(Tk))
+        D = _defect(R.truncate(k + 1), S.truncate(k + 1))
         gw = gamma_weight(D)
         if gw < k + 2:
             raise RuntimeError(
@@ -250,10 +253,12 @@ def verify_witness(pair: WitnessPair) -> Report:
     Failures are recorded with the first failing weight or factor index;
     they are data, not exceptions.
     """
+    # R and S are held at K: the defect after step k, checked at k + 1,
+    # reads them only up to k.  A K below 0 is checked as K = 0, where p0
+    # fails on the factor counts and the defect is checked at 1.
     K = pair.K
-    # a K below 0 is checked as K = 0: p0 fails on the factor counts
-    T = max(K, 0) + 1
-    ev = _magnus_evaluator(T)
+    top = max(K, 0)
+    ev = _magnus_evaluator(max(top, 1))
     lamp = _lamp_evaluator(max(K, 1))
     indexed = list(zip(pair.factor_indices(), pair.r_factors, pair.s_factors))
 
@@ -271,12 +276,11 @@ def verify_witness(pair: WitnessPair) -> Report:
     p0 = PropertyResult(not fails, "; ".join(fails))
 
     fails = []
-    R = MagnusElement.one(T)
-    S = MagnusElement.one(T)
+    R = S = ev.one()
     for k, r, s in indexed:
         R = R * ev.eval(r)
         S = S * ev.eval(s)
-        Tk = min(k + 1, T)
+        Tk = min(k, top)
         defect = _defect(R.truncate(Tk), S.truncate(Tk))
         if not defect.is_one():
             fails.append(f"step {k}: defect has weight {gamma_weight(defect)}")

@@ -233,9 +233,10 @@ def test_weight_limits_checked_before_any_work(tmp_path, monkeypatch):
     code, _ = run_cli(["construct", "--q", "1", "--weight", str(big)])
     assert code == cli.EXIT_USAGE
 
-    weight = str(cli.MAX_SERIES_WEIGHT + 1)
+    weight = str(cli.MAX_COINV_WEIGHT + 1)
     code, _ = run_cli(["coinv", "--ring", "Zp:3", "--weight", weight])
     assert code == cli.EXIT_USAGE
+    weight = str(cli.MAX_SERIES_WEIGHT + 1)
     code, _ = run_cli(["phi", "--word", "b a", "--weight", weight])
     assert code == cli.EXIT_USAGE
 
@@ -251,9 +252,23 @@ def test_coinv_weight_bounded_before_reading_the_file(monkeypatch):
     monkeypatch.setattr(cli, "_load_json", _refuse)
     monkeypatch.setattr(cli.coinv, "_relation_rows", _refuse)
     infile = str(ROOT / "tests" / "golden" / "series_K8.json")
-    for weight in (0, 1, cli.MAX_SERIES_WEIGHT + 1):
+    for weight in (0, 1, cli.MAX_COINV_WEIGHT + 1):
         code, _ = run_cli(["coinv", "--weight", str(weight), "--in", infile])
         assert code == cli.EXIT_USAGE, weight
+
+
+def test_coinv_weight_has_its_own_bound(monkeypatch):
+    # coinv grows about as K^4.5 (over Q: 3 s at K = 24, minutes at 64), so
+    # it stops well below the phi bound; the bench's Z/3 at K = 20 stays legal
+    code, _ = run_cli(["coinv", "--ring", "Zp:3", "--weight", "20"])
+    assert code == cli.EXIT_OK
+    code, _ = run_cli(["phi", "--word", "b a", "--weight", "64"])
+    assert code == cli.EXIT_OK
+    monkeypatch.setattr(cli.coinv, "_relation_rows", _refuse)
+    for ring in ("Q", "Zp:3", "Zp:2147483647"):
+        for weight in ("25", "64"):
+            code, _ = run_cli(["coinv", "--ring", ring, "--weight", weight])
+            assert code == cli.EXIT_USAGE, (ring, weight)
 
 
 def test_huge_shift_exponent_costs_few_series_products(monkeypatch):

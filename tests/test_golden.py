@@ -4,8 +4,9 @@ Each ``tests/golden/<name>.json`` is the stdout of
 
     PYTHONPATH=src python -m nilwitness.cli <argv>
 
-with the argv listed for it in ``CASES`` (``verify`` reads the recorded
-``construct_K8.json``, ``coinv_Zp3_K8_in`` classifies the series in
+with the argv listed for it in ``CASES`` (``verify_K8`` and ``verify_K10``
+read the recorded ``construct_K8.json`` and ``construct_K10.json``,
+``coinv_Zp3_K8_in`` classifies the series in
 ``series_K8.json`` and ``coinv_Q_K12_in`` the rational series in
 ``series_K12.json``), run from the repository root. The files were recorded
 before the word, series and lamplighter layers were rebuilt on one
@@ -16,7 +17,9 @@ closed form through the involution, which changed the ``witness_classes``
 section of ``report`` and the shape of ``theta_classes``. ``phi_Q_K24``
 (shifts by large and negative powers of b) and ``coinv_Q_K12_in`` were
 recorded before (1 + x)^r and the involution moved to their binomial closed
-forms, and pin those two maps. When a change is meant to alter an output,
+forms, and pin those two maps. ``verify_K10`` was recorded before
+witness words moved from truncation K + 1 to K, the change that touched
+the certificate most. When a change is meant to alter an output,
 re-run the command by hand, write its stdout over the file and say so in
 the change.
 """
@@ -41,6 +44,7 @@ CASES = {
     "construct_K8": ["construct", "--q", "1,0,1,1,0,1", "-K", "8"],
     "construct_K10": ["construct", "--q", "1,0,1,1,0,1", "-K", "10"],
     "verify_K8": ["verify", "--in", str(GOLDEN / "construct_K8.json")],
+    "verify_K10": ["verify", "--in", str(GOLDEN / "construct_K10.json")],
     "coinv_Q_K8": ["coinv", "--ring", "Q", "--weight", "8"],
     "coinv_Zp3_K8": ["coinv", "--ring", "Zp:3", "--weight", "8"],
     "coinv_Zp3_K8_in": [

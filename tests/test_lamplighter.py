@@ -49,6 +49,19 @@ def test_kernel_subgroup_is_abelian():
             assert u0.commutator(v0).is_identity()
 
 
+@pytest.mark.parametrize("ring", [Z, Q, Z5])
+def test_kernel_powers_match_square_and_multiply(ring):
+    # (f, 0)^n takes the closed form (n f, 0); shifted elements still square
+    rng = random.Random(2)
+    one = lp.lamp_identity(ring, 6)
+    for _ in range(4):
+        u = rand_lamp(ring, 6, rng)
+        for x in (lp.LampElement(u.f, u.e * 0), u):
+            for n in range(-9, 10):
+                got, want = x**n, lp.square_and_multiply(x, n, one)
+                assert got == want and got.to_json() == want.to_json()
+
+
 @pytest.mark.parametrize("variant", [Z, Q, Z5])
 def test_group_axioms(variant):
     rng = random.Random(1)

@@ -7,7 +7,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nilwitness import freelie as fl
@@ -188,11 +188,11 @@ def test_mul_rows_matches_dict_oracle(i, n_p, j, n_q, data, scale):
 
 
 def test_shared_rows_are_never_written(monkeypatch):
-    # a K = 8 build fills an empty evaluator cache at truncation T = 9
+    # a K = 8 build fills an empty evaluator cache at truncation T = K = 8
     fresh = functools.lru_cache(maxsize=None)(wt._magnus_evaluator.__wrapped__)
     monkeypatch.setattr(wt, "_magnus_evaluator", fresh)
     wt.build_witness((1, 0, 1), 8)
-    T = 9
+    T = 8
     rng = random.Random(8)
     sample = rng.sample(list(wt._magnus_evaluator(T)._cache.values()), 12)
     assert {2 * g._weight() > T for g in sample} == {True, False}  # deep and shallow
@@ -386,6 +386,51 @@ def test_expression_walk_matches_letter_loops(expr, trunc):
     assert mg.MagnusEvaluator(trunc).eval(expr) == mg.eval_word(word, trunc)
     for tag in ("Z", "Q", "Zp:5"):
         assert lp.phi_word(expr, tag, trunc) == lp.phi_word(word, tag, trunc)
+
+
+# --- commutators at unequal truncations --------------------------------------
+
+_sides = st.one_of(
+    _nonempty(_exprs(2)), st.builds(wd.Comm, _nonempty(_exprs(1)), _nonempty(_exprs(1)))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), _sides, _sides, st.sampled_from(["g", "h", "both"]))
+def test_commutator_reads_each_side_below_the_other_weight(T, u, v, short):
+    # [g, h] at T reads g only up to T - weight(h) and h up to T - weight(g)
+    lu, lv = (x.to_group_word().letters for x in (u, v))
+    g, h = (mg.MagnusEvaluator(T).eval(x) for x in (u, v))
+    assume(not g.is_one() and not h.is_one())
+    tg = T - h._weight() if short in ("g", "both") else T
+    th = T - g._weight() if short in ("h", "both") else T
+    got = mg.commutator(g.truncate(tg), h.truncate(th))
+    top = max(tg, th)
+    assert got.trunc == top
+    assert got == mg.commutator(g, h).truncate(top)
+    word = _inverse_text(lu) + _inverse_text(lv) + _text(lu) + _text(lv)
+    assert as_dict(got) == oracle_eval(word, top)
+    # one degree shorter than that, against the other side at T, raises
+    if T - h._weight() >= 1:
+        with pytest.raises(ValueError):
+            mg.commutator(g.truncate(T - h._weight() - 1), h)
+    if T - g._weight() >= 1:
+        with pytest.raises(ValueError):
+            mg.commutator(g, h.truncate(T - g._weight() - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), _sides, _sides)
+def test_defect_reads_its_inputs_one_degree_short(K, r, s):
+    # _defect of R, S at K is [R, a][S, b] at K + 1, as it was computed with
+    # R, S, a and b all at K + 1
+    ev = mg.MagnusEvaluator(K + 1)
+    R, S = ev.eval(r), ev.eval(s)
+    a, b = ev.generator("a"), ev.generator("b")
+    got = wt._defect(R.truncate(K), S.truncate(K))
+    assert got == mg.commutator(R, a) * mg.commutator(S, b)
+    word = wd.product(wd.Comm(r, wd.A), wd.Comm(s, wd.B)).to_group_word()
+    assert as_dict(got) == oracle_eval(_text(word.letters), K + 1)
 
 
 def test_parser_rejects_unbounded_iterate_count(monkeypatch):

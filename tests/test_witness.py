@@ -36,11 +36,12 @@ def test_base_case_words():
     assert [str(w) for w in pair.r_factors] == ["[a,b,b]"]
     assert [str(w) for w in pair.s_factors] == ["[a,b,a]^-1"]
     assert pair.report.ok
-    # the defect after the base step already sits two levels deep
+    # the defect after the base step already sits two levels deep: trivial
+    # at truncation 4, read off R and S at 3
     defect = wt._defect(
-        mg.eval_word(pair.r_word(), 4), mg.eval_word(pair.s_word(), 4)
+        mg.eval_word(pair.r_word(), 3), mg.eval_word(pair.s_word(), 3)
     )
-    assert defect.is_one()
+    assert defect.trunc == 4 and defect.is_one()
 
 
 def test_zero_sequence_gives_trivial_factors():
@@ -244,8 +245,9 @@ def test_build_work_counts(monkeypatch):
     # dense row slots that nonzero scans, and multiply-adds in mul_rows, for
     # one build from empty caches; deterministic, so a bound that moves up
     # means work that is done twice again.  Before rows were shared and deep
-    # powers took the closed form: 848,698 slots and 336,332 multiply-adds.
-    # Now: 531,070 and 273,131.
+    # powers took the closed form: 848,698 slots and 336,332 multiply-adds;
+    # then 531,070 and 273,131 while words were evaluated at K + 1.  Now, at
+    # K: 375,690 and 171,078.
     counts = {"slots": 0, "madds": 0}
     nonzero, mul_rows = mg.nonzero, mg.mul_rows
 
@@ -264,5 +266,8 @@ def test_build_work_counts(monkeypatch):
         cached = getattr(mod, name)
         monkeypatch.setattr(mod, name, functools.lru_cache(maxsize=None)(cached.__wrapped__))
     assert wt.build_witness((1, 0, 1, 1), 9).report.ok
-    assert counts["slots"] <= 531_070
-    assert counts["madds"] <= 273_131
+    assert counts["slots"] <= 375_690
+    assert counts["madds"] <= 171_078
+    # the build and its verify evaluate every word at K, nothing at K + 1
+    assert wt._magnus_evaluator.cache_info().currsize == 1
+    assert {g.trunc for g in wt._magnus_evaluator(9)._cache.values()} == {9}
