@@ -174,7 +174,7 @@ def cmd_coinv(args) -> int:
                 inputs[name] = series.TruncatedSeries.from_coeffs(
                     ring, args.weight, [Fraction(c) for c in coeff_list]
                 )
-        except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (AttributeError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad series file: {type(exc).__name__}: {exc}") from None
     space = coinv.build_coinvariants(ring, args.weight)
     thetas = {name: coinv.theta(f) for name, f in inputs.items()}

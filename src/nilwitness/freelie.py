@@ -127,6 +127,14 @@ def word_expansion(word: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(masks), tuple(coeffs)
 
 
+def _row(coords: Mapping[str, int], d: int) -> list[int]:
+    """The row in Z<a,b> of a combination of basis words of weight d."""
+    row = [0] * (1 << d)
+    for w, c in coords.items():
+        mul_rows(row, UNIT, word_expansion(w), d, c)
+    return row
+
+
 def _expand(coords: Mapping[str, int]) -> list[Entries | None]:
     """Expansion in Z<a,b> of a combination of basis words: the nonzero
     entries of its row in each weight, None where it has none."""
@@ -148,8 +156,8 @@ def lie_coordinates(row: list[int]) -> dict[str, int]:
     d = len(row).bit_length() - 1
     residual = list(row)
     coords: dict[str, int] = {}
-    for w in _lyndon_by_weight(d):
-        c = residual[word_mask(w)]
+    for w, m in _lyndon_masks(d):
+        c = residual[m]
         if c:
             coords[w] = c
             mul_rows(residual, UNIT, word_expansion(w), d, -c)
@@ -162,6 +170,13 @@ def lie_coordinates(row: list[int]) -> dict[str, int]:
 @functools.lru_cache(maxsize=None)
 def _lyndon_by_weight(weight: int) -> tuple[str, ...]:
     return tuple(w for w in lyndon_words(weight) if len(w) == weight)
+
+
+@functools.lru_cache(maxsize=None)
+def _lyndon_masks(weight: int) -> tuple[tuple[str, int], ...]:
+    """The Lyndon words of one weight with their row indices, in increasing
+    order."""
+    return tuple((w, word_mask(w)) for w in _lyndon_by_weight(weight))
 
 
 @functools.lru_cache(maxsize=None)
@@ -392,7 +407,9 @@ def present_with_generators(
 
     The solution is not unique; this returns a deterministic one and verifies
     it by substitution before returning (a failed check means an internal
-    normalization bug, reported as RuntimeError).
+    normalization bug, reported as RuntimeError).  The check compares rows of
+    Z<a,b>: the embedding of the free Lie ring is faithful, so [alpha, a] +
+    [beta, b] and t are equal exactly when their expansions are.
     """
     basis = t.basis
     if t.is_zero():
@@ -409,7 +426,16 @@ def present_with_generators(
                 acc[x] = acc.get(x, 0) + c * e
     alpha_elt = basis.from_words(alpha)
     beta_elt = basis.from_words(beta)
-    check = bracket(alpha_elt, basis.gen("a")) + bracket(beta_elt, basis.gen("b"))
-    if check != t:
+    d = t.weight()
+    if (alpha_elt.weights() | beta_elt.weights()) - {d - 1}:
+        raise RuntimeError("presentation has a term of the wrong weight")
+    # [X, x] = X x - x X: the letter x (bit 0 for a, 1 for b) goes after the
+    # mask of X, then before it
+    residual = _row(t.coeffs, d)
+    for bit, elt in ((0, alpha_elt), (1, beta_elt)):
+        for m, c in zip(*nonzero(_row(elt.coeffs, d - 1))):
+            residual[m << 1 | bit] -= c
+            residual[bit << (d - 1) | m] += c
+    if any(residual):
         raise RuntimeError("presentation substitution check failed")
     return alpha_elt, beta_elt

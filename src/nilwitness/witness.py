@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 # largest truncation weight accepted: degree-K tables hold 2^K coefficients,
-# and a K = 13 construct already peaks at about 540 MB of RSS
+# and a construct peaks at about 220 MB of RSS at K = 13 and 720 MB at K = 14
 MAX_K = 20
 
 
@@ -135,16 +135,31 @@ class WitnessPair:
 
     @staticmethod
     def from_json(data: dict) -> "WitnessPair":
-        K = int(data["K"])
+        """The pair a witness file holds.  K, q and n must be JSON integers
+        and the factors lists of strings: a float or a bool raises TypeError
+        rather than being read as an integer close to it."""
+        K = _typed(data["K"], int, "K")
         if K > MAX_K:
             raise ValueError(f"K = {K} is above the limit {MAX_K}")
-        return WitnessPair(
-            q=tuple(int(v) for v in data["q"]),
-            K=K,
-            r_factors=tuple(parse_word_expr(t) for t in data["r_factors"]),
-            s_factors=tuple(parse_word_expr(t) for t in data["s_factors"]),
-            n=tuple(int(v) for v in data["n"]),
+        q, n, r_texts, s_texts = (
+            tuple(_typed(v, kind, key) for v in _typed(data[key], list, key))
+            for key, kind in (("q", int), ("n", int), ("r_factors", str), ("s_factors", str))
         )
+        return WitnessPair(
+            q=q,
+            K=K,
+            r_factors=tuple(map(parse_word_expr, r_texts)),
+            s_factors=tuple(map(parse_word_expr, s_texts)),
+            n=n,
+        )
+
+
+def _typed(value, kind: type, key: str):
+    """value, a JSON value that must have exactly the type kind (a bool is
+    not an int)."""
+    if type(value) is not kind:
+        raise TypeError(f"{key} holds a JSON {type(value).__name__}, not {kind.__name__}")
+    return value
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,6 +7,8 @@ import shlex
 import sys
 from pathlib import Path
 
+import pytest
+
 from nilwitness import cli, lamplighter, series
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -177,6 +179,42 @@ def test_verify_malformed_data_is_input_error(tmp_path):
     bad.write_text("[" * 100000)
     code, _ = run_cli(["verify", "--in", str(bad)])
     assert code == cli.EXIT_RESOURCE
+
+
+# a witness field whose JSON value is not the integer, or the list of
+# integers or words, that the field holds: each is bad data, never read as
+# something close to it
+_WRONG_TYPES = {
+    "K-past-float-range": ("K", "1e400"),
+    "K-fraction": ("K", "5.7"),
+    "K-true": ("K", "true"),
+    "q-past-float-range": ("q", "[1e400, 0]"),
+    "q-fraction": ("q", "[1.5, 0]"),
+    "q-true": ("q", "[true, 0]"),
+    "n-past-float-range": ("n", "[0, 1e400, 0]"),
+    "r_factors-string": ("r_factors", '"ab"'),
+}
+
+
+@pytest.mark.parametrize("key, raw", _WRONG_TYPES.values(), ids=_WRONG_TYPES)
+def test_verify_value_of_the_wrong_type_is_input_error(tmp_path, capsys, key, raw):
+    data = _witness_data(tmp_path)
+    data[key] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data).replace('"@"', raw))
+    code, _ = run_cli(["verify", "--in", str(bad)])
+    assert code == cli.EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and key in err and err.count("\n") == 1
+
+
+def test_coinv_coefficient_past_float_range_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "series.json"
+    bad.write_text('{"series": {"f": [1, 1e400]}}')
+    code, _ = run_cli(["coinv", "--ring", "Q", "--weight", "4", "--in", str(bad)])
+    assert code == cli.EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
 
 
 def test_coinv_bad_series_file_is_input_error(tmp_path, capsys):

@@ -346,6 +346,25 @@ def test_present_random_homogeneous():
         assert fl.bracket(alpha, a) + fl.bracket(beta, b) == t
 
 
+def test_present_check_catches_a_wrong_presentation(monkeypatch):
+    # the substitution check compares rows of Z<a,b>: a presentation that is
+    # off in one coefficient, or has a term of the wrong weight, raises
+    t = fl.hall_basis(6).from_words({"aabab": 3})
+    alpha, beta = fl._present_word("aabab")
+    assert alpha == (("aabb", -1),) and beta == (("aaab", -1),)
+    fl.present_with_generators(t)
+    for wrong in (
+        (alpha, (("aaab", -2),)),
+        ((("aabb", -1), ("abbb", 1)), beta),
+        (alpha + (("ab", 1),), beta),
+        (alpha, beta + (("aabbb", 1),)),
+        (alpha, ()),
+    ):
+        monkeypatch.setattr(fl, "_present_word", lambda w, wrong=wrong: wrong)
+        with pytest.raises(RuntimeError):
+            fl.present_with_generators(t)
+
+
 def test_present_rejects_inhomogeneous():
     basis = fl.hall_basis(4)
     t = basis.from_words({"ab": 1, "abb": 1})

@@ -42,6 +42,15 @@ def poly_inverse(p, trunc):
     return {w: c for w, c in out.items() if c}
 
 
+def poly_pow(p, n, trunc):
+    """p^n by repeated products, of p^-1 when n < 0."""
+    base = p if n >= 0 else poly_inverse(p, trunc)
+    out = {"": 1}
+    for _ in range(abs(n)):
+        out = poly_mul(out, base, trunc)
+    return out
+
+
 def oracle_eval(word: str, trunc: int):
     """Literal evaluation of a plain letter word, independent arithmetic."""
     gens = {
@@ -122,25 +131,108 @@ def _inverse_text(letters):
     return _text([-x for x in reversed(letters)])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), _letters, _letters)
+# commutators of weight 2 to 5: at truncation below twice its weight an
+# element is deep, and its powers are views on its rows
+_DEEP_BASES = ["[a,b]", "[a,b,a]", "[a,b,b]", "[a,b,a,b]", "[a,_3 b]", "[[a,b],[a,b,b]]"]
+_operands = st.one_of(
+    _letters, st.tuples(st.sampled_from(_DEEP_BASES), st.integers(-3, 3).filter(bool))
+)
+
+
+def _operand(drawn, trunc):
+    """An element and its oracle dict: a plain word, or a power of a basis
+    commutator (a view when the commutator is deep at trunc)."""
+    if isinstance(drawn, list):
+        g = mg.eval_word(wd.GroupWord(tuple(drawn)), trunc)
+        return g, oracle_eval(_text(drawn), trunc)
+    text, n = drawn
+    base = wd.parse_word_expr(text)
+    g = mg.MagnusEvaluator(trunc).eval(base) ** n
+    letters = base.to_group_word().letters
+    return g, poly_pow(_oracle_cached(_text(letters), trunc), n, trunc)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_cached(word, trunc):
+    return oracle_eval(word, trunc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), _operands, _operands)
 def test_kernel_operations_match_oracle(trunc, u, v):
-    g = mg.eval_word(wd.GroupWord(tuple(u)), trunc)
-    h = mg.eval_word(wd.GroupWord(tuple(v)), trunc)
-    gu, gv = _text(u), _text(v)
-    iu, iv = _inverse_text(u), _inverse_text(v)
-    assert as_dict(g) == oracle_eval(gu, trunc)
-    assert as_dict(g * h) == oracle_eval(gu + gv, trunc)
-    assert as_dict(g.inverse()) == oracle_eval(iu, trunc)
+    (g, og), (h, oh) = _operand(u, trunc), _operand(v, trunc)
+    ig, ih = poly_inverse(og, trunc), poly_inverse(oh, trunc)
+    assert as_dict(g) == og
+    assert as_dict(g * h) == poly_mul(og, oh, trunc)
+    assert as_dict(g.inverse()) == ig
     for n in range(-3, 4):
-        assert as_dict(g**n) == oracle_eval(gu * n if n >= 0 else iu * -n, trunc)
-    assert as_dict(mg.commutator(g, h)) == oracle_eval(iu + iv + gu + gv, trunc)
+        assert as_dict(g**n) == poly_pow(og, n, trunc)
+    comm = poly_mul(poly_mul(ig, ih, trunc), poly_mul(og, oh, trunc), trunc)
+    assert as_dict(mg.commutator(g, h)) == comm
     for letter, ch in _CHARS.items():
-        assert as_dict(g.mul_letter(letter)) == oracle_eval(gu + ch, trunc)
-        inv_ch = _CHARS[-letter]
-        assert as_dict(g.conjugate_letter(letter)) == oracle_eval(
-            inv_ch + gu + ch, trunc
-        )
+        x = oracle_eval(ch, trunc)
+        assert as_dict(g.mul_letter(letter)) == poly_mul(og, x, trunc)
+        inv_x = oracle_eval(_CHARS[-letter], trunc)
+        assert as_dict(g.conjugate_letter(letter)) == poly_mul(poly_mul(inv_x, og, trunc), x, trunc)
+
+
+# --- a power of a deep element is a view on its rows -------------------------
+
+
+def _deep_element():
+    """A deep element at truncation 7: weight 4, with rows in degrees 4-7."""
+    g = mg.eval_word("[a,_3 b] [a,b,a,b]^-2 [[a,b],[a,b,a]]", 7)
+    assert 2 * g._weight() > g.trunc and all(g._deg[4:])
+    return g
+
+
+def _scaled_copy(g, n):
+    return mg.MagnusElement(g.trunc, [r and [n * c for c in r] for r in g._deg])
+
+
+def test_deep_power_shares_its_base_rows():
+    g = _deep_element()
+    view = g**5
+    for d in range(1, g.trunc + 1):
+        assert view._deg[d] is g._deg[d]
+    assert (view**-3)._deg[4] is g._deg[4]
+    assert view.truncate(5)._deg[5] is g._deg[5]
+
+
+@pytest.mark.parametrize("n", [5, -1, -4])
+def test_deep_power_reads_as_its_scaled_copy(n):
+    g = _deep_element()
+    view, copy_ = g**n, _scaled_copy(g, n)
+    assert view == copy_ and copy_ == view and hash(view) == hash(copy_)
+    assert view != g and view != g ** (n + 1)
+    for d in range(4, g.trunc + 1):
+        assert view.degree_terms(d) == copy_.degree_terms(d)
+        for m in range(1 << d):
+            w = mg.mask_word(m, d).upper()
+            assert view.coefficient(w) == copy_.coefficient(w) == n * g.coefficient(w)
+    for t in range(1, g.trunc + 1):
+        assert view.truncate(t) == copy_.truncate(t)
+    basis = fl.hall_basis(g.trunc)
+    assert mg.leading_lie(view, basis) == mg.leading_lie(g, basis).scale(n)
+    for letter in (1, -1, 2, -2):
+        assert view.mul_letter(letter) == copy_.mul_letter(letter)
+        assert view.conjugate_letter(letter) == copy_.conjugate_letter(letter)
+    others = [mg.eval_word(w, g.trunc) for w in ("a", "b^-1 a", "[a,b,b]")] + [g**2]
+    for h in others:
+        assert view * h == copy_ * h and h * view == h * copy_
+        assert mg.commutator(view, h) == mg.commutator(copy_, h)
+        assert mg.commutator(h, view) == mg.commutator(h, copy_)
+
+
+def test_powers_of_views_compose():
+    g = _deep_element()
+    one = mg.MagnusElement.one(g.trunc)
+    assert (g**3) ** -2 == g**-6
+    assert (g**-6)._deg is g._deg
+    for n in (1, 2, 7, -3):
+        assert g**n * g**-n == one
+        assert (g**n).inverse() == g**-n
+    assert (g**4) ** 0 == one
 
 
 # --- the row kernel against a dict oracle, in both loop orders -------------

@@ -246,8 +246,9 @@ def test_build_work_counts(monkeypatch):
     # one build from empty caches; deterministic, so a bound that moves up
     # means work that is done twice again.  Before rows were shared and deep
     # powers took the closed form: 848,698 slots and 336,332 multiply-adds;
-    # then 531,070 and 273,131 while words were evaluated at K + 1.  Now, at
-    # K: 375,690 and 171,078.
+    # then 531,070 and 273,131 while words were evaluated at K + 1; then, at
+    # K, 375,690 and 171,078.  Now that present_with_generators checks its
+    # result on rows: 367,986 and 162,000.
     counts = {"slots": 0, "madds": 0}
     nonzero, mul_rows = mg.nonzero, mg.mul_rows
 
@@ -271,3 +272,16 @@ def test_build_work_counts(monkeypatch):
     # the build and its verify evaluate every word at K, nothing at K + 1
     assert wt._magnus_evaluator.cache_info().currsize == 1
     assert {g.trunc for g in wt._magnus_evaluator(9)._cache.values()} == {9}
+
+
+def test_build_row_memory(monkeypatch):
+    # distinct row slots that the evaluator cache holds after one K = 10
+    # build from an empty cache; deterministic, so a bound that moves up
+    # means rows that are copied again.  While each power of a deep element
+    # held a scaled copy of its base's rows: 892,176; as views: 382,224.
+    fresh = functools.lru_cache(maxsize=None)(wt._magnus_evaluator.__wrapped__)
+    monkeypatch.setattr(wt, "_magnus_evaluator", fresh)
+    assert wt.build_witness((1, 0, 1, 1, 0, 1), 10).report.ok
+    cached = wt._magnus_evaluator(10)._cache.values()
+    slots = {id(r): len(r) for g in cached for r in g._deg if r is not None}
+    assert sum(slots.values()) <= 382_224
