@@ -160,6 +160,22 @@ def cmd_phi(args) -> int:
     return EXIT_OK
 
 
+def _exact_coeffs(name: str, coeffs) -> list[Fraction]:
+    """The coefficients of one series of a coinv --in file, which must be a
+    JSON list of integers and of strings in Fraction syntax such as "1/10".
+    A float would be read as the value of its binary double and a bool as 0
+    or 1, so both raise TypeError, as does a series that is not a list."""
+    if type(coeffs) is not list:
+        raise TypeError(f"series {name!r} is a JSON {type(coeffs).__name__}, not a list")
+    for c in coeffs:
+        if type(c) not in (int, str):
+            raise TypeError(
+                f"series {name!r} holds the JSON {type(c).__name__} {c!r}, "
+                "not an integer or a string"
+            )
+    return list(map(Fraction, coeffs))
+
+
 def cmd_coinv(args) -> int:
     ring = series.ring_from_tag(args.ring)
     if isinstance(ring, series.IntegerRing):
@@ -170,9 +186,9 @@ def cmd_coinv(args) -> int:
     if args.infile:
         data = _load_json(args.infile, "series")
         try:
-            for name, coeff_list in data.get("series", {}).items():
+            for name, coeffs in data.get("series", {}).items():
                 inputs[name] = series.TruncatedSeries.from_coeffs(
-                    ring, args.weight, [Fraction(c) for c in coeff_list]
+                    ring, args.weight, _exact_coeffs(name, coeffs)
                 )
         except (AttributeError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad series file: {type(exc).__name__}: {exc}") from None

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .magnus import UNIT, Entries, _convolve, mask_word, mul_rows, nonzero, word_mask
@@ -156,7 +157,7 @@ def lie_coordinates(row: list[int]) -> dict[str, int]:
     d = len(row).bit_length() - 1
     residual = list(row)
     coords: dict[str, int] = {}
-    for w, m in _lyndon_masks(d):
+    for w, m in _lyndon_table(d).items():
         c = residual[m]
         if c:
             coords[w] = c
@@ -168,20 +169,12 @@ def lie_coordinates(row: list[int]) -> dict[str, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _lyndon_by_weight(weight: int) -> tuple[str, ...]:
-    return tuple(w for w in lyndon_words(weight) if len(w) == weight)
-
-
-@functools.lru_cache(maxsize=None)
-def _lyndon_masks(weight: int) -> tuple[tuple[str, int], ...]:
-    """The Lyndon words of one weight with their row indices, in increasing
-    order."""
-    return tuple((w, word_mask(w)) for w in _lyndon_by_weight(weight))
-
-
-@functools.lru_cache(maxsize=None)
-def _lyndon_set(weight: int) -> frozenset[str]:
-    return frozenset(_lyndon_by_weight(weight))
+def _lyndon_table(weight: int) -> Mapping[str, int]:
+    """The Lyndon words of one weight, each mapped to its row index, in lex
+    order, which is increasing order of mask; read-only, since it is shared."""
+    return MappingProxyType(
+        {w: word_mask(w) for w in lyndon_words(weight) if len(w) == weight}
+    )
 
 
 # --- the basis and its elements
@@ -198,7 +191,7 @@ class HallBasis:
     words: tuple[str, ...]
 
     def words_of_weight(self, w: int) -> tuple[str, ...]:
-        return _lyndon_by_weight(w) if w <= self.max_weight else ()
+        return tuple(_lyndon_table(w)) if w <= self.max_weight else ()
 
     def from_words(self, coeffs: Mapping[str, int]) -> "FreeLieElement":
         return FreeLieElement(self, {w: c for w, c in coeffs.items() if c})
@@ -234,7 +227,7 @@ class FreeLieElement:
             if (
                 c == 0
                 or not 1 <= len(w) <= self.basis.max_weight
-                or w not in _lyndon_set(len(w))
+                or w not in _lyndon_table(len(w))
             ):
                 raise ValueError("invalid coefficient map")
 
@@ -429,13 +422,12 @@ def present_with_generators(
     d = t.weight()
     if (alpha_elt.weights() | beta_elt.weights()) - {d - 1}:
         raise RuntimeError("presentation has a term of the wrong weight")
-    # [X, x] = X x - x X: the letter x (bit 0 for a, 1 for b) goes after the
-    # mask of X, then before it
+    # t - [alpha, a] - [beta, b], with [X, x] = X x - x X
     residual = _row(t.coeffs, d)
-    for bit, elt in ((0, alpha_elt), (1, beta_elt)):
-        for m, c in zip(*nonzero(_row(elt.coeffs, d - 1))):
-            residual[m << 1 | bit] -= c
-            residual[bit << (d - 1) | m] += c
+    for x, elt in (("a", alpha_elt), ("b", beta_elt)):
+        p, g = nonzero(_row(elt.coeffs, d - 1)), word_expansion(x)
+        mul_rows(residual, p, g, 1, -1)
+        mul_rows(residual, g, p, d - 1, 1)
     if any(residual):
         raise RuntimeError("presentation substitution check failed")
     return alpha_elt, beta_elt

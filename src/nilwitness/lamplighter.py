@@ -130,23 +130,13 @@ def phi_word(
     w: GroupWord | WordExpr | str, ring: Ring | str = "Z", trunc: int = 8
 ) -> LampElement:
     """Image of a free-group word under a -> (1, 0), b -> (0, 1) over
-    `ring` (a Ring or its tag)."""
+    `ring` (a Ring or its tag).  Text and a GroupWord (whose text is its
+    letters) are parsed first and evaluated as an expression."""
     if isinstance(ring, str):
         ring = ring_from_tag(ring)
-    if isinstance(w, str):
-        w = parse_word_expr(w)
-    if isinstance(w, WordExpr):
-        return LampEvaluator(ring, trunc).eval(w)
-    gens = {
-        1: lamp_a(ring, trunc),
-        2: lamp_b(ring, trunc),
-    }
-    gens[-1] = gens[1].inverse()
-    gens[-2] = gens[2].inverse()
-    out = lamp_identity(ring, trunc)
-    for letter in w.letters:
-        out = out * gens[letter]
-    return out
+    if not isinstance(w, WordExpr):
+        w = parse_word_expr(str(w))
+    return LampEvaluator(ring, trunc).eval(w)
 
 
 def to_rational(u: LampElement) -> LampElement:

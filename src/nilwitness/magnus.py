@@ -29,11 +29,15 @@ i + j, so the block that row i times row j adds is their flattened outer
 product, taken over the nonzero entries only, with the side that has more
 entries in the inner loop.  _convolve runs it over the degrees of two
 series; commutator runs it for PQ - QP into one table; the free Lie layer
-runs it for every bracket.  Multiplying or dividing by a single letter
-(1 + X)^+-1 goes through one letter step, _letter_rows.  A deep element,
-2 weight(u) > trunc for u = g - 1, has u^2 = 0, so its powers take the
-closed form (1 + u)^n = 1 + n u: a view that holds the rows of u and the
-scale n, with no row copied.
+runs it for every bracket.  A deep element, 2 weight(u) > trunc for
+u = g - 1, has u^2 = 0, so its powers take the closed form
+(1 + u)^n = 1 + n u: a view that holds the rows of u and the scale n, with
+no row copied.
+
+A GroupWord is evaluated as the product of its letters, through the same
+walk as any expression.  mul_letter and conjugate_letter are plain products
+with a generator; they stay because the benchmark's tracer times them as a
+layer of its own.
 """
 
 from __future__ import annotations
@@ -224,14 +228,19 @@ class MagnusElement:
         return MagnusElement(T, acc)
 
     def mul_letter(self, letter: int) -> "MagnusElement":
-        """Right multiplication by a generator or inverse generator
-        (letter in +-1 for a, +-2 for b); linear-time in the table size."""
-        return MagnusElement(self.trunc, _letter_rows(self._rows(), letter, left=False))
+        """self * x for the generator or inverse generator x of a signed
+        letter (+-1 for a, +-2 for b)."""
+        return self * self._letter(letter)
 
     def conjugate_letter(self, letter: int) -> "MagnusElement":
-        """x^-1 * self * x for a generator x (or inverse generator)."""
-        mid = _letter_rows(self._rows(), -letter, left=True)
-        return MagnusElement(self.trunc, _letter_rows(mid, letter, left=False))
+        """x^-1 * self * x for the generator or inverse generator x of a
+        signed letter."""
+        x = self._letter(letter)
+        return x.inverse() * self * x
+
+    def _letter(self, letter: int) -> "MagnusElement":
+        x = MagnusElement.generator("a" if abs(letter) == 1 else "b", self.trunc)
+        return x if letter > 0 else x.inverse()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MagnusElement):
@@ -315,32 +324,6 @@ def _convolve(out: Rows, p: list[Entries | None], q: list[Entries | None], scale
     return out
 
 
-def _letter_rows(p: Rows, letter: int, left: bool) -> Rows:
-    """Rows of x * P (left) or P * x (right) for the letter x = (1 + X)^+-1.
-
-    Multiplying adds X times the previous degree of the input.  Dividing
-    solves (1 + X) Q = P or Q (1 + X) = P degree by degree, so it subtracts
-    X times the previous degree of the output.
-    """
-    T = len(p) - 1
-    bit = 0 if abs(letter) == 1 else 1
-    sign = 1 if letter > 0 else -1
-    out: Rows = [None] * (T + 1)
-    prev_rows = p if letter > 0 else out
-    for d in range(1, T + 1):
-        acc = p[d]
-        prev = prev_rows[d - 1] if d > 1 else [1]
-        if prev is not None:
-            acc = [0] * (1 << d) if acc is None else list(acc)
-            # X on the left is the top bit of degree d; on the right the lowest
-            shift, hi = (0, bit << (d - 1)) if left else (1, bit)
-            for m, c in enumerate(prev):
-                if c:
-                    acc[m << shift | hi] += sign * c
-        out[d] = acc
-    return out
-
-
 def commutator(g: MagnusElement, h: MagnusElement) -> MagnusElement:
     """g^-1 h^-1 g h, computed as 1 + (hg)^-1 (gh - hg), at the larger of
     the two truncations T.
@@ -375,17 +358,13 @@ def commutator(g: MagnusElement, h: MagnusElement) -> MagnusElement:
 def eval_word(w: GroupWord | WordExpr | str, trunc: int) -> MagnusElement:
     """Image of a word under a -> 1 + A, b -> 1 + B at the given truncation.
 
-    Plain words evaluate letter by letter; expressions evaluate bottom-up so
-    commutators cost group operations instead of expanded word length.
+    Text and a GroupWord (whose text is its letters) are parsed first, so
+    every word is evaluated bottom-up as an expression: commutators cost
+    group operations instead of expanded word length.
     """
-    if isinstance(w, str):
-        w = parse_word_expr(w)
-    if isinstance(w, WordExpr):
-        return MagnusEvaluator(trunc).eval(w)
-    out = MagnusElement.one(trunc)
-    for letter in w.letters:
-        out = out.mul_letter(letter)
-    return out
+    if not isinstance(w, WordExpr):
+        w = parse_word_expr(str(w))
+    return MagnusEvaluator(trunc).eval(w)
 
 
 class MagnusEvaluator:

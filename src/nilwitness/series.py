@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from . import linalg
 
@@ -28,7 +28,7 @@ MAX_PRIME = 2**31 - 1
 
 @dataclass(frozen=True)
 class IntegerRing:
-    tag: str = "Z"
+    tag: ClassVar[str] = "Z"
 
     def coerce(self, v):
         # the common case first: isinstance(v, Fraction) goes through ABCMeta
@@ -43,7 +43,7 @@ class IntegerRing:
 
 @dataclass(frozen=True)
 class RationalRing:
-    tag: str = "Q"
+    tag: ClassVar[str] = "Q"
 
     def coerce(self, v):
         return Fraction(v)

@@ -23,6 +23,21 @@ sequence beyond its stored length are taken to be zero.
 Every word is evaluated at truncation K, the depth the certificate reaches:
 the last check of (1) is at K + 1, but [R, a][S, b] there reads R and S only
 up to K (see _defect), and nothing else reads degree K + 1.
+
+The construction evaluates nothing in the lamplighter group: the image of
+each basis bracket is known in closed form.  For a Lyndon word w,
+
+    phi(w) = (x^j, 0) for w = a b^j,  (0, 1) for w = b,  1 otherwise.
+
+By induction on length: b and a = a b^0 are the generators.  For j >= 1 the
+standard factorization of a b^j is (a b^(j-1), b), and commuting (f, 0) with
+(0, 1) gives (x f, 0).  A Lyndon word with two or more a's has both factors
+starting with a, so both brackets map into the kernel {(f, 0)} of the shift,
+which is abelian, and their commutator maps to 1.  So the image of every
+lift of weight k + 1 is (-alpha_{a b^k} x^k, 0), and build_witness reads the
+controlled exponent and n_{k+1} off alpha.  Only verify_witness evaluates
+the words in the lamplighter group, so the certificate does not rest on
+this lemma.
 """
 
 from __future__ import annotations
@@ -197,13 +212,20 @@ def build_witness(q, K: int) -> WitnessPair:
 
     Deterministic: the same (q, K) always yields the same factor words, and
     growing K extends the factor list without changing earlier factors.
+
+    The factor made at step k lies in gamma_{k+1} and, by the closed form of
+    the module docstring, maps to (c x^k, 0), so the r-product maps to
+    (sum n_i x^(i-1), 0) and the x^k term comes from step k alone.  The lift
+    of alpha maps to (-alpha_{a b^k} x^k, 0) and [a,_k b]^m to (m x^k, 0):
+    on an even step m = q_{k/2} + alpha_{a b^k} makes n_{k+1} = q_{k/2}, and
+    on an odd step n_{k+1} = -alpha_{a b^k}.  r^(3) = [a,_2 b]^q_1 gives
+    n_3 = q_1.
     """
     if not 3 <= K <= MAX_K:
         raise ValueError(f"K must be in 3..{MAX_K}")
     q = tuple(int(v) for v in q)
     basis = _basis(K + 1)
     ev = _magnus_evaluator(K)
-    lamp = _lamp_evaluator(K)
 
     def q_at(i: int) -> int:
         return q[i - 1] if i - 1 < len(q) else 0
@@ -212,9 +234,9 @@ def build_witness(q, K: int) -> WitnessPair:
     s3 = power(commutator(commutator(A, B), A), -q_at(1))
     r_factors: list[WordExpr] = [r3]
     s_factors: list[WordExpr] = [s3]
+    n = [q_at(1)]
     R = ev.eval(r3)
     S = ev.eval(s3)
-    lamp_r = lamp.eval(r3)
 
     for k in range(3, K):
         D = _defect(R.truncate(k + 1), S.truncate(k + 1))
@@ -225,34 +247,33 @@ def build_witness(q, K: int) -> WitnessPair:
             )
         if gw == INFINITE_WEIGHT:
             a_inv = b_inv = IDENTITY
+            lead = 0
         else:
             t = leading_lie(D, basis)
             alpha, beta = present_with_generators(t)
             a_inv = _lift_inverse(alpha)
             b_inv = _lift_inverse(beta)
+            lead = alpha.coeffs.get("a" + "b" * k, 0)
         if k % 2 == 1:
             r_new, s_new = a_inv, b_inv
+            n.append(-lead)
         else:
             half = k // 2
-            partial = lamp_r * lamp.eval(a_inv)
-            m = q_at(half) - partial.f.coeffs[k]
+            m = q_at(half) + lead
             r_new = product(a_inv, power(engel(k), m))
             s_new = product(b_inv, power(alternating_engel_product(half), -m))
+            n.append(q_at(half))
         r_factors.append(r_new)
         s_factors.append(s_new)
         R = R * ev.eval(r_new)
         S = S * ev.eval(s_new)
-        lamp_r = lamp_r * lamp.eval(r_new)
 
-    if lamp_r.e != 0:
-        raise RuntimeError("internal error: r-product has a nontrivial shift")
-    n = tuple(int(lamp_r.f.coeffs[i - 1]) for i in range(3, K + 1))
     pair = WitnessPair(
         q=q,
         K=K,
         r_factors=tuple(r_factors),
         s_factors=tuple(s_factors),
-        n=n,
+        n=tuple(n),
     )
     return replace(pair, report=verify_witness(pair))
 

@@ -24,6 +24,7 @@ MAX_ITERATE brackets, an entry "_n v" counting n.  Whitespace is ignored.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 _LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
@@ -121,8 +122,8 @@ def evaluate(expr: WordExpr, cache: dict, group):
     """Value of expr in `group`, memoized in `cache` on expr.key().
 
     `group` supplies one(), generator(name) and comm(u, v), the commutator
-    [u, v] of two values.  Values need only * and ** with an integer
-    exponent.
+    [u, v] of two values; one() is called only for the empty product.
+    Values need only * and ** with an integer exponent.
     """
     key = expr.key()
     hit = cache.get(key)
@@ -136,9 +137,9 @@ def evaluate(expr: WordExpr, cache: dict, group):
         left = evaluate(expr.left, cache, group)
         out = group.comm(left, evaluate(expr.right, cache, group))
     elif isinstance(expr, Prod):
-        out = group.one()
-        for p in expr.parts:
-            out = out * evaluate(p, cache, group)
+        # start from the first part: one() * x can cost a copy of x
+        values = [evaluate(p, cache, group) for p in expr.parts]
+        out = functools.reduce(operator.mul, values) if values else group.one()
     else:
         raise TypeError(f"cannot evaluate {expr!r}")
     cache[key] = out

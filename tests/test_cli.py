@@ -232,6 +232,24 @@ def test_coinv_bad_series_file_is_input_error(tmp_path, capsys):
         assert err.startswith(prefix) and err.count("\n") == 1, text
 
 
+@pytest.mark.parametrize(
+    "series_json",
+    [
+        '{"f": [0, 0.1, 0, 0]}',  # the binary double, not 1/10
+        '{"f": [0, 1.0]}',
+        '{"f": [0, true]}',
+        '{"f": "0101"}',  # four one-character coefficients
+    ],
+)
+def test_coinv_inexact_coefficient_is_input_error(tmp_path, capsys, series_json):
+    bad = tmp_path / "series.json"
+    bad.write_text(f'{{"series": {series_json}}}')
+    code, out = run_cli(["coinv", "--ring", "Q", "--weight", "4", "--in", str(bad)])
+    assert code == cli.EXIT_RESOURCE and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 # 3840 brackets in one chain, a 400-byte line
 WIDE_CHAIN = "[a," + ",".join(["_64 b"] * 60) + "]"
 # 30 nested brackets, each iterated 50 times: past the recursion limit

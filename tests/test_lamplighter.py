@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilwitness import freelie as fl
 from nilwitness import lamplighter as lp
 from nilwitness import magnus as mg
 from nilwitness import words as wd
@@ -114,6 +115,21 @@ def test_phi_engel_anchor():
             img = lp.phi_word(wd.engel(k), Z, K)
             assert img.e == 0
             assert img.f == TruncatedSeries.monomial(lp.ZZ, K, k)
+
+
+def test_phi_of_basis_brackets_in_closed_form():
+    # the lemma build_witness rests on: [a,_j b] -> (x^j, 0), b -> (0, 1),
+    # and a Lyndon word with two or more a's -> 1
+    K = 11
+    for w in fl.lyndon_words(10):
+        img = lp.phi_word(wd.basis_word_expr(w), Z, K)
+        if w == "b":
+            assert img == lp.lamp_b(Z, K)
+        elif w.count("a") == 1:
+            assert w == "a" + "b" * (len(w) - 1)
+            assert img == lp.LampElement(TruncatedSeries.monomial(Z, K, len(w) - 1), 0)
+        else:
+            assert img.is_identity(), w
 
 
 def test_phi_is_homomorphism():

@@ -573,6 +573,26 @@ def test_words_reduce():
     assert (w * w.inverse()).is_identity()
 
 
+class _LettersWithoutOne:
+    """The free group on letter words, with no identity to start from."""
+
+    def one(self):
+        raise AssertionError("one() called for a nonempty product")
+
+    def generator(self, name):
+        return wd.GroupWord.parse(name)
+
+    def comm(self, u, v):
+        return u.commutator(v)
+
+
+def test_product_starts_from_its_first_part():
+    # one() * x would copy every row of a Magnus view x
+    assert str(wd.evaluate(wd.parse_word_expr("a b"), {}, _LettersWithoutOne())) == "ab"
+    one = mg.MagnusElement.one(3)
+    assert wd.evaluate(wd.Prod(()), {}, mg.MagnusEvaluator(3)) == one
+
+
 def test_parser_rejects_garbage():
     for text in ("[a,b", "a^", "[,]", "c"):
         with pytest.raises(ValueError):
