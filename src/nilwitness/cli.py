@@ -160,13 +160,17 @@ def cmd_phi(args) -> int:
     return EXIT_OK
 
 
-def _exact_coeffs(name: str, coeffs) -> list[Fraction]:
+def _exact_coeffs(name: str, coeffs, K: int) -> list[Fraction]:
     """The coefficients of one series of a coinv --in file, which must be a
-    JSON list of integers and of strings in Fraction syntax such as "1/10".
-    A float would be read as the value of its binary double and a bool as 0
-    or 1, so both raise TypeError, as does a series that is not a list."""
+    JSON list of at most K integers and strings in Fraction syntax such as
+    "1/10".  A float would be read as the value of its binary double and a
+    bool as 0 or 1, so both raise TypeError, as does a series that is not a
+    list; a longer list would lose its coefficients past x^(K-1), so it
+    raises ValueError."""
     if type(coeffs) is not list:
         raise TypeError(f"series {name!r} is a JSON {type(coeffs).__name__}, not a list")
+    if len(coeffs) > K:
+        raise ValueError(f"series {name!r} has {len(coeffs)} coefficients, more than --weight {K}")
     for c in coeffs:
         if type(c) not in (int, str):
             raise TypeError(
@@ -186,11 +190,14 @@ def cmd_coinv(args) -> int:
     if args.infile:
         data = _load_json(args.infile, "series")
         try:
-            for name, coeffs in data.get("series", {}).items():
+            found = data.get("series") if type(data) is dict else None
+            if type(found) is not dict:
+                raise TypeError('the file holds no JSON object under the key "series"')
+            for name, coeffs in found.items():
                 inputs[name] = series.TruncatedSeries.from_coeffs(
-                    ring, args.weight, _exact_coeffs(name, coeffs)
+                    ring, args.weight, _exact_coeffs(name, coeffs, args.weight)
                 )
-        except (AttributeError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad series file: {type(exc).__name__}: {exc}") from None
     space = coinv.build_coinvariants(ring, args.weight)
     thetas = {name: coinv.theta(f) for name, f in inputs.items()}

@@ -16,6 +16,11 @@ unitriangularity makes `lie_coordinates` one exact elimination pass over Z;
 it is the only way back from rows to coordinates, and it raises when the
 residual does not vanish, so every normalization is certified.
 
+`present_with_generators` writes t as [alpha, a] + [beta, b] in one
+worklist pass: pending right factors are rewritten by Jacobi longest first,
+so each is complete when taken, and words [a, v] keep the one-term form
+-[v, a] that the witness words are built from.  No presentation is cached.
+
 All values are immutable after construction and all operations are pure, so
 sharing a HallBasis between threads is safe.
 """
@@ -353,81 +358,63 @@ def check_identity(n: int) -> bool:
 # --- presenting a homogeneous element as [alpha, a] + [beta, b]
 
 
-def _present_pair(
-    alpha: list[int], beta: list[int], E: Entries, e: int, v: str, sign: int
-) -> None:
-    """Add sign * [E, basis(v)], presented as [alpha, a] + [beta, b], into
-    the rows alpha and beta; E is a Lie polynomial of degree e given by its
-    nonzero entries.
-
-    Recurses on the standard factorization of v through the Jacobi rewrite
-    [E, [U1, U2]] = [[E, U1], U2] - [[E, U2], U1] until the right factor is a
-    single generator.  Integral throughout.
-    """
-    if len(v) == 1:
-        mul_rows(alpha if v == "a" else beta, UNIT, E, e, sign)
-        return
-    u1, u2 = standard_factorization(v)
-    for x, y, s in ((u1, u2, sign), (u2, u1, -sign)):
-        Ex = nonzero(_bracket(E, e, word_expansion(x), len(x)))
-        _present_pair(alpha, beta, Ex, e + len(x), y, s)
-
-
-@functools.lru_cache(maxsize=None)
-def _present_word(w: str) -> tuple[tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]]:
-    """Presentation of a single basis word; cached, basis independent.
-
-    Words of the form a+v with Lyndon tail v, and the words a b^m, have
-    one-term presentations; the rest go through the Jacobi recursion on rows
-    and are read back by `lie_coordinates`.
-    """
-    left, right = standard_factorization(w)
-    if left == "a":
-        alpha, beta = {right: -1}, {}
-    elif right == "b":
-        alpha, beta = {}, {left: 1}
-    else:
-        rows = [0] * (1 << (len(w) - 1)), [0] * (1 << (len(w) - 1))
-        _present_pair(*rows, word_expansion(left), len(left), right, 1)
-        alpha, beta = map(lie_coordinates, rows)
-    return tuple(sorted(alpha.items())), tuple(sorted(beta.items()))
-
-
 def present_with_generators(
     t: FreeLieElement,
 ) -> tuple[FreeLieElement, FreeLieElement]:
-    """Solve [alpha, a] + [beta, b] = t over Z, t homogeneous of weight >= 2.
+    """Solve [alpha, a] + [beta, b] = t over Z, t homogeneous of weight d >= 2.
 
-    The solution is not unique; this returns a deterministic one and verifies
-    it by substitution before returning (a failed check means an internal
-    normalization bug, reported as RuntimeError).  The check compares rows of
-    Z<a,b>: the embedding of the free Lie ring is faithful, so [alpha, a] +
-    [beta, b] and t are equal exactly when their expansions are.
+    `pending` maps a Lyndon word v to a row E of degree d - |v|: [E, basis(v)]
+    is still to be presented.  A word (u, v) of t with coefficient c seeds
+    c * expansion(u) under v, except that [a, v] seeds -c * expansion(v)
+    under a: its one-term form -[v, a], since a Jacobi rewrite would give
+    another valid presentation and change the witness words.  Then every
+    pending v of length d - 1 down to 2 is taken once and rewritten by
+    [E, [V1, V2]] = [[E, V1], V2] - [[E, V2], V1] under its shorter factors
+    v2 and v1, so each entry is complete when taken; the rows left under a
+    and b are those of alpha and beta.  Integral throughout.
+
+    The solution is deterministic and linear in t.  It is checked by
+    substitution before it is read off (a failure means an internal
+    normalization bug, reported as RuntimeError), on rows of Z<a,b>: the
+    embedding of the free Lie ring is faithful, so [alpha, a] + [beta, b]
+    and t are equal exactly when their expansions are.
     """
     basis = t.basis
     if t.is_zero():
         return basis.zero(), basis.zero()
     if not t.is_homogeneous():
         raise ValueError("input must be homogeneous")
-    if t.weight() < 2:
-        raise ValueError("input must have weight >= 2")
-    alpha: dict[str, int] = {}
-    beta: dict[str, int] = {}
-    for w, c in t.coeffs.items():
-        for acc, part in zip((alpha, beta), _present_word(w)):
-            for x, e in part:
-                acc[x] = acc.get(x, 0) + c * e
-    alpha_elt = basis.from_words(alpha)
-    beta_elt = basis.from_words(beta)
     d = t.weight()
-    if (alpha_elt.weights() | beta_elt.weights()) - {d - 1}:
-        raise RuntimeError("presentation has a term of the wrong weight")
+    if d < 2:
+        raise ValueError("input must have weight >= 2")
+    pending: dict[str, list[int]] = {}
+
+    def row(v: str) -> list[int]:
+        if v not in pending:
+            pending[v] = [0] * (1 << (d - len(v)))
+        return pending[v]
+
+    for w, c in t.coeffs.items():
+        u, v = standard_factorization(w)
+        if u == "a":
+            mul_rows(row("a"), UNIT, word_expansion(v), d - 1, -c)
+        else:
+            mul_rows(row(v), UNIT, word_expansion(u), len(u), c)
+    for n in range(d - 1, 1, -1):
+        for v in [v for v in pending if len(v) == n]:
+            E, e = nonzero(pending.pop(v)), d - n
+            v1, v2 = standard_factorization(v)
+            for x, y, s in ((v1, v2, 1), (v2, v1, -1)):
+                X, target = word_expansion(x), row(y)
+                mul_rows(target, E, X, len(x), s)
+                mul_rows(target, X, E, e, -s)
+    alpha, beta = row("a"), row("b")
     # t - [alpha, a] - [beta, b], with [X, x] = X x - x X
     residual = _row(t.coeffs, d)
-    for x, elt in (("a", alpha_elt), ("b", beta_elt)):
-        p, g = nonzero(_row(elt.coeffs, d - 1)), word_expansion(x)
+    for x, r in (("a", alpha), ("b", beta)):
+        p, g = nonzero(r), word_expansion(x)
         mul_rows(residual, p, g, 1, -1)
         mul_rows(residual, g, p, d - 1, 1)
     if any(residual):
         raise RuntimeError("presentation substitution check failed")
-    return alpha_elt, beta_elt
+    return basis.from_words(lie_coordinates(alpha)), basis.from_words(lie_coordinates(beta))

@@ -233,6 +233,39 @@ def test_coinv_bad_series_file_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        '{"seris": {"f": ["0", "1"]}}',  # a misspelt key is not an empty file
+        '{"series": ["0", "1"]}',
+        '{"series": null}',
+        '[{"f": ["0", "1"]}]',
+    ],
+)
+def test_coinv_file_without_series_object_is_input_error(tmp_path, capsys, text):
+    bad = tmp_path / "series.json"
+    bad.write_text(text)
+    code, out = run_cli(["coinv", "--ring", "Q", "--weight", "4", "--in", str(bad)])
+    assert (code, out) == (cli.EXIT_RESOURCE, "")
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_coinv_series_longer_than_weight_is_input_error(tmp_path, capsys):
+    # at truncation 4 the x^5 coefficient 7 would be dropped without a word
+    infile = tmp_path / "series.json"
+    infile.write_text(json.dumps({"series": {"f": ["0", "1", "0", "0", "0", "7"]}}))
+    code, out = run_cli(["coinv", "--ring", "Q", "--weight", "4", "--in", str(infile)])
+    assert (code, out) == (cli.EXIT_RESOURCE, "")
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "'f'" in err and err.count("\n") == 1
+    # K coefficients are read as they are, fewer are padded with zeros
+    infile.write_text(json.dumps({"series": {"f": ["0", "1", "0", "0"], "g": ["0", "1"]}}))
+    code, out = run_cli(["coinv", "--ring", "Q", "--weight", "4", "--in", str(infile)])
+    classes = json.loads(out)["theta_classes"]
+    assert code == cli.EXIT_OK and classes["f"] == classes["g"] == ["1", "1/2"]
+
+
+@pytest.mark.parametrize(
     "series_json",
     [
         '{"f": [0, 0.1, 0, 0]}',  # the binary double, not 1/10

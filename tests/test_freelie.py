@@ -2,14 +2,18 @@
 oracle, a brute-force rank oracle over spanning sets, bracket axioms on
 random elements, and the generator presentation."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilwitness import freelie as fl
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # --- independent oracles ---------------------------------------------------
@@ -347,22 +351,63 @@ def test_present_random_homogeneous():
 
 
 def test_present_check_catches_a_wrong_presentation(monkeypatch):
-    # the substitution check compares rows of Z<a,b>: a presentation that is
-    # off in one coefficient, or has a term of the wrong weight, raises
-    t = fl.hall_basis(6).from_words({"aabab": 3})
-    alpha, beta = fl._present_word("aabab")
-    assert alpha == (("aabb", -1),) and beta == (("aaab", -1),)
-    fl.present_with_generators(t)
-    for wrong in (
-        (alpha, (("aaab", -2),)),
-        ((("aabb", -1), ("abbb", 1)), beta),
-        (alpha + (("ab", 1),), beta),
-        (alpha, beta + (("aabbb", 1),)),
-        (alpha, ()),
-    ):
-        monkeypatch.setattr(fl, "_present_word", lambda w, wrong=wrong: wrong)
-        with pytest.raises(RuntimeError):
+    # the substitution check compares rows of Z<a,b>: a worklist that splits
+    # one word the wrong way round, the seed word or a right factor met
+    # inside the pass, presents -t or some other element, and raises
+    basis = fl.hall_basis(6)
+    t = basis.from_words({"aabab": 3})
+    alpha, beta = fl.present_with_generators(t)
+    assert alpha == basis.from_words({"aabb": -3})
+    assert beta == basis.from_words({"aaab": -3})
+    split = fl.standard_factorization
+    for word in ("aabab", "ab"):
+
+        def reversed_split(w, word=word):
+            u, v = split(w)
+            return (v, u) if w == word else (u, v)
+
+        monkeypatch.setattr(fl, "standard_factorization", reversed_split)
+        with pytest.raises(RuntimeError, match="substitution check"):
             fl.present_with_generators(t)
+    # and no cached expansion kept a wrong split
+    monkeypatch.setattr(fl, "standard_factorization", split)
+    assert fl.present_with_generators(t) == (alpha, beta)
+
+
+def test_present_is_linear():
+    # the worklist merges the words of t into one pair of rows; that must
+    # read off to the sum of the words' own presentations
+    basis = fl.hall_basis(9)
+    rng = random.Random(5)
+    for _ in range(60):
+        words = basis.words_of_weight(rng.randint(2, 9))
+        support = rng.sample(words, min(rng.randint(2, 6), len(words)))
+        t = basis.from_words({w: rng.randint(-9, 9) for w in support})
+        alpha, beta = basis.zero(), basis.zero()
+        for w, c in t.terms():
+            a_w, b_w = fl.present_with_generators(basis.from_words({w: 1}))
+            alpha, beta = alpha + a_w.scale(c), beta + b_w.scale(c)
+        assert fl.present_with_generators(t) == (alpha, beta)
+
+
+def test_present_matches_golden():
+    """The presentation of every Lyndon word of weight 2-11, against
+    tests/golden/present_w11.json.
+
+    The file maps each word w, in basis order and one word a line, to
+    {"alpha": ..., "beta": ...}: the coordinates, in basis order, of the
+    pair that present_with_generators(hall_basis(11).from_words({w: 1}))
+    returns.  It was recorded while each word was presented on its own by a
+    recursive Jacobi rewrite with a cache of its results, before the one
+    worklist pass over right factors replaced that, and pins the whole map
+    where the CLI goldens reach only the words of one construction.
+    """
+    golden = json.loads((GOLDEN / "present_w11.json").read_text())
+    basis = fl.hall_basis(11)
+    assert list(golden) == [w for w in basis.words if len(w) >= 2]
+    for w, want in golden.items():
+        alpha, beta = fl.present_with_generators(basis.from_words({w: 1}))
+        assert (dict(alpha.terms()), dict(beta.terms())) == (want["alpha"], want["beta"]), w
 
 
 def test_present_rejects_inhomogeneous():

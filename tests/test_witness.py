@@ -247,8 +247,10 @@ def test_build_work_counts(monkeypatch):
     # means work that is done twice again.  Before rows were shared and deep
     # powers took the closed form: 848,698 slots and 336,332 multiply-adds;
     # then 531,070 and 273,131 while words were evaluated at K + 1; then, at
-    # K, 375,690 and 171,078.  Now that present_with_generators checks its
-    # result on rows: 367,986 and 162,000.
+    # K, 375,690 and 171,078; then, with present_with_generators checking its
+    # result on rows, 367,986 and 162,000.  Now that it presents the leading
+    # Lie term in one worklist pass, not one Jacobi recursion and two
+    # read-offs per basis word: 224,814 and 128,562.
     counts = {"slots": 0, "madds": 0}
     nonzero, mul_rows = mg.nonzero, mg.mul_rows
 
@@ -263,12 +265,12 @@ def test_build_work_counts(monkeypatch):
     for mod in (mg, fl):
         monkeypatch.setattr(mod, "nonzero", counting_nonzero)
         monkeypatch.setattr(mod, "mul_rows", counting_mul_rows)
-    for mod, name in ((wt, "_magnus_evaluator"), (fl, "word_expansion"), (fl, "_present_word")):
+    for mod, name in ((wt, "_magnus_evaluator"), (fl, "word_expansion")):
         cached = getattr(mod, name)
         monkeypatch.setattr(mod, name, functools.lru_cache(maxsize=None)(cached.__wrapped__))
     assert wt.build_witness((1, 0, 1, 1), 9).report.ok
-    assert counts["slots"] <= 375_690
-    assert counts["madds"] <= 171_078
+    assert counts["slots"] <= 224_814
+    assert counts["madds"] <= 128_562
     # the build and its verify evaluate every word at K, nothing at K + 1
     assert wt._magnus_evaluator.cache_info().currsize == 1
     assert {g.trunc for g in wt._magnus_evaluator(9)._cache.values()} == {9}
