@@ -27,8 +27,10 @@ EXIT_RESOURCE = 3
 
 # largest phi --weight K: phi takes time ~K^2
 MAX_SERIES_WEIGHT = 64
-# largest coinv --weight K: coinv eliminates K(K-1)/2 columns twice, in time
-# ~K^4.5; over Q, the slowest ring, K = 24 takes about 3 s and K = 26 about 6 s
+# largest coinv --weight K: coinv eliminates K(K-1)/2 columns twice; the rows
+# hold at most 3 nonzeros, but the oracle's reversed order fills them in, so
+# over Q, the slowest ring, the time grows ~K^5: about 0.5 s at K = 24 and
+# 1 s at 28
 MAX_COINV_WEIGHT = 24
 # largest involution --trials: the time is linear in it, about 3 s at 1000
 MAX_TRIALS = 1000
@@ -166,7 +168,8 @@ def _exact_coeffs(name: str, coeffs, K: int) -> list[Fraction]:
     "1/10".  A float would be read as the value of its binary double and a
     bool as 0 or 1, so both raise TypeError, as does a series that is not a
     list; a longer list would lose its coefficients past x^(K-1), so it
-    raises ValueError."""
+    raises ValueError.  So does a string in exponent notation: from
+    "1e10000000" Fraction would build the integer 10^10000000."""
     if type(coeffs) is not list:
         raise TypeError(f"series {name!r} is a JSON {type(coeffs).__name__}, not a list")
     if len(coeffs) > K:
@@ -177,6 +180,8 @@ def _exact_coeffs(name: str, coeffs, K: int) -> list[Fraction]:
                 f"series {name!r} holds the JSON {type(c).__name__} {c!r}, "
                 "not an integer or a string"
             )
+        if type(c) is str and ("e" in c or "E" in c):
+            raise ValueError(f"series {name!r} holds {c[:20]!r}, in exponent notation")
     return list(map(Fraction, coeffs))
 
 

@@ -63,12 +63,31 @@ class CoinvariantSpace:
 def wedge_coords(
     v: TruncatedSeries, w: TruncatedSeries, pairs: tuple[tuple[int, int], ...]
 ) -> list:
-    """Coordinates of v ^ w in the x^i ^ x^j (i < j) basis."""
-    ring = v.ring
-    return [
-        ring.coerce(v.coeffs[i] * w.coeffs[j] - v.coeffs[j] * w.coeffs[i])
-        for i, j in pairs
-    ]
+    """Coordinates of v ^ w in the x^i ^ x^j (i < j) basis.
+
+    The sum of v_a w_b (x^a ^ x^b) over the nonzero coefficients of v and w:
+    a pair with a > b goes to (b, a) with its sign flipped, and a = b adds
+    nothing.  `pairs` is the lex-ordered basis of `_relation_rows`, where
+    (i, j) sits at i(2K - i - 1)/2 + (j - i - 1).
+    """
+    ring, K = v.ring, v.trunc
+    w_terms = [(b, wb) for b, wb in enumerate(w.coeffs) if wb]
+    acc: dict = {}
+    for a, va in enumerate(v.coeffs):
+        if not va:
+            continue
+        for b, wb in w_terms:
+            if a < b:
+                col, term = a * (2 * K - a - 1) // 2 + b - a - 1, va * wb
+            elif a > b:
+                col, term = b * (2 * K - b - 1) // 2 + a - b - 1, -va * wb
+            else:
+                continue
+            acc[col] = acc.get(col, 0) + term
+    out = [ring.coerce(0)] * len(pairs)
+    for col, term in acc.items():
+        out[col] = ring.coerce(term)
+    return out
 
 
 def _relation_rows(ring: Ring, trunc: int, exponents: tuple) -> tuple[tuple, list]:

@@ -2,7 +2,9 @@
 
 Everything here is exact; ranks and lattice comparisons are certificates,
 never floating-point estimates.  Field elimination runs over the rationals
-(fractions) or over Z/p when a prime is supplied.
+(fractions) or over Z/p when a prime is supplied.  It takes and returns dense
+rows, but holds each row by its nonzeros while it eliminates, so its work
+follows the nonzero entries and their fill-in, not the full matrix.
 """
 
 from __future__ import annotations
@@ -84,21 +86,16 @@ def lattices_equal(a: list[list[int]], b: list[list[int]]) -> bool:
 
 # --- field elimination
 #
-# Entries are Fractions over Q (p=None) or ints in [0, p) over Z/p.  The
-# helpers act on whole rows, reducing mod p only when a prime is set; the
-# Hermite form above subtracts integer rows with _sub_multiple and p=None.
+# Entries are Fractions over Q (p=None) or ints in [0, p) over Z/p.
+# Elimination holds each row by its nonzeros; the helpers below act on whole
+# dense rows, reducing mod p only when a prime is set, and the Hermite form
+# above subtracts integer rows with _sub_multiple and p=None.
 
 
 def _coerce_row(row, p: int | None) -> list:
     if p is None:
         return [Fraction(v) for v in row]
     return [int(v) % p for v in row]
-
-
-def _scale_row(row: list, c, p: int | None) -> list:
-    if p is None:
-        return [c * v for v in row]
-    return [c * v % p for v in row]
 
 
 def _sub_multiple(row: list, c, src: list, p: int | None) -> list:
@@ -108,6 +105,51 @@ def _sub_multiple(row: list, c, src: list, p: int | None) -> list:
     return [(a - c * b) % p if b else a for a, b in zip(row, src)]
 
 
+def _eliminate(rows: list[list], p: int | None) -> tuple[list[int], list[dict]]:
+    """Gauss-Jordan elimination on the nonzeros of `rows` over Q or Z/p.
+
+    Each row is held as a dict {column: nonzero entry}.  The pivot of column c
+    is the first row at or below r that holds c; it is scaled to 1 and
+    subtracted from every other row that holds c, over the pivot row's
+    support only, and entries that cancel are deleted.  Returns the pivot
+    columns and the reduced nonzero rows.
+    """
+    coerce = Fraction if p is None else (lambda v: int(v) % p)
+    work = [
+        {c: x for c, x in ((c, coerce(v)) for c, v in enumerate(row) if v) if x}
+        for row in rows
+    ]
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(work)) if c in work[i]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        lead = work[r][c]
+        if p is None:
+            src = work[r] = {k: v / lead for k, v in work[r].items()}
+        else:
+            inv = pow(lead, p - 2, p)
+            src = work[r] = {k: v * inv % p for k, v in work[r].items()}
+        for i, row in enumerate(work):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for k, v in src.items():
+                x = row.get(k, 0) - f * v
+                if p is not None:
+                    x %= p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+        pivots.append(c)
+        r += 1
+    return pivots, work[:r]
+
+
 def rref(rows: list[list], p: int | None = None) -> tuple[int, list[int], list[list]]:
     """Reduced row echelon form over Q or Z/p.
 
@@ -115,28 +157,14 @@ def rref(rows: list[list], p: int | None = None) -> tuple[int, list[int], list[l
     to leading 1 with zeros above and below each pivot, so the output is a
     canonical form of the row space.
     """
-    work = [_coerce_row(row, p) for row in rows]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        lead = work[r][c]
-        inv = 1 / lead if p is None else pow(lead, p - 2, p)
-        src = work[r] = _scale_row(work[r], inv, p)
-        for i, row in enumerate(work):
-            if i != r and row[c]:
-                work[i] = _sub_multiple(row, row[c], src, p)
-        pivots.append(c)
-        r += 1
-    return r, pivots, work[:r]
+    pivots, reduced = _eliminate(rows, p)
+    ncols = len(rows[0]) if rows else 0
+    zero = Fraction(0) if p is None else 0
+    return len(pivots), pivots, [[row.get(c, zero) for c in range(ncols)] for row in reduced]
 
 
 def field_rank(rows: list[list], p: int | None = None) -> int:
-    return rref(rows, p)[0]
+    return len(_eliminate(rows, p)[0])
 
 
 def reduce_mod_rowspace(vec: list, rref_rows: list[list], pivots: list[int], p: int | None = None) -> list:

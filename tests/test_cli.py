@@ -283,6 +283,24 @@ def test_coinv_inexact_coefficient_is_input_error(tmp_path, capsys, series_json)
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+def test_coinv_exponent_notation_is_input_error(tmp_path, capsys):
+    # Fraction("1e10000000") builds a ten-million-digit integer from a
+    # twenty-byte file, so exponent notation is refused before it is read
+    bad = tmp_path / "series.json"
+    for coeff in ("1e5", "2E-3", "1e10000000"):
+        bad.write_text(json.dumps({"series": {"f": [coeff, "1"]}}))
+        code, out = run_cli(["coinv", "--ring", "Zp:3", "--weight", "4", "--in", str(bad)])
+        assert (code, out) == (cli.EXIT_RESOURCE, ""), coeff
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1, coeff
+    # integers, p/q and plain decimals are still read exactly
+    series = {"f": [7, "-3/2", "0.5", "1"], "g": ["7", "-3/2", "1/2", "1"]}
+    bad.write_text(json.dumps({"series": series}))
+    code, out = run_cli(["coinv", "--ring", "Q", "--weight", "4", "--in", str(bad)])
+    classes = json.loads(out)["theta_classes"]
+    assert code == cli.EXIT_OK and classes["f"] == classes["g"] == ["-3/2", "3/4"]
+
+
 # 3840 brackets in one chain, a 400-byte line
 WIDE_CHAIN = "[a," + ",".join(["_64 b"] * 60) + "]"
 # 30 nested brackets, each iterated 50 times: past the recursion limit
@@ -347,8 +365,8 @@ def test_coinv_weight_bounded_before_reading_the_file(monkeypatch):
 
 
 def test_coinv_weight_has_its_own_bound(monkeypatch):
-    # coinv grows about as K^4.5 (over Q: 3 s at K = 24, minutes at 64), so
-    # it stops well below the phi bound; the bench's Z/3 at K = 20 stays legal
+    # coinv grows about as K^5 over Q (0.5 s at K = 24, 1 s at 28), so it
+    # stops well below the phi bound; the bench's Z/3 at K = 20 stays legal
     code, _ = run_cli(["coinv", "--ring", "Zp:3", "--weight", "20"])
     assert code == cli.EXIT_OK
     code, _ = run_cli(["phi", "--word", "b a", "--weight", "64"])

@@ -320,3 +320,64 @@ def test_theta_zero_exactly_on_fixed_series():
                 f = rand_series(ring, K, rng)
                 for g in (f, f + sr.sigma_tilde(f)):
                     assert (not any(cv.theta(g))) == (sr.sigma_tilde(g) == g)
+
+
+# --- the sparse wedge against the dense formula --------------------------------
+
+
+def dense_wedge(v, w):
+    """Oracle: v_i w_j - v_j w_i for every pair i < j in lex order, coerced
+    into the ring."""
+    K, ring = v.trunc, v.ring
+    return [
+        ring.coerce(v.coeffs[i] * w.coeffs[j] - v.coeffs[j] * w.coeffs[i])
+        for i in range(K)
+        for j in range(i + 1, K)
+    ]
+
+
+def dense_relation_rows(ring, K, exponents):
+    """Oracle: the rows t^r x^i ^ t^r x^j - x^i ^ x^j from the dense wedge."""
+    basis = [sr.TruncatedSeries.monomial(ring, K, k) for k in range(K)]
+    pairs = [(i, j) for i in range(K) for j in range(i + 1, K)]
+    rows = []
+    for r in exponents:
+        t_r = sr.one_plus_x_power(ring, r, K)
+        for idx, (i, j) in enumerate(pairs):
+            row = dense_wedge(t_r * basis[i], t_r * basis[j])
+            row[idx] = ring.coerce(row[idx] - 1)
+            rows.append(row)
+    return rows
+
+
+def _entry_types(rows):
+    return {type(v) for row in rows for v in row}
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_relation_rows_match_the_dense_wedge(ring):
+    entry_type = Fraction if ring == sr.QQ else int
+    exponent_sets = [(1,), (2, -1)] + ([(Fraction(1, 2),)] if ring == sr.QQ else [])
+    for K in range(2, 13):
+        for exponents in exponent_sets:
+            pairs, rows = cv._relation_rows(ring, K, exponents)
+            assert pairs == tuple((i, j) for i in range(K) for j in range(i + 1, K))
+            assert rows == dense_relation_rows(ring, K, exponents)
+            assert _entry_types(rows) == {entry_type}
+        # t x^i ^ t x^j - x^i ^ x^j = x^i ^ x^(j+1) + x^(i+1) ^ x^j + x^(i+1) ^ x^(j+1)
+        _, rows = cv._relation_rows(ring, K, (1,))
+        assert max(sum(1 for v in row if v) for row in rows) <= 3
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+def test_wedge_coords_match_the_dense_wedge(ring):
+    rng = random.Random(11)
+    for K in range(2, 13):
+        pairs = cv._relation_rows(ring, K, ())[0]
+        for _ in range(4):
+            v, w = rand_series(ring, K, rng), rand_series(ring, K, rng)
+            assert cv.wedge_coords(v, w, pairs) == dense_wedge(v, w)
+            assert cv.wedge_coords(v, v, pairs) == dense_wedge(v, v)
+            assert _entry_types([cv.wedge_coords(v, w, pairs)]) == {
+                Fraction if ring == sr.QQ else int
+            }

@@ -19,7 +19,9 @@ section of ``report`` and the shape of ``theta_classes``. ``phi_Q_K24``
 recorded before (1 + x)^r and the involution moved to their binomial closed
 forms, and pin those two maps. ``verify_K10`` was recorded before
 witness words moved from truncation K + 1 to K, the change that touched
-the certificate most. When a change is meant to alter an output,
+the certificate most. ``coinv_Q_K16`` and ``coinv_Zp3_K24`` were recorded
+before exact elimination and the wedge moved to nonzero entries, and pin
+ranks past K = 12. When a change is meant to alter an output,
 re-run the command by hand, write its stdout over the file and say so in
 the change.
 """
@@ -47,6 +49,8 @@ CASES = {
     "verify_K10": ["verify", "--in", str(GOLDEN / "construct_K10.json")],
     "coinv_Q_K8": ["coinv", "--ring", "Q", "--weight", "8"],
     "coinv_Zp3_K8": ["coinv", "--ring", "Zp:3", "--weight", "8"],
+    "coinv_Q_K16": ["coinv", "--ring", "Q", "--weight", "16"],
+    "coinv_Zp3_K24": ["coinv", "--ring", "Zp:3", "--weight", "24"],
     "coinv_Zp3_K8_in": [
         "coinv", "--ring", "Zp:3", "--weight", "8", "--in", str(GOLDEN / "series_K8.json")
     ],

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilwitness import linalg
@@ -111,8 +111,8 @@ def test_field_nullspace_annihilates():
 
 
 def _reference_rref(rows, p):
-    """Per-entry Gauss-Jordan elimination, kept as the reference for the
-    row-level loop in ``linalg.rref``."""
+    """Dense per-entry Gauss-Jordan elimination, kept as the reference for
+    the sparse kernel behind ``linalg.rref`` and ``linalg.field_rank``."""
     coerce = Fraction if p is None else (lambda v: int(v) % p)
     work = [[coerce(v) for v in row] for row in rows]
     ncols = len(work[0]) if work else 0
@@ -140,17 +140,33 @@ def _reference_rref(rows, p):
 
 @st.composite
 def _matrices(draw):
+    """Dense integer matrices, often mostly zero, whose entries include
+    multiples of 3: over Z/3 those are nonzero integers that reduce to 0."""
     nrows = draw(st.integers(1, 6))
     ncols = draw(st.integers(1, 6))
-    row = st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols)
+    zeros = [st.just(0)] * draw(st.integers(1, 4))
+    entry = st.one_of(*zeros, st.integers(-5, 5), st.sampled_from([3, -6, 9, 30]))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
     return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+# a pivot row whose other nonzero entries are multiples of 3, and a row that
+# is zero mod 3 although no entry of it is zero over Z
+VANISHING_MOD_3 = [[0, 3, 0, 0, 6], [0, 1, 0, 9, 0], [3, 0, 0, 0, 0], [0, 0, 0, 0, 0]]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_matrices(), st.sampled_from([None, 3]), st.randoms(use_true_random=False))
+@example(VANISHING_MOD_3, 3, random.Random(0))
+@example(VANISHING_MOD_3, None, random.Random(0))
 def test_rref_matches_reference_and_ignores_row_order(rows, p, rng):
     expected = _reference_rref(rows, p)
-    assert linalg.rref(rows, p) == expected
+    reduced = linalg.rref(rows, p)
+    assert reduced == expected
+    assert linalg.field_rank(rows, p) == expected[0]
+    # the zeros filled back in have the ring's type, as the entries do
+    entry_type = Fraction if p is None else int
+    assert all(type(v) is entry_type for row in reduced[2] for v in row)
     shuffled = list(rows)
     rng.shuffle(shuffled)
     assert linalg.rref(shuffled, p) == expected
