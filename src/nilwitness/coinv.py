@@ -60,15 +60,14 @@ class CoinvariantSpace:
         }
 
 
-def wedge_coords(
-    v: TruncatedSeries, w: TruncatedSeries, pairs: tuple[tuple[int, int], ...]
-) -> list:
+def wedge_coords(v: TruncatedSeries, w: TruncatedSeries) -> list:
     """Coordinates of v ^ w in the x^i ^ x^j (i < j) basis.
 
     The sum of v_a w_b (x^a ^ x^b) over the nonzero coefficients of v and w:
     a pair with a > b goes to (b, a) with its sign flipped, and a = b adds
-    nothing.  `pairs` is the lex-ordered basis of `_relation_rows`, where
-    (i, j) sits at i(2K - i - 1)/2 + (j - i - 1).
+    nothing.  The basis is the K(K - 1)/2 lex-ordered pairs of
+    `_relation_rows` for K = v.trunc, where (i, j) sits at
+    i(2K - i - 1)/2 + (j - i - 1).
     """
     ring, K = v.ring, v.trunc
     w_terms = [(b, wb) for b, wb in enumerate(w.coeffs) if wb]
@@ -84,7 +83,7 @@ def wedge_coords(
             else:
                 continue
             acc[col] = acc.get(col, 0) + term
-    out = [ring.coerce(0)] * len(pairs)
+    out = [ring.coerce(0)] * (K * (K - 1) // 2)
     for col, term in acc.items():
         out[col] = ring.coerce(term)
     return out
@@ -104,7 +103,7 @@ def _relation_rows(ring: Ring, trunc: int, exponents: tuple) -> tuple[tuple, lis
         t_r = one_plus_x_power(ring, r, trunc)
         shifted = [t_r * f for f in basis_series]
         for idx, (i, j) in enumerate(pairs):
-            row = wedge_coords(shifted[i], shifted[j], pairs)
+            row = wedge_coords(shifted[i], shifted[j])
             row[idx] = ring.coerce(row[idx] - 1)
             rows.append(row)
     return pairs, rows

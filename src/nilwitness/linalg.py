@@ -92,10 +92,17 @@ def lattices_equal(a: list[list[int]], b: list[list[int]]) -> bool:
 # above subtracts integer rows with _sub_multiple and p=None.
 
 
-def _coerce_row(row, p: int | None) -> list:
+def coerce_entry(v, p: int | None):
+    """v as an entry over Q or Z/p.  Over Z/p a fraction is its numerator
+    times the inverse of its denominator; series.PrimeField.coerce is this."""
     if p is None:
-        return [Fraction(v) for v in row]
-    return [int(v) % p for v in row]
+        return Fraction(v)
+    if isinstance(v, Fraction):
+        den = v.denominator % p
+        if den == 0:
+            raise ZeroDivisionError("denominator divisible by p")
+        return v.numerator * pow(den, p - 2, p) % p
+    return int(v) % p
 
 
 def _sub_multiple(row: list, c, src: list, p: int | None) -> list:
@@ -114,9 +121,8 @@ def _eliminate(rows: list[list], p: int | None) -> tuple[list[int], list[dict]]:
     support only, and entries that cancel are deleted.  Returns the pivot
     columns and the reduced nonzero rows.
     """
-    coerce = Fraction if p is None else (lambda v: int(v) % p)
     work = [
-        {c: x for c, x in ((c, coerce(v)) for c, v in enumerate(row) if v) if x}
+        {c: x for c, x in ((c, coerce_entry(v, p)) for c, v in enumerate(row) if v) if x}
         for row in rows
     ]
     ncols = len(rows[0]) if rows else 0
@@ -169,7 +175,7 @@ def field_rank(rows: list[list], p: int | None = None) -> int:
 
 def reduce_mod_rowspace(vec: list, rref_rows: list[list], pivots: list[int], p: int | None = None) -> list:
     """Canonical representative of vec modulo the row space given in rref."""
-    out = _coerce_row(vec, p)
+    out = [coerce_entry(v, p) for v in vec]
     for row, c in zip(rref_rows, pivots):
         if out[c]:
             out = _sub_multiple(out, out[c], row, p)
@@ -187,5 +193,5 @@ def field_nullspace(rows: list[list], p: int | None = None) -> list[list]:
         v[fc] = 1
         for row, pc in zip(red, pivots):
             v[pc] = -row[fc]
-        basis.append(_coerce_row(v, p))
+        basis.append([coerce_entry(x, p) for x in v])
     return basis

@@ -187,7 +187,7 @@ class MagnusElement:
         low = min(wp + wq, T + 1)
         out = [_add_rows(a, sp, b, sq) for a, b in zip(p[:low], q[:low])]
         out += [_add_rows(a, sp, b, sq, fresh=True) for a, b in zip(p[low:], q[low:])]
-        _convolve(out, _nonzero_rows(p, T - wq, sp), _nonzero_rows(q, T - wp, sq), 1)
+        _convolve(out, _nonzero_rows(p, T - wq), _nonzero_rows(q, T - wp), sp * sq)
         return MagnusElement(T, out)
 
     def _weight(self) -> int:
@@ -215,8 +215,9 @@ class MagnusElement:
             return MagnusElement.one(T)
         if 2 * w > T:
             return MagnusElement._of(T, self._deg, n * self._scale)
+        # u is the scale times the stored rows U, so u^j = scale^j U^j
         acc: Rows = [None] * (T + 1)
-        u = power = _nonzero_rows(self._deg, T, self._scale)
+        u = power = _nonzero_rows(self._deg, T)
         for j, coeff in enumerate(binomials(n, T // w + 1)[1:], 1):
             if j > 1:
                 power = _nonzero_rows(_convolve([None] * (T + 1), power, u, 1), T)
@@ -224,7 +225,7 @@ class MagnusElement:
                 if entries and coeff:
                     if acc[d] is None:
                         acc[d] = [0] * (1 << d)
-                    mul_rows(acc[d], UNIT, entries, d, coeff)
+                    mul_rows(acc[d], UNIT, entries, d, coeff * self._scale**j)
         return MagnusElement(T, acc)
 
     def mul_letter(self, letter: int) -> "MagnusElement":
@@ -294,14 +295,11 @@ def _add_rows(
     return acc
 
 
-def _nonzero_rows(rows: Rows, top: int, scale: int = 1) -> list[Entries | None]:
-    """Nonzero entries of each row up to degree top, the coefficients times
-    scale.  A product truncated at T reads row d of one factor only when
-    d <= T - weight(other factor)."""
-    out = [r and nonzero(r) for r in rows[: top + 1]]
-    if scale != 1:
-        out = [e and (e[0], [scale * c for c in e[1]]) for e in out]
-    return out
+def _nonzero_rows(rows: Rows, top: int) -> list[Entries | None]:
+    """Nonzero entries of each row up to degree top; a view's scale is passed
+    to _convolve, not applied here.  A product truncated at T reads row d of
+    one factor only when d <= T - weight(other factor)."""
+    return [r and nonzero(r) for r in rows[: top + 1]]
 
 
 def _convolve(out: Rows, p: list[Entries | None], q: list[Entries | None], scale: int) -> Rows:
@@ -341,17 +339,18 @@ def commutator(g: MagnusElement, h: MagnusElement) -> MagnusElement:
             f"truncations {g.trunc} and {h.trunc} need to reach {T - wh} and "
             f"{T - wg} for a commutator at {T}"
         )
-    ps = _nonzero_rows(g._deg, T - wh, g._scale)
-    qs = _nonzero_rows(h._deg, T - wg, h._scale)
-    out = _convolve([None] * (T + 1), ps, qs, 1)
-    _convolve(out, qs, ps, -1)
+    ps = _nonzero_rows(g._deg, T - wh)
+    qs = _nonzero_rows(h._deg, T - wg)
+    scale = g._scale * h._scale
+    out = _convolve([None] * (T + 1), ps, qs, scale)
+    _convolve(out, qs, ps, -scale)
     # as 1 + (PQ - QP), so that rows that cancelled are dropped
     lowest = MagnusElement(T, out)._weight()
     if lowest < T:
         low = T - lowest
         hg_inv = (h.truncate(low) * g.truncate(low)).inverse()
-        inv = _nonzero_rows(hg_inv._deg, low, hg_inv._scale)
-        _convolve(out, inv, _nonzero_rows(out, T - 1), 1)
+        inv = _nonzero_rows(hg_inv._deg, low)
+        _convolve(out, inv, _nonzero_rows(out, T - 1), hg_inv._scale)
     return MagnusElement(T, out)
 
 

@@ -68,13 +68,7 @@ class PrimeField:
         return f"Z/{self.p}"
 
     def coerce(self, v):
-        if isinstance(v, Fraction):
-            num = v.numerator % self.p
-            den = v.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError("denominator divisible by p")
-            return num * pow(den, self.p - 2, self.p) % self.p
-        return int(v) % self.p
+        return linalg.coerce_entry(v, self.p)
 
 
 ZZ = IntegerRing()

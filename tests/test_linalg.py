@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import pytest
 
 from nilwitness import linalg
 
@@ -97,6 +98,17 @@ def test_rref_mod_p():
     assert rank == 1 and pivots == [0]
     rank, _, _ = linalg.rref([[2, 1], [1, 1]], p=3)
     assert rank == 2
+
+
+def test_fractions_mod_p_read_as_num_times_den_inverse():
+    # 1/2 is 2 mod 3, not its integer part 0
+    half = Fraction(1, 2)
+    assert linalg.field_rank([[half]], 3) == 1
+    assert linalg.rref([[half, 1]], 3) == (1, [0], [[1, 2]])
+    assert linalg.reduce_mod_rowspace([half, 0], [[0, 1]], [1], 3) == [2, 0]
+    for rows in ([[Fraction(1, 3)]], [[1, Fraction(2, 9)]]):
+        with pytest.raises(ZeroDivisionError):
+            linalg.field_rank(rows, 3)
 
 
 def test_field_nullspace_annihilates():

@@ -235,6 +235,15 @@ def test_powers_of_views_compose():
     assert (g**4) ** 0 == one
 
 
+def test_scaled_rows_of_a_shallow_element_power_by_the_series():
+    # no operation makes a view that is not deep, but the binomial series
+    # reads the scale all the same: u^j is scale^j times the rows' j-th power
+    g = mg.eval_word("[a,b] b a^-2", 6)
+    view, copy_ = mg.MagnusElement._of(6, g._deg, 3), _scaled_copy(g, 3)
+    for n in (-2, -1, 2, 3):
+        assert view**n == copy_**n
+
+
 # --- the row kernel against a dict oracle, in both loop orders -------------
 
 

@@ -4,6 +4,7 @@ tamper detection, and the two-path computation of the exponent series."""
 import dataclasses
 import functools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -229,16 +230,51 @@ def test_cut_s_list_fails_p0_with_counts(pair_K9):
     assert "got r 7, s 5, n 7" in rep.p0.detail
 
 
+def _q_and_n_changed(pair):
+    q = list(pair.q)
+    q[2] = 0
+    n = list(pair.n)
+    n[7 - 3] = 0
+    return dataclasses.replace(pair, q=tuple(q), n=tuple(n))
+
+
 def test_controlled_exponents_read_from_image(pair_K9):
     # q and the stored n changed together: only the computed lamplighter
     # image still carries the true controlled exponent n_7 = q_3 = 1
-    q = list(pair_K9.q)
-    q[2] = 0
-    n = list(pair_K9.n)
-    n[7 - 3] = 0
-    rep = wt.verify_witness(dataclasses.replace(pair_K9, q=tuple(q), n=tuple(n)))
+    rep = wt.verify_witness(_q_and_n_changed(pair_K9))
     assert not rep.p3.ok
     assert "n_7 = 1, expected 0" in rep.p3.detail
+
+
+def _no_factors(K):
+    return lambda p: dataclasses.replace(p, K=K, r_factors=(), s_factors=(), n=())
+
+
+TAMPERED = {
+    **MUTATIONS,
+    "untouched": lambda p: p,
+    "q_and_n_changed": _q_and_n_changed,
+    "last_r_times_b": lambda p: dataclasses.replace(
+        p, r_factors=p.r_factors[:-1] + (wd.product(p.r_factors[-1], wd.B),)
+    ),
+    "empty_pair": lambda p: wt.WitnessPair(q=(), K=2, r_factors=(), s_factors=(), n=()),
+    **{f"no_factors_K{K}": _no_factors(K) for K in (0, 1, 2)},
+}
+
+# the full report of every case in TAMPERED, recorded before verify_witness
+# checked p0-p2 in one pass over the factors; a cut list must not shorten
+# the r-product that p3 reads, so "cut_s_only" pins p3 as passing
+TAMPERED_GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_tampered_K9.json"
+
+
+def test_tampered_golden_covers_every_case():
+    assert sorted(json.loads(TAMPERED_GOLDEN.read_text())) == sorted(TAMPERED)
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED))
+def test_tampered_report_matches_golden(pair_K9, name):
+    golden = json.loads(TAMPERED_GOLDEN.read_text())[name]
+    assert wt.verify_witness(TAMPERED[name](pair_K9)).to_json() == golden
 
 
 def test_build_work_counts(monkeypatch):
