@@ -32,6 +32,9 @@ MAX_SERIES_WEIGHT = 64
 # over Q, the slowest ring, the time grows ~K^5: about 0.5 s at K = 24 and
 # 1 s at 28
 MAX_COINV_WEIGHT = 24
+# largest report --weight K, and largest weight 2n + 2 of identities --max-n:
+# neither builds a witness, and at the limit each takes about 10 s
+MAX_REPORT_WEIGHT = 20
 # largest involution --trials: the time is linear in it, about 3 s at 1000
 MAX_TRIALS = 1000
 
@@ -90,8 +93,8 @@ def _parse_q(text: str) -> tuple[int, ...]:
 def cmd_identities(args) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
-    if 2 * args.max_n + 2 > witness.MAX_K:
-        raise UsageError(f"--max-n must be at most {(witness.MAX_K - 2) // 2}")
+    if 2 * args.max_n + 2 > MAX_REPORT_WEIGHT:
+        raise UsageError(f"--max-n must be at most {(MAX_REPORT_WEIGHT - 2) // 2}")
     results = []
     ok = True
     for n in range(1, args.max_n + 1):
@@ -243,8 +246,8 @@ def cmd_involution(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if not 1 <= args.weight <= witness.MAX_K:
-        raise UsageError(f"--weight must be in 1..{witness.MAX_K}")
+    if not 1 <= args.weight <= MAX_REPORT_WEIGHT:
+        raise UsageError(f"--weight must be in 1..{MAX_REPORT_WEIGHT}")
     rng = random.Random(args.seed)
     t0 = time.monotonic()
     sections = {}

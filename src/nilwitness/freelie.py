@@ -9,7 +9,7 @@ are a map from Lyndon word to integer; there is no other coordinate system.
 
 Normalization works through the faithful embedding into the free associative
 ring Z<a,b>, whose homogeneous polynomials are Magnus rows (see magnus.py),
-multiplied by its one kernel: every basis bracket expands to a row, and the
+bracketed by magnus.bracket_rows: every basis bracket expands to a row, and the
 expansion of the word w is w plus lexicographically larger words, i.e. larger
 masks, of the same length (Reutenauer, Free Lie Algebras, 1993).  That
 unitriangularity makes `lie_coordinates` one exact elimination pass over Z;
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .magnus import UNIT, Entries, _convolve, mask_word, mul_rows, nonzero, word_mask
+from .magnus import UNIT, Entries, _convolve, bracket_rows, mask_word, mul_rows, nonzero, word_mask
 
 GENERATORS = ("a", "b")
 
@@ -107,15 +107,6 @@ def bracket_string(word: str) -> str:
 # --- homogeneous polynomials of Z<a,b> as Magnus rows, the normalization engine
 
 
-def _bracket(p: Entries, i: int, q: Entries, j: int) -> list[int]:
-    """[P, Q] = PQ - QP as a row of degree i + j, for P and Q of degrees i
-    and j given by their nonzero entries."""
-    acc = [0] * (1 << (i + j))
-    mul_rows(acc, p, q, j, 1)
-    mul_rows(acc, q, p, i, -1)
-    return acc
-
-
 @functools.lru_cache(maxsize=None)
 def word_expansion(word: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Expansion of the basis bracket of a Lyndon word in Z<a,b>, as the
@@ -128,7 +119,8 @@ def word_expansion(word: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if len(word) == 1:
         return (word_mask(word),), (1,)
     left, right = standard_factorization(word)
-    row = _bracket(word_expansion(left), len(left), word_expansion(right), len(right))
+    row = [0] * (1 << len(word))
+    bracket_rows(row, word_expansion(left), len(left), word_expansion(right), len(right), 1)
     masks, coeffs = nonzero(row)
     return tuple(masks), tuple(coeffs)
 
@@ -311,8 +303,7 @@ def bracket(u: FreeLieElement, v: FreeLieElement) -> FreeLieElement:
     """
     u._check(v)
     p, q = _expand(u.coeffs), _expand(v.coeffs)
-    rows = _convolve([None] * (len(p) + len(q) - 1), p, q, 1)
-    _convolve(rows, q, p, -1)
+    rows = _convolve([None] * (len(p) + len(q) - 1), p, q, 1, bracket=True)
     coords = {w: c for r in rows if r is not None for w, c in lie_coordinates(r).items()}
     top = max(map(len, coords), default=0)
     if top > u.basis.max_weight:
@@ -405,16 +396,12 @@ def present_with_generators(
             E, e = nonzero(pending.pop(v)), d - n
             v1, v2 = standard_factorization(v)
             for x, y, s in ((v1, v2, 1), (v2, v1, -1)):
-                X, target = word_expansion(x), row(y)
-                mul_rows(target, E, X, len(x), s)
-                mul_rows(target, X, E, e, -s)
+                bracket_rows(row(y), E, e, word_expansion(x), len(x), s)
     alpha, beta = row("a"), row("b")
-    # t - [alpha, a] - [beta, b], with [X, x] = X x - x X
+    # t - [alpha, a] - [beta, b]
     residual = _row(t.coeffs, d)
     for x, r in (("a", alpha), ("b", beta)):
-        p, g = nonzero(r), word_expansion(x)
-        mul_rows(residual, p, g, 1, -1)
-        mul_rows(residual, g, p, d - 1, 1)
+        bracket_rows(residual, nonzero(r), d - 1, word_expansion(x), 1, -1)
     if any(residual):
         raise RuntimeError("presentation substitution check failed")
     return basis.from_words(lie_coordinates(alpha)), basis.from_words(lie_coordinates(beta))

@@ -50,7 +50,24 @@ class LampElement:
         return LampElement(-_shift(self.f, self.e), -self.e)
 
     def commutator(self, other: "LampElement") -> "LampElement":
-        return self.inverse() * other.inverse() * self * other
+        """u^-1 v^-1 u v in closed form.  For u = (f, e), v = (g, e') and
+        t^e the multiplication by (1 + x)^e,
+
+            [u, v] = (t^e (t^e' - 1) f - t^e' (t^e - 1) g, 0),
+
+        which is the identity when e = e' = 0: the kernel of the shift is
+        abelian.  A term whose factor t^e - 1 or t^e' - 1 is zero is not
+        formed, so a commutator with one side in the kernel costs one series
+        product."""
+        (f, e), (g, e2) = (self.f, self.e), (other.f, other.e)
+        f._check(g)
+        if not e2:
+            series = g - _shift(g, e) if e else TruncatedSeries.zero(f.ring, f.trunc)
+        elif not e:
+            series = _shift(f, e2) - f
+        else:
+            series = _shift(_shift(f, e2) - f, e) - _shift(_shift(g, e) - g, e2)
+        return LampElement(series, 0)
 
     def __pow__(self, n: int) -> "LampElement":
         if self.e == 0:

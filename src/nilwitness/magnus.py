@@ -23,16 +23,19 @@ g only up to T - weight(h) and h up to T - weight(g), so commutator returns
 its result at the larger of the two truncations and asks no more of the
 shorter side: [R, a] at T takes R at T - 1.
 
-Every product of two rows goes through one kernel, mul_rows: the monomial
-m1 of degree i followed by m2 of degree j has index m1 << j | m2 in degree
-i + j, so the block that row i times row j adds is their flattened outer
-product, taken over the nonzero entries only, with the side that has more
-entries in the inner loop.  _convolve runs it over the degrees of two
-series; commutator runs it for PQ - QP into one table; the free Lie layer
-runs it for every bracket.  A deep element, 2 weight(u) > trunc for
-u = g - 1, has u^2 = 0, so its powers take the closed form
-(1 + u)^n = 1 + n u: a view that holds the rows of u and the scale n, with
-no row copied.
+Two rows are multiplied by one of two kernels.  mul_rows forms a plain
+product: the monomial m1 of degree i followed by m2 of degree j has index
+m1 << j | m2 in degree i + j, so the block that row i times row j adds is
+their flattened outer product, taken over the nonzero entries only, with
+the side that has more entries in the inner loop.  bracket_rows forms
+PQ - QP the same way, taking each coefficient product once and adding it
+to the PQ block and subtracting it from the QP block.  _convolve runs
+either over the degrees of two series; commutator runs the bracket kernel
+for PQ - QP into one table; the free Lie layer runs it for every bracket,
+every Jacobi rewrite and its substitution check.  A deep element,
+2 weight(u) > trunc for u = g - 1, has u^2 = 0, so its powers take the
+closed form (1 + u)^n = 1 + n u: a view that holds the rows of u and the
+scale n, with no row copied.
 
 A GroupWord is evaluated as the product of its letters, through the same
 walk as any expression.  mul_letter and conjugate_letter are plain products
@@ -92,8 +95,9 @@ def mul_rows(acc: list[int], p: Entries, q: Entries, j: int, scale: int) -> None
     """acc += scale * P * Q for homogeneous P and Q given by their nonzero
     entries, Q of degree j: m1 followed by m2 has index m1 << j | m2.
 
-    The one place where two coefficient rows are multiplied.  The side with
-    more entries runs innermost, so a row times a single letter is one loop.
+    The one place where a plain product of two coefficient rows is formed;
+    a bracket PQ - QP goes through bracket_rows.  The side with more
+    entries runs innermost, so a row times a single letter is one loop.
     """
     (pm, pc), (qm, qc) = p, q
     if len(pm) < len(qm):
@@ -106,6 +110,32 @@ def mul_rows(acc: list[int], p: Entries, q: Entries, j: int, scale: int) -> None
             c2 *= scale
             for m1, c1 in zip(pm, pc):
                 acc[m1 << j | m2] += c1 * c2
+
+
+def bracket_rows(acc: list[int], p: Entries, i: int, q: Entries, j: int, scale: int) -> None:
+    """acc += scale * (PQ - QP) for homogeneous P of degree i and Q of degree
+    j given by their nonzero entries: m1 followed by m2 has index m1 << j | m2
+    in PQ, and m2 followed by m1 has index m2 << i | m1 in QP.
+
+    The one place where a bracket of two rows is formed: each coefficient
+    product is taken once, added to PQ and subtracted from QP.  The side
+    with more entries runs innermost, as in mul_rows.
+    """
+    (pm, pc), (qm, qc) = p, q
+    if len(pm) < len(qm):
+        for m1, c1 in zip(pm, pc):
+            hi, c1 = m1 << j, scale * c1
+            for m2, c2 in zip(qm, qc):
+                c = c1 * c2
+                acc[hi | m2] += c
+                acc[m2 << i | m1] -= c
+    else:
+        for m2, c2 in zip(qm, qc):
+            hi, c2 = m2 << i, scale * c2
+            for m1, c1 in zip(pm, pc):
+                c = c1 * c2
+                acc[m1 << j | m2] += c
+                acc[hi | m1] -= c
 
 
 class MagnusElement:
@@ -302,10 +332,17 @@ def _nonzero_rows(rows: Rows, top: int) -> list[Entries | None]:
     return [r and nonzero(r) for r in rows[: top + 1]]
 
 
-def _convolve(out: Rows, p: list[Entries | None], q: list[Entries | None], scale: int) -> Rows:
-    """Add scale times the degree-row product of p and q (no constant terms,
-    rows given by their nonzero entries) into out, truncated at degree
-    len(out) - 1, and return out.  Rows past the end of p or q count as zero.
+def _convolve(
+    out: Rows,
+    p: list[Entries | None],
+    q: list[Entries | None],
+    scale: int,
+    bracket: bool = False,
+) -> Rows:
+    """Add scale times the degree-row product PQ of p and q (no constant
+    terms, rows given by their nonzero entries) into out, or scale times
+    PQ - QP if bracket, truncated at degree len(out) - 1, and return out.
+    Rows past the end of p or q count as zero.
     """
     T = len(out) - 1
     for i, pi in enumerate(p[1:T], 1):
@@ -318,7 +355,10 @@ def _convolve(out: Rows, p: list[Entries | None], q: list[Entries | None], scale
             acc = out[d]
             if acc is None:
                 acc = out[d] = [0] * (1 << d)
-            mul_rows(acc, pi, qj, j, scale)
+            if bracket:
+                bracket_rows(acc, pi, i, qj, j, scale)
+            else:
+                mul_rows(acc, pi, qj, j, scale)
     return out
 
 
@@ -341,9 +381,7 @@ def commutator(g: MagnusElement, h: MagnusElement) -> MagnusElement:
         )
     ps = _nonzero_rows(g._deg, T - wh)
     qs = _nonzero_rows(h._deg, T - wg)
-    scale = g._scale * h._scale
-    out = _convolve([None] * (T + 1), ps, qs, scale)
-    _convolve(out, qs, ps, -scale)
+    out = _convolve([None] * (T + 1), ps, qs, g._scale * h._scale, bracket=True)
     # as 1 + (PQ - QP), so that rows that cancelled are dropped
     lowest = MagnusElement(T, out)._weight()
     if lowest < T:

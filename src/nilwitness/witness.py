@@ -80,9 +80,11 @@ __all__ = [
     "alternating_engel_product",
 ]
 
-# largest truncation weight accepted: degree-K tables hold 2^K coefficients,
-# and a construct peaks at about 220 MB of RSS at K = 13 and 720 MB at K = 14
-MAX_K = 20
+# largest truncation weight accepted by build_witness and in a witness file:
+# degree-K tables hold 2^K coefficients, and memory grows about 3.4 times per
+# step of K; a construct peaks at about 720 MB of RSS at K = 14 and 2.4 GB at
+# K = 15, the largest K measured to finish under 3 GiB, and K = 16 needs 8 GB
+MAX_K = 15
 
 
 @dataclass(frozen=True)

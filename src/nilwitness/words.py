@@ -19,12 +19,16 @@ Text syntax: letters a, A (= a^-1), b, B (= b^-1); commutators "[u,v]",
 left-normalized chains "[u,v,w,...]", iterated form "[u,_n v]" with
 0 <= n <= MAX_ITERATE; powers "w^n" with integer n.  One chain holds at most
 MAX_ITERATE brackets, an entry "_n v" counting n.  Whitespace is ignored.
+parse_word_expr splits a text into tokens with one regular expression and
+builds a commutator atom that recurs in the text once (see _Parser).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
+import re
 from dataclasses import dataclass
 
 _LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
@@ -287,99 +291,139 @@ class WordSyntaxError(ValueError):
 
 
 def parse_word_expr(text: str) -> WordExpr:
-    parser = _Parser(text)
-    expr = parser.parse_product(stop_chars="")
-    parser.skip_ws()
-    if parser.pos != len(parser.text):
-        raise WordSyntaxError(f"trailing input at {parser.pos}: {text!r}")
-    return expr
+    return _Parser(text).parse_product(_END)
+
+
+# one token: an integer, any other non-space character, or the end of input
+# (the empty token); whitespace before a token is skipped
+_TOKEN = re.compile(r"\s*(-?\d+|\S|\Z)")
+_BRACKET = re.compile(r"[][]")
+_BRACKETS = frozenset("[]")
+_END = ("",)
+_ARG_END = ("", ",", "]")
+_LETTER_ATOMS = {"a": A, "b": B, "A": Pow(A, -1), "B": Pow(B, -1)}
 
 
 class _Parser:
+    """Recursive descent over the tokens of one text.
+
+    Each commutator atom "[...]" that parses is kept under its source span,
+    the text from its "[" to the matching "]", so an atom that recurs in the
+    text is parsed and built once and the copies share one expression.  The
+    memo holds the offsets of the first copy under the hash of its text, and
+    a hit is confirmed on the text itself: no span is held as a key, so a
+    deeply nested atom costs no copies of the text.  A span that did not
+    parse is never kept, so errors are reported where they occur.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.tokens: list[str] = _TOKEN.findall(text)
+        self.i = 0
+        # for each "[" token that is closed: the character offsets of its
+        # span and the token index of its "]".  Brackets are tokens of one
+        # character, so the n-th bracket token is the n-th bracket in text.
+        self.spans: dict[int, tuple[int, int, int]] = {}
+        opened = []
+        indices = [i for i, tok in enumerate(self.tokens) if tok in _BRACKETS]
+        for i, m in zip(indices, _BRACKET.finditer(text)):
+            if m[0] == "[":
+                opened.append((i, m.start()))
+            elif opened:
+                j, start = opened.pop()
+                self.spans[j] = (start, m.end(), i)
+        self.atoms: dict[int, tuple[int, int, WordExpr]] = {}
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def offset(self, i: int) -> int:
+        """Character offset of token i, found again for an error message."""
+        return next(itertools.islice(_TOKEN.finditer(self.text), i, None)).start(1)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def error(self, message: str, i: int | None = None, after: bool = False) -> WordSyntaxError:
+        """message, at the offset of token i (default the current one), or
+        just past it if after."""
+        i = self.i if i is None else i
+        at = self.offset(i) + (len(self.tokens[i]) if after else 0)
+        return WordSyntaxError(f"{message} at {at}")
 
-    def parse_product(self, stop_chars: str) -> WordExpr:
+    def parse_product(self, stops: tuple[str, ...]) -> WordExpr:
         parts = []
-        while True:
-            ch = self.peek()
-            if not ch or ch in stop_chars:
-                break
+        while self.tokens[self.i] not in stops:
             parts.append(self.parse_term())
         return product(*parts)
 
     def parse_term(self) -> WordExpr:
         atom = self.parse_atom()
-        if self.peek() == "^":
-            self.pos += 1
+        if self.tokens[self.i] == "^":
+            self.i += 1
             return power(atom, self.parse_int())
         return atom
 
     def parse_atom(self) -> WordExpr:
-        ch = self.peek()
-        if ch in "aAbB":
-            self.pos += 1
-            gen = Gen(ch.lower())
-            return gen if ch.islower() else Pow(gen, -1)
-        if ch == "(":
-            self.pos += 1
-            expr = self.parse_product(stop_chars=")")
-            if self.peek() != ")":
-                raise WordSyntaxError(f"unclosed parenthesis at {self.pos}")
-            self.pos += 1
+        tok = self.tokens[self.i]
+        if tok in _LETTER_ATOMS:
+            self.i += 1
+            return _LETTER_ATOMS[tok]
+        if tok == "(":
+            self.i += 1
+            expr = self.parse_product((")", ""))
+            if self.tokens[self.i] != ")":
+                raise self.error("unclosed parenthesis")
+            self.i += 1
             return expr
-        if ch == "[":
-            self.pos += 1
-            expr = self.parse_product(stop_chars=",]")
-            if isinstance(expr, Prod) and not expr.parts:
-                raise WordSyntaxError(f"empty commutator argument at {self.pos}")
-            brackets = 0
-            while self.peek() == ",":
-                self.pos += 1
-                count = 1
-                if self.peek() == "_":
-                    self.pos += 1
-                    count = self.parse_int()
-                    if not 0 <= count <= MAX_ITERATE:
-                        raise WordSyntaxError(
-                            f"iterate count {count} outside 0..{MAX_ITERATE} at {self.pos}"
-                        )
-                # the text of each new bracket walks back over its chain
-                brackets += count
-                if brackets > MAX_ITERATE:
-                    raise WordSyntaxError(
-                        f"more than {MAX_ITERATE} brackets in one chain at {self.pos}"
+        if tok == "[":
+            span = self.spans.get(self.i)
+            if span is None:
+                return self.parse_commutator()
+            start, end, close = span
+            key = hash(self.text[start:end])
+            seen = self.atoms.get(key)
+            if seen and self.text[seen[0] : seen[1]] == self.text[start:end]:
+                self.i = close + 1
+                return seen[2]
+            expr = self.parse_commutator()
+            self.atoms.setdefault(key, (start, end, expr))
+            return expr
+        raise self.error(f"unexpected character {tok[:1]!r}")
+
+    def parse_commutator(self) -> WordExpr:
+        """The chain "[u,v,_n w,...]" that starts at the current token."""
+        self.i += 1
+        expr = self.parse_product(_ARG_END)
+        if isinstance(expr, Prod) and not expr.parts:
+            raise self.error("empty commutator argument")
+        brackets = 0
+        while self.tokens[self.i] == ",":
+            self.i += 1
+            # an error in the count is placed just past it, as is one in the
+            # chain length when the entry has a count
+            count, at, after = 1, self.i, False
+            if self.tokens[self.i] == "_":
+                self.i += 1
+                count, at, after = self.parse_int(), self.i - 1, True
+                if not 0 <= count <= MAX_ITERATE:
+                    raise self.error(
+                        f"iterate count {count} outside 0..{MAX_ITERATE}", at, after
                     )
-                arg = self.parse_product(stop_chars=",]")
-                if isinstance(arg, Prod) and not arg.parts:
-                    raise WordSyntaxError(f"empty commutator argument at {self.pos}")
-                for _ in range(count):
-                    expr = Comm(expr, arg)
-            if self.peek() != "]":
-                raise WordSyntaxError(f"unclosed bracket at {self.pos}")
-            self.pos += 1
-            return expr
-        raise WordSyntaxError(f"unexpected character {ch!r} at {self.pos}")
+            # the text of each new bracket walks back over its chain
+            brackets += count
+            if brackets > MAX_ITERATE:
+                raise self.error(f"more than {MAX_ITERATE} brackets in one chain", at, after)
+            arg = self.parse_product(_ARG_END)
+            if isinstance(arg, Prod) and not arg.parts:
+                raise self.error("empty commutator argument")
+            for _ in range(count):
+                expr = Comm(expr, arg)
+        if self.tokens[self.i] != "]":
+            raise self.error("unclosed bracket")
+        self.i += 1
+        return expr
 
     def parse_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            raise WordSyntaxError(f"expected integer at {start}")
-        return int(self.text[start : self.pos])
+        tok = self.tokens[self.i]
+        if not tok[-1:].isdecimal():
+            raise self.error("expected integer")
+        self.i += 1
+        return int(tok)
 
 
 @functools.lru_cache(maxsize=None)

@@ -320,6 +320,20 @@ def test_verify_hostile_nesting_is_input_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("input error:")
 
 
+def test_verify_deeply_nested_brackets_is_input_error(tmp_path, capsys):
+    # the parser recurses once per level of brackets, and each level is an
+    # atom it looks up in its memo: past the recursion limit either way
+    data = _witness_data(tmp_path)
+    bad = tmp_path / "bad.json"
+    for word in ("[" * 3000 + "a" + ",b]" * 3000, "[a,b] " * 50 + "[" * 3000 + "a,b" + "]" * 3000):
+        data["s_factors"][0] = word
+        bad.write_text(json.dumps(data))
+        code, out = run_cli(["verify", "--in", str(bad)])
+        assert (code, out) == (cli.EXIT_RESOURCE, ""), word[:20]
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("work began on an input above the limit")
 
@@ -419,7 +433,7 @@ def test_result_too_long_to_write_is_resource_error(tmp_path, capsys):
 
 def test_report_weight_limit_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(cli.freelie, "hall_basis", _refuse)
-    for weight in (cli.witness.MAX_K + 1, 0):
+    for weight in (cli.MAX_REPORT_WEIGHT + 1, 0):
         code, _ = run_cli(["report", "--weight", str(weight)])
         assert code == cli.EXIT_USAGE
 
@@ -427,9 +441,30 @@ def test_report_weight_limit_checked_before_any_work(monkeypatch):
 def test_identities_limit_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(cli.freelie, "check_identity", _refuse)
     monkeypatch.setattr(cli.magnus, "check_group_identity", _refuse)
-    max_n = (cli.witness.MAX_K - 2) // 2
+    max_n = (cli.MAX_REPORT_WEIGHT - 2) // 2
     code, _ = run_cli(["identities", "--max-n", str(max_n + 1)])
     assert code == cli.EXIT_USAGE
+
+
+def test_witness_K_has_its_own_bound(tmp_path, monkeypatch):
+    # construct needs about 2.4 GB at K = 15 and 8 GB at K = 16, so the
+    # witness K stops at 15 while report and identities keep weight 20
+    for name in ("_basis", "_magnus_evaluator", "_lamp_evaluator"):
+        monkeypatch.setattr(cli.witness, name, _refuse)
+    monkeypatch.setattr(cli.witness, "parse_word_expr", _refuse)
+    code, _ = run_cli(["construct", "--q", "1", "--weight", "16"])
+    assert code == cli.EXIT_USAGE
+    factors = ["[a,b,b]"] * 14
+    data = {"q": [1], "K": 16, "r_factors": factors, "s_factors": factors, "n": [1] * 14}
+    bad = tmp_path / "K16.json"
+    bad.write_text(json.dumps(data))
+    code, _ = run_cli(["verify", "--in", str(bad)])
+    assert code == cli.EXIT_RESOURCE
+
+    monkeypatch.setattr(cli.freelie, "check_identity", lambda n: True)
+    monkeypatch.setattr(cli.magnus, "check_group_identity", lambda n: True)
+    code, out = run_cli(["identities", "--max-n", "9"])
+    assert code == cli.EXIT_OK and json.loads(out)["config"] == {"max_n": 9}
 
 
 def test_phi_wide_chain_is_usage_error():

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilwitness import freelie as fl
 from nilwitness import lamplighter as lp
@@ -78,6 +80,48 @@ def test_variant_mismatch_rejected():
     rng = random.Random(2)
     with pytest.raises(ValueError):
         rand_lamp(Z, 6, rng) * rand_lamp(Q, 6, rng)
+
+
+def _lamps(ring, trunc):
+    """Elements over ring at trunc; over Q with rational shift exponents.
+    The exponent 0 is drawn often, as an int and over Q as a Fraction."""
+    if ring == QQ:
+        coeff = st.fractions(-4, 4, max_denominator=3)
+        exp = st.sampled_from([0, Fraction(0)]) | st.fractions(-4, 4, max_denominator=3)
+    else:
+        coeff = st.integers(-6, 6)
+        exp = st.just(0) | st.integers(-4, 4)
+    return st.builds(
+        lambda cs, e: lp.LampElement(TruncatedSeries.from_coeffs(ring, trunc, cs), e),
+        st.lists(coeff, min_size=trunc, max_size=trunc),
+        exp,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ring=st.sampled_from([Z, Q, Z5]), trunc=st.integers(1, 7))
+def test_closed_form_commutator_is_the_group_commutator(data, ring, trunc):
+    u, v = data.draw(_lamps(ring, trunc)), data.draw(_lamps(ring, trunc))
+    want = u.inverse() * v.inverse() * u * v
+    got = u.commutator(v)
+    assert got == want and got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Z5])
+def test_closed_form_commutator_with_a_side_in_the_kernel(ring):
+    rng = random.Random(3)
+    for _ in range(10):
+        u, v = rand_lamp(ring, 6, rng), rand_lamp(ring, 6, rng)
+        u0, v0 = lp.LampElement(u.f, u.e * 0), lp.LampElement(v.f, v.e * 0)
+        for x, y in ((u0, v), (u, v0), (u0, v0)):
+            want = x.inverse() * y.inverse() * x * y
+            assert x.commutator(y) == want
+        assert u0.commutator(v0).is_identity()
+    # a ring mismatch raises, even where the closed form forms no product
+    other = Z if ring != Z else Q
+    w = lp.LampElement(TruncatedSeries.zero(other, 6), 0)
+    with pytest.raises(ValueError):
+        lp.LampElement(u.f, 0).commutator(w)
 
 
 def test_rational_exponent_conjugation_uses_rational_powers():

@@ -4,7 +4,9 @@ Lie elements, and the group-level alternating identity holds."""
 
 import copy
 import functools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +18,7 @@ from nilwitness import magnus as mg
 from nilwitness import witness as wt
 from nilwitness import words as wd
 
+GOLDEN = Path(__file__).parent / "golden"
 
 # --- independent oracle: direct polynomial arithmetic over word dicts -------
 
@@ -268,10 +271,10 @@ _SHAPES = [(4, 9, 3, 3), (3, 3, 4, 9), (3, 5, 3, 5), (5, 1, 4, 7), (4, 7, 1, 1),
            (1, 1, 1, 1), (0, 1, 5, 6), (5, 6, 0, 1)]
 
 
-@pytest.mark.parametrize("i, n_p, j, n_q", _SHAPES)
-@settings(max_examples=20, deadline=None)
-@given(data=st.data(), scale=st.sampled_from([1, -1, 2, -3, 10**20]))
-def test_mul_rows_matches_dict_oracle(i, n_p, j, n_q, data, scale):
+def _draw_rows(data, i, n_p, j, n_q):
+    """P of degree i with n_p entries, Q of degree j with n_q, and a start
+    row of degree i + j for the kernel to add into."""
+
     def entries(d, n):
         masks = sorted(data.draw(st.sets(st.integers(0, (1 << d) - 1), min_size=n, max_size=n)))
         coeffs = data.draw(st.lists(st.integers(-99, 99).filter(bool), min_size=n, max_size=n))
@@ -279,10 +282,31 @@ def test_mul_rows_matches_dict_oracle(i, n_p, j, n_q, data, scale):
 
     p, q = entries(i, n_p), entries(j, n_q)
     start = data.draw(st.lists(st.integers(-5, 5), min_size=1 << (i + j), max_size=1 << (i + j)))
+    return p, q, start
+
+
+@pytest.mark.parametrize("i, n_p, j, n_q", _SHAPES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), scale=st.sampled_from([1, -1, 2, -3, 10**20]))
+def test_mul_rows_matches_dict_oracle(i, n_p, j, n_q, data, scale):
+    p, q, start = _draw_rows(data, i, n_p, j, n_q)
     acc = list(start)
     mg.mul_rows(acc, p, q, j, scale)
     added = {_word(m, i + j): c - c0 for m, (c, c0) in enumerate(zip(acc, start)) if c != c0}
     assert added == {w: c for w, c in _oracle_mul(p, i, q, j, scale).items() if c}
+
+
+@pytest.mark.parametrize("i, n_p, j, n_q", _SHAPES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), scale=st.sampled_from([1, -1, 2, -3, 10**20, -(10**20)]))
+def test_bracket_rows_is_PQ_then_minus_QP(i, n_p, j, n_q, data, scale):
+    # one pass of the bracket kernel adds what the two products add
+    p, q, start = _draw_rows(data, i, n_p, j, n_q)
+    got, want = list(start), list(start)
+    mg.bracket_rows(got, p, i, q, j, scale)
+    mg.mul_rows(want, p, q, j, scale)
+    mg.mul_rows(want, q, p, i, -scale)
+    assert got == want
 
 
 # --- rows are shared, never written -----------------------------------------
@@ -606,6 +630,66 @@ def test_parser_rejects_garbage():
     for text in ("[a,b", "a^", "[,]", "c"):
         with pytest.raises(ValueError):
             wd.parse_word_expr(text)
+
+
+def test_parser_builds_a_repeated_atom_once(monkeypatch):
+    built = []
+
+    class Counting(wd.Comm):
+        def __init__(self, left, right):
+            built.append(None)
+            super().__init__(left, right)
+
+    monkeypatch.setattr(wd, "Comm", Counting)
+    expr = wd.parse_word_expr(" ".join(["[a,[a,b,b]]"] * 1000))
+    assert len(built) <= 3
+    assert len(expr.parts) == 1000 and {str(p) for p in expr.parts} == {"[a,[a,b,b]]"}
+    # the memo lives for one call: a second parse builds its atoms again
+    built.clear()
+    assert str(wd.parse_word_expr("[a,[a,b,b]]^2 [a,[a,b,b]]")) == "[a,[a,b,b]]^2 [a,[a,b,b]]"
+    assert len(built) == 3
+
+
+def test_parser_memo_is_keyed_by_the_source_text():
+    # equal text is one atom; a chain cut short or spelled differently is not
+    expr = wd.parse_word_expr("[a,b,b] [a,b,b]^-1 [a, b,b] [[a,b],b] [a,b,b,a] [a,_2 b]")
+    assert [str(p) for p in expr.parts] == [
+        "[a,b,b]", "[a,b,b]^-1", "[a,b,b]", "[a,b,b]", "[a,b,b,a]", "[a,b,b]"
+    ]
+    assert expr.parts[0] is expr.parts[1].base
+    with pytest.raises(wd.WordSyntaxError, match="unclosed bracket at 22"):
+        wd.parse_word_expr("[a,b,b] [a,b,b [a,b,b]")
+
+
+def test_golden_witness_factors_round_trip():
+    data = json.loads((GOLDEN / "construct_K10.json").read_text())
+    for text in data["r_factors"] + data["s_factors"]:
+        assert str(wd.parse_word_expr(text)) == text
+
+
+# every malformed word that a test rejects, with the offset its error names
+_MALFORMED = [
+    ("[a,b", "unclosed bracket at 4"),
+    ("a^", "expected integer at 2"),
+    ("[,]", "empty commutator argument at 1"),
+    ("c", "unexpected character 'c' at 0"),
+    ("[a,,b", "empty commutator argument at 3"),
+    ("(a b", "unclosed parenthesis at 4"),
+    ("a^ - 3", "expected integer at 3"),
+    ("a -3", "unexpected character '-' at 2"),
+    ("[a,_1000000000 b]", "iterate count 1000000000 outside 0..64 at 14"),
+    ("[a,_1500 b]", "iterate count 1500 outside 0..64 at 8"),
+    ("[a" + ",b" * 65 + "]", "more than 64 brackets in one chain at 131"),
+    ("[a,_64 b, a]", "more than 64 brackets in one chain at 10"),
+    ("[a," + ",".join(["_64 b"] * 60) + "]", "more than 64 brackets in one chain at 12"),
+]
+
+
+@pytest.mark.parametrize("text, message", _MALFORMED)
+def test_parser_rejects_malformed_words_with_their_offset(text, message):
+    with pytest.raises(wd.WordSyntaxError) as err:
+        wd.parse_word_expr(text)
+    assert str(err.value) == message
 
 
 def test_truncation_must_be_positive():
