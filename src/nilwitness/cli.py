@@ -53,11 +53,14 @@ class OutputLimitError(Exception):
 
 def _as_text(render):
     """render(), which writes computed numbers as text.  Python refuses to
-    write an integer of more than sys.get_int_max_str_digits() digits; for a
-    computed result that is a resource limit, not bad usage."""
+    write an integer of more than sys.get_int_max_str_digits() digits, with a
+    ValueError that only its message tells apart; for a computed result that
+    is a resource limit, not bad usage.  Any other ValueError passes."""
     try:
         return render()
-    except ValueError:
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
         raise OutputLimitError(
             f"a result has more than {sys.get_int_max_str_digits()} digits, "
             "Python's limit for writing an integer as text"
@@ -114,7 +117,9 @@ def cmd_identities(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    pair = witness.build_witness(_parse_q(args.q), args.weight)
+    q = _parse_q(args.q)
+    # the factor words hold their exponents as text
+    pair = _as_text(lambda: witness.build_witness(q, args.weight))
     payload = {"schema": SCHEMA, "command": "construct", **pair.to_json()}
     _emit(payload, args.out)
     return EXIT_OK if pair.report.ok else EXIT_CHECK_FAILED
@@ -129,7 +134,8 @@ def cmd_verify(args) -> int:
     except (TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"bad witness file: {type(exc).__name__}: {exc}") from None
     try:
-        report = witness.verify_witness(pair)
+        # a failed check's detail writes the lamplighter image as text
+        report = _as_text(lambda: witness.verify_witness(pair))
     except RecursionError:
         raise InputError("witness words are nested too deeply to evaluate") from None
     payload = {

@@ -12,27 +12,31 @@ ring Z<a,b>, whose homogeneous polynomials are Magnus rows (see magnus.py),
 bracketed by magnus.bracket_rows: every basis bracket expands to a row, and the
 expansion of the word w is w plus lexicographically larger words, i.e. larger
 masks, of the same length (Reutenauer, Free Lie Algebras, 1993).  That
-unitriangularity makes `lie_coordinates` one exact elimination pass over Z;
-it is the only way back from rows to coordinates, and it raises when the
-residual does not vanish, so every normalization is certified.
+unitriangularity makes `HallBasis.lie_coordinates` one exact elimination pass
+over Z; it is the only way back from rows to coordinates, and it raises when
+the residual does not vanish, so every normalization is certified.
+
+A HallBasis owns everything keyed by a Lyndon word: the mask table of each
+weight, built with it, and two memos filled on first use, the expansion row
+and the bracket expression of each basis word.  They live as long as it does.
 
 `present_with_generators` writes t as [alpha, a] + [beta, b] in one
 worklist pass: pending right factors are rewritten by Jacobi longest first,
 so each is complete when taken, and words [a, v] keep the one-term form
 -[v, a] that the witness words are built from.  No presentation is cached.
 
-All values are immutable after construction and all operations are pure, so
-sharing a HallBasis between threads is safe.
+Elements are immutable and operations are pure.  A HallBasis only gains memo
+entries, each a function of its word alone, so threads may share one: two
+that fill the same entry store equal values.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-from types import MappingProxyType
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .magnus import UNIT, Entries, _convolve, bracket_rows, mask_word, mul_rows, nonzero, word_mask
+from .words import Comm, Gen, WordExpr
 
 GENERATORS = ("a", "b")
 
@@ -86,7 +90,6 @@ def _mobius(n: int) -> int:
     return result
 
 
-@functools.lru_cache(maxsize=None)
 def standard_factorization(word: str) -> tuple[str, str]:
     """Split a Lyndon word of length >= 2 as (left, right), right the
     lexicographically smallest proper suffix.  Both halves are Lyndon."""
@@ -104,76 +107,6 @@ def bracket_string(word: str) -> str:
     return f"[{bracket_string(left)},{bracket_string(right)}]"
 
 
-# --- homogeneous polynomials of Z<a,b> as Magnus rows, the normalization engine
-
-
-@functools.lru_cache(maxsize=None)
-def word_expansion(word: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Expansion of the basis bracket of a Lyndon word in Z<a,b>, as the
-    nonzero entries of its row: masks in increasing order, and coefficients.
-
-    Triangular: the coefficient of `word` itself is 1 and every other word in
-    the support is lexicographically larger (same length), so its mask is
-    larger.
-    """
-    if len(word) == 1:
-        return (word_mask(word),), (1,)
-    left, right = standard_factorization(word)
-    row = [0] * (1 << len(word))
-    bracket_rows(row, word_expansion(left), len(left), word_expansion(right), len(right), 1)
-    masks, coeffs = nonzero(row)
-    return tuple(masks), tuple(coeffs)
-
-
-def _row(coords: Mapping[str, int], d: int) -> list[int]:
-    """The row in Z<a,b> of a combination of basis words of weight d."""
-    row = [0] * (1 << d)
-    for w, c in coords.items():
-        mul_rows(row, UNIT, word_expansion(w), d, c)
-    return row
-
-
-def _expand(coords: Mapping[str, int]) -> list[Entries | None]:
-    """Expansion in Z<a,b> of a combination of basis words: the nonzero
-    entries of its row in each weight, None where it has none."""
-    rows = [[0] * (1 << d) for d in range(max(map(len, coords), default=0) + 1)]
-    for w, c in coords.items():
-        mul_rows(rows[len(w)], UNIT, word_expansion(w), len(w), c)
-    return [nonzero(r) if any(r) else None for r in rows]
-
-
-def lie_coordinates(row: list[int]) -> dict[str, int]:
-    """Coordinates in the Lyndon basis of a homogeneous Lie polynomial of
-    Z<a,b>, given as its row (degree d, 2^d entries).
-
-    The Lyndon masks are walked in increasing order: the least one w left in
-    the residual carries its coordinate c (triangularity), and
-    c * expansion(w) is subtracted.  A residual that does not end at zero
-    means the row is not a Lie element and raises ValueError.
-    """
-    d = len(row).bit_length() - 1
-    residual = list(row)
-    coords: dict[str, int] = {}
-    for w, m in _lyndon_table(d).items():
-        c = residual[m]
-        if c:
-            coords[w] = c
-            mul_rows(residual, UNIT, word_expansion(w), d, -c)
-    if any(residual):
-        support = [mask_word(m, d) for m in nonzero(residual)[0][:4]]
-        raise ValueError(f"not a Lie element (residual support {support}...)")
-    return coords
-
-
-@functools.lru_cache(maxsize=None)
-def _lyndon_table(weight: int) -> Mapping[str, int]:
-    """The Lyndon words of one weight, each mapped to its row index, in lex
-    order, which is increasing order of mask; read-only, since it is shared."""
-    return MappingProxyType(
-        {w: word_mask(w) for w in lyndon_words(weight) if len(w) == weight}
-    )
-
-
 # --- the basis and its elements
 
 
@@ -182,13 +115,20 @@ class HallBasis:
     """Ordered Lyndon-word basis of the free Lie ring, graded by weight.
 
     `words` lists the basis words up to `max_weight`, ordered by (weight, lex).
+    `_masks[w]` maps the words of weight w to their row indices in lex order,
+    which is increasing order of mask; `_masks[0]` is empty.
     """
 
     max_weight: int
     words: tuple[str, ...]
+    _masks: tuple[dict[str, int], ...] = field(repr=False, compare=False)
+    _expansions: dict[str, Entries] = field(default_factory=dict, repr=False, compare=False)
+    _exprs: dict[str, WordExpr] = field(default_factory=dict, repr=False, compare=False)
 
     def words_of_weight(self, w: int) -> tuple[str, ...]:
-        return tuple(_lyndon_table(w)) if w <= self.max_weight else ()
+        if w < 1:
+            raise ValueError("weight must be >= 1")
+        return tuple(self._masks[w]) if w <= self.max_weight else ()
 
     def from_words(self, coeffs: Mapping[str, int]) -> "FreeLieElement":
         return FreeLieElement(self, {w: c for w, c in coeffs.items() if c})
@@ -201,14 +141,79 @@ class HallBasis:
     def zero(self) -> "FreeLieElement":
         return FreeLieElement(self, {})
 
+    def expansion(self, word: str) -> Entries:
+        """Expansion of the basis bracket of a Lyndon word in Z<a,b>, as the
+        nonzero entries of its row: masks in increasing order, and
+        coefficients.
+
+        Triangular: the coefficient of `word` itself is 1 and every other word
+        in the support is lexicographically larger (same length), so its mask
+        is larger.
+        """
+        hit = self._expansions.get(word)
+        if hit is None:
+            if len(word) == 1:
+                hit = (word_mask(word),), (1,)
+            else:
+                left, right = standard_factorization(word)
+                row = [0] * (1 << len(word))
+                bracket_rows(row, self.expansion(left), len(left), self.expansion(right), len(right), 1)
+                hit = tuple(map(tuple, nonzero(row)))
+            self._expansions[word] = hit
+        return hit
+
+    def word_expr(self, word: str) -> WordExpr:
+        """Bracket expression of a basis word via its standard factorization,
+        e.g. 'aab' -> [a,[a,b]]; expressions are immutable, so each is built
+        once and shared."""
+        hit = self._exprs.get(word)
+        if hit is None:
+            if len(word) == 1:
+                hit = Gen(word)
+            else:
+                left, right = standard_factorization(word)
+                hit = Comm(self.word_expr(left), self.word_expr(right))
+            self._exprs[word] = hit
+        return hit
+
+    def lie_coordinates(self, row: list[int]) -> dict[str, int]:
+        """Coordinates of a homogeneous Lie polynomial of Z<a,b>, given as its
+        row (degree d <= max_weight, 2^d entries).
+
+        The Lyndon masks are walked in increasing order: the least one w left
+        in the residual carries its coordinate c (triangularity), and
+        c * expansion(w) is subtracted.  A residual that does not end at zero
+        means the row is not a Lie element and raises ValueError.
+        """
+        d = len(row).bit_length() - 1
+        residual = list(row)
+        coords: dict[str, int] = {}
+        for w, m in self._masks[d].items():
+            c = residual[m]
+            if c:
+                coords[w] = c
+                mul_rows(residual, UNIT, self.expansion(w), d, -c)
+        if any(residual):
+            support = [mask_word(m, d) for m in nonzero(residual)[0][:4]]
+            raise ValueError(f"not a Lie element (residual support {support}...)")
+        return coords
+
+    def _rows(self, coords: Mapping[str, int]) -> list[list[int]]:
+        """Expansion in Z<a,b> of a combination of basis words: its row in
+        each weight up to the largest."""
+        rows = [[0] * (1 << d) for d in range(max(map(len, coords), default=0) + 1)]
+        for w, c in coords.items():
+            mul_rows(rows[len(w)], UNIT, self.expansion(w), len(w), c)
+        return rows
+
 
 def hall_basis(max_weight: int) -> HallBasis:
-    """Build the Lyndon basis up to the given weight (deterministic)."""
-    return HallBasis(max_weight, tuple(sorted(lyndon_words(max_weight), key=_order)))
-
-
-def _order(word: str) -> tuple[int, str]:
-    return len(word), word
+    """Build the Lyndon basis up to the given weight (deterministic), with
+    its mask tables, in one pass over the Lyndon words in lex order."""
+    masks: list[dict[str, int]] = [{} for _ in range(max_weight + 1)]
+    for w in lyndon_words(max_weight):
+        masks[len(w)][w] = word_mask(w)
+    return HallBasis(max_weight, tuple(w for table in masks for w in table), tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -221,11 +226,7 @@ class FreeLieElement:
 
     def __post_init__(self):
         for w, c in self.coeffs.items():
-            if (
-                c == 0
-                or not 1 <= len(w) <= self.basis.max_weight
-                or w not in _lyndon_table(len(w))
-            ):
+            if c == 0 or len(w) > self.basis.max_weight or w not in self.basis._masks[len(w)]:
                 raise ValueError("invalid coefficient map")
 
     def is_zero(self) -> bool:
@@ -246,7 +247,7 @@ class FreeLieElement:
 
     def terms(self) -> Iterator[tuple[str, int]]:
         """(word, coefficient) pairs in basis order."""
-        for w in sorted(self.coeffs, key=_order):
+        for w in sorted(self.coeffs, key=lambda w: (len(w), w)):
             yield w, self.coeffs[w]
 
     def __add__(self, other: "FreeLieElement") -> "FreeLieElement":
@@ -302,15 +303,17 @@ def bracket(u: FreeLieElement, v: FreeLieElement) -> FreeLieElement:
     WeightOverflowError.
     """
     u._check(v)
-    p, q = _expand(u.coeffs), _expand(v.coeffs)
+    basis = u.basis
+    p, q = ([nonzero(r) if any(r) else None for r in basis._rows(x.coeffs)] for x in (u, v))
     rows = _convolve([None] * (len(p) + len(q) - 1), p, q, 1, bracket=True)
-    coords = {w: c for r in rows if r is not None for w, c in lie_coordinates(r).items()}
-    top = max(map(len, coords), default=0)
-    if top > u.basis.max_weight:
+    # checked on the rows: the basis reads no coordinates past max_weight
+    top = max((d for d, r in enumerate(rows) if r and any(r)), default=0)
+    if top > basis.max_weight:
         raise WeightOverflowError(
-            f"bracket has weight-{top} terms beyond max_weight={u.basis.max_weight}"
+            f"bracket has weight-{top} terms beyond max_weight={basis.max_weight}"
         )
-    return FreeLieElement(u.basis, coords)
+    rows = [r for r in rows[: top + 1] if r is not None]
+    return FreeLieElement(basis, {w: c for r in rows for w, c in basis.lie_coordinates(r).items()})
 
 
 def engel_lie(basis: HallBasis, n: int) -> FreeLieElement:
@@ -388,20 +391,20 @@ def present_with_generators(
     for w, c in t.coeffs.items():
         u, v = standard_factorization(w)
         if u == "a":
-            mul_rows(row("a"), UNIT, word_expansion(v), d - 1, -c)
+            mul_rows(row("a"), UNIT, basis.expansion(v), d - 1, -c)
         else:
-            mul_rows(row(v), UNIT, word_expansion(u), len(u), c)
+            mul_rows(row(v), UNIT, basis.expansion(u), len(u), c)
     for n in range(d - 1, 1, -1):
         for v in [v for v in pending if len(v) == n]:
             E, e = nonzero(pending.pop(v)), d - n
             v1, v2 = standard_factorization(v)
             for x, y, s in ((v1, v2, 1), (v2, v1, -1)):
-                bracket_rows(row(y), E, e, word_expansion(x), len(x), s)
+                bracket_rows(row(y), E, e, basis.expansion(x), len(x), s)
     alpha, beta = row("a"), row("b")
     # t - [alpha, a] - [beta, b]
-    residual = _row(t.coeffs, d)
+    residual = basis._rows(t.coeffs)[d]
     for x, r in (("a", alpha), ("b", beta)):
-        bracket_rows(residual, nonzero(r), d - 1, word_expansion(x), 1, -1)
+        bracket_rows(residual, nonzero(r), d - 1, basis.expansion(x), 1, -1)
     if any(residual):
         raise RuntimeError("presentation substitution check failed")
-    return basis.from_words(lie_coordinates(alpha)), basis.from_words(lie_coordinates(beta))
+    return tuple(basis.from_words(basis.lie_coordinates(r)) for r in (alpha, beta))

@@ -437,14 +437,12 @@ def leading_lie(g: MagnusElement, basis):
     The lowest-degree part of the expansion of a group element is always a
     Lie element; a non-Lie leading term means corrupted data and raises.
     """
-    from . import freelie
-
     k = gamma_weight(g)
     if k == INFINITE_WEIGHT:
         raise ValueError("identity element has no leading term")
     if k > basis.max_weight:
         raise ValueError("leading weight exceeds basis truncation")
-    return basis.from_words(freelie.lie_coordinates(g._deg[k])).scale(g._scale)
+    return basis.from_words(basis.lie_coordinates(g._deg[k])).scale(g._scale)
 
 
 def check_group_identity(n: int) -> bool:

@@ -41,12 +41,19 @@ controlled exponent and n_{k+1} off alpha.  Only verify_witness evaluates
 the words in the lamplighter group, so the certificate does not rest on
 this lemma.  It checks (0)-(2) in one pass over the factors in index order
 and (3) on the image of the whole r-product.
+
+Builds and verifies at one K share a workspace: the Hall basis to K + 1,
+with the expansions and expressions of its words, and the Magnus and ZZ
+lamplighter evaluators at K, with the value of every subexpression they
+evaluated.  It is kept in one slot, so a build's own verify and builds in a
+row at one K run warm, and a call at another K releases it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .freelie import FreeLieElement, HallBasis, hall_basis, present_with_generators
 from .lamplighter import LampEvaluator
@@ -63,7 +70,6 @@ from .words import (
     IDENTITY,
     WordExpr,
     alternating_engel_product,
-    basis_word_expr,
     engel,
     parse_word_expr,
     power,
@@ -179,19 +185,18 @@ def _typed(value, kind: type, key: str):
     return value
 
 
-@functools.lru_cache(maxsize=None)
-def _magnus_evaluator(trunc: int) -> MagnusEvaluator:
-    return MagnusEvaluator(trunc)
+class _Workspace(NamedTuple):
+    """The basis to K + 1 and the evaluators at K (module docstring)."""
+
+    basis: HallBasis
+    magnus: MagnusEvaluator
+    lamp: LampEvaluator
 
 
-@functools.lru_cache(maxsize=None)
-def _lamp_evaluator(trunc: int) -> LampEvaluator:
-    return LampEvaluator(ZZ, trunc)
-
-
-@functools.lru_cache(maxsize=None)
-def _basis(max_weight: int) -> HallBasis:
-    return hall_basis(max_weight)
+@functools.lru_cache(maxsize=1)
+def _workspace(K: int) -> _Workspace:
+    """The workspace at K, in one slot: a call at another K releases it."""
+    return _Workspace(hall_basis(K + 1), MagnusEvaluator(K), LampEvaluator(ZZ, K))
 
 
 def _defect(R: MagnusElement, S: MagnusElement) -> MagnusElement:
@@ -204,7 +209,7 @@ def _defect(R: MagnusElement, S: MagnusElement) -> MagnusElement:
 def _lift_inverse(elt: FreeLieElement) -> WordExpr:
     """Word whose leading Lie term is -elt: reversed product of basis bracket
     words with negated exponents.  Deterministic: factors in basis order."""
-    parts = [power(basis_word_expr(w), -c) for w, c in elt.terms()]
+    parts = [power(elt.basis.word_expr(w), -c) for w, c in elt.terms()]
     return product(*reversed(parts))
 
 
@@ -227,8 +232,7 @@ def build_witness(q, K: int) -> WitnessPair:
     if not 3 <= K <= MAX_K:
         raise ValueError(f"K must be in 3..{MAX_K}")
     q = tuple(int(v) for v in q)
-    basis = _basis(K + 1)
-    ev = _magnus_evaluator(K)
+    basis, ev, _ = _workspace(K)
 
     def q_at(i: int) -> int:
         return q[i - 1] if i - 1 < len(q) else 0
@@ -298,8 +302,7 @@ def verify_witness(pair: WitnessPair) -> Report:
     # fails on the factor counts and the defect is checked at 1.
     K = pair.K
     top = max(K, 0)
-    ev = _magnus_evaluator(max(top, 1))
-    lamp = _lamp_evaluator(max(K, 1))
+    _, ev, lamp = _workspace(max(K, 1))
 
     fails: dict[str, list[str]] = {name: [] for name in ("p0", "p1", "p2", "p3")}
     n_r, n_s, n_n = len(pair.r_factors), len(pair.s_factors), len(pair.n)

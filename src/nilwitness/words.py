@@ -13,7 +13,8 @@ Two layers:
 
 evaluate is the one walk over an expression: the Magnus and lamplighter
 evaluators and the expansion into a GroupWord all run it, each with its own
-group and cache.
+group and cache.  This module imports no other of the package; the
+expressions of Lyndon basis words are built by freelie.HallBasis.word_expr.
 
 Text syntax: letters a, A (= a^-1), b, B (= b^-1); commutators "[u,v]",
 left-normalized chains "[u,v,w,...]", iterated form "[u,_n v]" with
@@ -424,16 +425,3 @@ class _Parser:
             raise self.error("expected integer")
         self.i += 1
         return int(tok)
-
-
-@functools.lru_cache(maxsize=None)
-def basis_word_expr(word: str) -> WordExpr:
-    """Bracket expression of a Lyndon basis word via its standard
-    factorization, e.g. 'aab' -> [a,[a,b]]; cached, since expressions are
-    immutable."""
-    from .freelie import standard_factorization
-
-    if len(word) == 1:
-        return Gen(word)
-    left, right = standard_factorization(word)
-    return Comm(basis_word_expr(left), basis_word_expr(right))

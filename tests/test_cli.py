@@ -339,8 +339,7 @@ def _refuse(*args, **kwargs):
 
 
 def test_weight_limits_checked_before_any_work(tmp_path, monkeypatch):
-    for name in ("_basis", "_magnus_evaluator", "_lamp_evaluator"):
-        monkeypatch.setattr(cli.witness, name, _refuse)
+    monkeypatch.setattr(cli.witness, "_workspace", _refuse)
     monkeypatch.setattr(cli.coinv, "_relation_rows", _refuse)
     monkeypatch.setattr(lamplighter, "LampEvaluator", _refuse)
     big = cli.witness.MAX_K + 1
@@ -416,19 +415,33 @@ def test_huge_shift_exponent_costs_few_series_products(monkeypatch):
 def test_result_too_long_to_write_is_resource_error(tmp_path, capsys):
     # C(10^1000, k) has about 1000 k digits, and coinv classes of 4300-digit
     # coefficients grow past 4300: beyond Python's limit on writing an int as
-    # text, which is a resource limit, not bad usage
+    # text, which is a resource limit, not bad usage.  So are the exponent of
+    # a factor that construct writes, a product of 2500-digit entries of q,
+    # and the image in the p2 detail of verify, with C(N, k) N-digit terms
     infile = tmp_path / "series.json"
     infile.write_text(json.dumps({"series": {"f": ["0"] + ["9" * 4300] * 19}}))
+    N = "9" * 3000
+    data = {"q": [1], "K": 3, "r_factors": ["[a,b,b]"], "s_factors": [f"[a^{N},b^{N}]"], "n": [1]}
+    witness_file = tmp_path / "w.json"
+    witness_file.write_text(json.dumps(data))
     limit = str(sys.get_int_max_str_digits())
     for argv in (
         ["phi", "--word", f"[a,b^{10**1000}]", "--weight", "20"],
         ["coinv", "--ring", "Q", "--weight", "20", "--in", str(infile)],
+        ["construct", "--q", ",".join(["9" * 2500] * 6), "--weight", "6"],
+        ["verify", "--in", str(witness_file)],
     ):
         code, out = run_cli(argv)
         assert (code, out) == (cli.EXIT_RESOURCE, ""), argv[0]
         err = capsys.readouterr().err
         assert err.startswith("resource limit exceeded:") and limit in err, argv[0]
         assert "Traceback" not in err
+    # but an entry of q too long to read, or one that is no integer, and a K
+    # above the limit are bad usage
+    for q, K in (("9" * (int(limit) + 1), "5"), ("1,x", "5"), ("1", "16")):
+        code, out = run_cli(["construct", "--q", q, "--weight", K])
+        assert (code, out) == (cli.EXIT_USAGE, ""), (q[:8], K)
+        assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_report_weight_limit_checked_before_any_work(monkeypatch):
@@ -449,8 +462,7 @@ def test_identities_limit_checked_before_any_work(monkeypatch):
 def test_witness_K_has_its_own_bound(tmp_path, monkeypatch):
     # construct needs about 2.4 GB at K = 15 and 8 GB at K = 16, so the
     # witness K stops at 15 while report and identities keep weight 20
-    for name in ("_basis", "_magnus_evaluator", "_lamp_evaluator"):
-        monkeypatch.setattr(cli.witness, name, _refuse)
+    monkeypatch.setattr(cli.witness, "_workspace", _refuse)
     monkeypatch.setattr(cli.witness, "parse_word_expr", _refuse)
     code, _ = run_cli(["construct", "--q", "1", "--weight", "16"])
     assert code == cli.EXIT_USAGE

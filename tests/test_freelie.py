@@ -97,11 +97,11 @@ def poly_rows(poly: dict[str, int]) -> dict[int, list[int]]:
     return rows
 
 
-def coordinates_by_weight(poly: dict[str, int]) -> dict[str, int]:
+def coordinates_by_weight(basis, poly: dict[str, int]) -> dict[str, int]:
     """`lie_coordinates` of each homogeneous part of a polynomial, merged."""
     out: dict[str, int] = {}
     for _, row in sorted(poly_rows(poly).items()):
-        out.update(fl.lie_coordinates(row))
+        out.update(basis.lie_coordinates(row))
     return out
 
 
@@ -144,6 +144,10 @@ def test_generators_only_at_weight_one():
 def test_weight_two_is_single_class():
     basis = fl.hall_basis(2)
     assert basis.words_of_weight(2) == ("ab",)
+    # weights are counted from 1: a table indexed by weight must not wrap
+    for w in (0, -1):
+        with pytest.raises(ValueError):
+            basis.words_of_weight(w)
     assert witt_oracle(2) == 1
 
 
@@ -258,6 +262,9 @@ def test_bracket_overflow_flagged():
     abb = basis.from_words({"abb": 1})
     with pytest.raises(fl.WeightOverflowError):
         fl.bracket(abb, basis.gen("a"))
+    # raised before any coordinate is read: the basis has no weight-5 table
+    with pytest.raises(fl.WeightOverflowError):
+        fl.bracket(abb, basis.from_words({"ab": 1}))
 
 
 def _word_keyed(max_weight):
@@ -280,21 +287,23 @@ def test_lie_coordinates_reads_back_expansions():
     basis = fl.hall_basis(7)
     for _ in range(50):
         coeffs = _random_element(basis, rng, max_weight=7, support=4).coeffs
-        assert coordinates_by_weight(expand_oracle(dict(coeffs))) == dict(coeffs)
+        assert coordinates_by_weight(basis, expand_oracle(dict(coeffs))) == dict(coeffs)
 
 
 def test_lie_coordinates_rejects_non_lie_polynomials():
+    basis = fl.hall_basis(3)
     with pytest.raises(ValueError):
-        coordinates_by_weight({"ab": 1})
+        coordinates_by_weight(basis, {"ab": 1})
     with pytest.raises(ValueError):
-        coordinates_by_weight({"ab": 1, "ba": -1, "abb": 1})
-    assert coordinates_by_weight({"ab": 2, "ba": -2}) == {"ab": 2}
+        coordinates_by_weight(basis, {"ab": 1, "ba": -1, "abb": 1})
+    assert coordinates_by_weight(basis, {"ab": 2, "ba": -2}) == {"ab": 2}
 
 
 def test_word_expansion_rows_match_the_oracle():
-    for w in fl.lyndon_words(10):
+    basis = fl.hall_basis(10)
+    for w in basis.words:
         (row,) = poly_rows(lyndon_bracket_expansion(w)).values()
-        masks, coeffs = fl.word_expansion(w)
+        masks, coeffs = basis.expansion(w)
         assert list(masks) == [m for m, c in enumerate(row) if c]
         assert list(coeffs) == [c for c in row if c]
 

@@ -312,14 +312,13 @@ def test_bracket_rows_is_PQ_then_minus_QP(i, n_p, j, n_q, data, scale):
 # --- rows are shared, never written -----------------------------------------
 
 
-def test_shared_rows_are_never_written(monkeypatch):
+def test_shared_rows_are_never_written():
     # a K = 8 build fills an empty evaluator cache at truncation T = K = 8
-    fresh = functools.lru_cache(maxsize=None)(wt._magnus_evaluator.__wrapped__)
-    monkeypatch.setattr(wt, "_magnus_evaluator", fresh)
+    wt._workspace.cache_clear()
     wt.build_witness((1, 0, 1), 8)
     T = 8
     rng = random.Random(8)
-    sample = rng.sample(list(wt._magnus_evaluator(T)._cache.values()), 12)
+    sample = rng.sample(list(wt._workspace(T).magnus._cache.values()), 12)
     assert {2 * g._weight() > T for g in sample} == {True, False}  # deep and shallow
     for g in sample:
         for d, row in enumerate(g._deg[1:], 1):

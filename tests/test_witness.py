@@ -2,8 +2,10 @@
 tamper detection, and the two-path computation of the exponent series."""
 
 import dataclasses
-import functools
+import gc
 import json
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -301,25 +303,59 @@ def test_build_work_counts(monkeypatch):
     for mod in (mg, fl):
         monkeypatch.setattr(mod, "nonzero", counting_nonzero)
         monkeypatch.setattr(mod, "mul_rows", counting_mul_rows)
-    for mod, name in ((wt, "_magnus_evaluator"), (fl, "word_expansion")):
-        cached = getattr(mod, name)
-        monkeypatch.setattr(mod, name, functools.lru_cache(maxsize=None)(cached.__wrapped__))
+    # an empty workspace: its basis holds no expansions, its evaluator no rows
+    wt._workspace.cache_clear()
     assert wt.build_witness((1, 0, 1, 1), 9).report.ok
     assert counts["slots"] <= 224_814
     assert counts["madds"] <= 128_562
-    # the build and its verify evaluate every word at K, nothing at K + 1
-    assert wt._magnus_evaluator.cache_info().currsize == 1
-    assert {g.trunc for g in wt._magnus_evaluator(9)._cache.values()} == {9}
+    # the build and its verify share one workspace and evaluate every word
+    # at K, nothing at K + 1
+    assert wt._workspace.cache_info().misses == 1
+    assert {g.trunc for g in wt._workspace(9).magnus._cache.values()} == {9}
 
 
-def test_build_row_memory(monkeypatch):
+def test_build_row_memory():
     # distinct row slots that the evaluator cache holds after one K = 10
     # build from an empty cache; deterministic, so a bound that moves up
     # means rows that are copied again.  While each power of a deep element
     # held a scaled copy of its base's rows: 892,176; as views: 382,224.
-    fresh = functools.lru_cache(maxsize=None)(wt._magnus_evaluator.__wrapped__)
-    monkeypatch.setattr(wt, "_magnus_evaluator", fresh)
+    wt._workspace.cache_clear()
     assert wt.build_witness((1, 0, 1, 1, 0, 1), 10).report.ok
-    cached = wt._magnus_evaluator(10)._cache.values()
+    cached = wt._workspace(10).magnus._cache.values()
     slots = {id(r): len(r) for g in cached for r in g._deg if r is not None}
     assert sum(slots.values()) <= 382_224
+
+
+# --- caches: one owner each ---------------------------------------------------
+
+
+def test_no_unbounded_cache_in_the_package():
+    # the Lyndon-word memos live on their HallBasis and the evaluators in the
+    # one-slot workspace, so no functools cache may grow without bound
+    import nilwitness.cli  # noqa: F401  (loads every module of the package)
+
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("nilwitness."):
+            continue
+        namespaces = [vars(module)] + [
+            vars(v) for v in vars(module).values() if isinstance(v, type)
+        ]
+        for ns in namespaces:
+            for key, value in ns.items():
+                if hasattr(value, "cache_parameters"):
+                    found[f"{name}.{key}"] = value.cache_parameters()["maxsize"]
+    assert None not in found.values(), found
+    assert found["nilwitness.witness._workspace"] == 1
+
+
+def test_workspace_lives_until_a_build_at_another_K():
+    wt._workspace.cache_clear()
+    assert wt.build_witness((1, 0, 1), 9).report.ok
+    # the build made the one workspace, and its own verify reused it
+    info = wt._workspace.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    refs = [weakref.ref(part) for part in wt._workspace(9)]
+    assert wt.build_witness((1, 0, 1), 10).report.ok
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
