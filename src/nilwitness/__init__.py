@@ -26,7 +26,6 @@ from .series import (
     LaurentPoly,
     PrimeField,
     QQ,
-    RationalExponent,
     TruncatedSeries,
     ZZ,
     antipode,

@@ -1,8 +1,15 @@
 """Command-line driver with machine-readable JSON reports.
 
-Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
-error, 3 resource or I/O error.  Reports are deterministic byte-for-byte for
-a fixed configuration (timings go to stderr, never into the JSON).
+Each subcommand's handler computes its report and returns it with its
+verdict, and writes nothing itself.  main stamps the report with "schema"
+(SCHEMA) and "command" (the subcommand's name), writes it as one line of
+sorted, compact JSON to the --out file or else to stdout, and returns the
+exit code: 0 when the verdict holds, 1 when a mathematical check failed.  The
+verdict is the report's "ok" field; construct, whose report has none, returns
+the witness report's.  An exception becomes exit code 2 for usage errors, 1
+for internal errors and 3 for resource or I/O errors, and then no report is
+written.  Reports are deterministic byte-for-byte for a fixed configuration
+(timings go to stderr, never into the JSON).
 """
 
 from __future__ import annotations
@@ -93,7 +100,7 @@ def _parse_q(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad sequence {text!r}: {exc}") from None
 
 
-def cmd_identities(args) -> int:
+def cmd_identities(args) -> tuple[dict, bool]:
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
     if 2 * args.max_n + 2 > MAX_REPORT_WEIGHT:
@@ -106,26 +113,21 @@ def cmd_identities(args) -> int:
         ok &= lie_ok and group_ok
         results.append({"n": n, "lie": lie_ok, "group": group_ok})
     report = {
-        "schema": SCHEMA,
-        "command": "identities",
         "config": {"max_n": args.max_n},
         "results": results,
         "ok": ok,
     }
-    _emit(report, args.out)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return report, report["ok"]
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple[dict, bool]:
     q = _parse_q(args.q)
     # the factor words hold their exponents as text
     pair = _as_text(lambda: witness.build_witness(q, args.weight))
-    payload = {"schema": SCHEMA, "command": "construct", **pair.to_json()}
-    _emit(payload, args.out)
-    return EXIT_OK if pair.report.ok else EXIT_CHECK_FAILED
+    return pair.to_json(), pair.report.ok
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, bool]:
     data = _load_json(args.infile, "witness")
     try:
         pair = witness.WitnessPair.from_json(data)
@@ -139,18 +141,15 @@ def cmd_verify(args) -> int:
     except RecursionError:
         raise InputError("witness words are nested too deeply to evaluate") from None
     payload = {
-        "schema": SCHEMA,
-        "command": "verify",
         "q": list(pair.q),
         "K": pair.K,
         "report": report.to_json(),
         "ok": report.ok,
     }
-    _emit(payload, args.out)
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+    return payload, payload["ok"]
 
 
-def cmd_phi(args) -> int:
+def cmd_phi(args) -> tuple[dict, bool]:
     if args.weight > MAX_SERIES_WEIGHT:
         raise UsageError(f"--weight must be at most {MAX_SERIES_WEIGHT}")
     ring = series.ring_from_tag(args.ring)
@@ -160,15 +159,12 @@ def cmd_phi(args) -> int:
         raise UsageError("word nested too deeply to evaluate") from None
     weight = gamma_weight_lamp(img)
     payload = {
-        "schema": SCHEMA,
-        "command": "phi",
         "config": {"word": args.word, "ring": args.ring, "K": args.weight},
         "image": _as_text(img.to_json),
         "weight": "inf" if weight == series.INFINITE_WEIGHT else weight,
         "ok": True,
     }
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload, payload["ok"]
 
 
 def _exact_coeffs(name: str, coeffs, K: int) -> list[Fraction]:
@@ -194,7 +190,7 @@ def _exact_coeffs(name: str, coeffs, K: int) -> list[Fraction]:
     return list(map(Fraction, coeffs))
 
 
-def cmd_coinv(args) -> int:
+def cmd_coinv(args) -> tuple[dict, bool]:
     ring = series.ring_from_tag(args.ring)
     if isinstance(ring, series.IntegerRing):
         raise UsageError("coinvariants are computed over Q or Z/p")
@@ -218,18 +214,15 @@ def cmd_coinv(args) -> int:
     classes = _as_text(lambda: {name: list(map(str, t)) for name, t in thetas.items()})
     oracle = coinv.coinvariant_rank_oracle(ring, args.weight)
     payload = {
-        "schema": SCHEMA,
-        "command": "coinv",
         **space.to_json(),
         "oracle_rank": oracle,
         "theta_classes": classes,
         "ok": oracle == space.rank,
     }
-    _emit(payload, args.out)
-    return EXIT_OK if payload["ok"] else EXIT_CHECK_FAILED
+    return payload, payload["ok"]
 
 
-def cmd_involution(args) -> int:
+def cmd_involution(args) -> tuple[dict, bool]:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise UsageError(f"--trials must be in 1..{MAX_TRIALS}")
     instances = [(-1, 2), (2, 2), (5, 3)]
@@ -241,17 +234,14 @@ def cmd_involution(args) -> int:
     ]
     ok = all(r["ok"] for r in results)
     payload = {
-        "schema": SCHEMA,
-        "command": "involution",
         "config": {"trials": args.trials, "seed": args.seed},
         "results": results,
         "ok": ok,
     }
-    _emit(payload, args.out)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return payload, payload["ok"]
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[dict, bool]:
     if not 1 <= args.weight <= MAX_REPORT_WEIGHT:
         raise UsageError(f"--weight must be in 1..{MAX_REPORT_WEIGHT}")
     rng = random.Random(args.seed)
@@ -328,15 +318,12 @@ def cmd_report(args) -> int:
 
     ok = all(s["ok"] for s in sections.values())
     payload = {
-        "schema": SCHEMA,
-        "command": "report",
         "config": {"seed": args.seed, "weight": args.weight},
         "sections": sections,
         "ok": ok,
     }
-    _emit(payload, args.out)
     print(f"report completed in {time.monotonic() - t0:.1f}s", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return payload, payload["ok"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,7 +382,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        report, ok = args.func(args)
+        _emit({"schema": SCHEMA, "command": args.command, **report}, args.out)
+        return EXIT_OK if ok else EXIT_CHECK_FAILED
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -232,15 +232,9 @@ class FreeLieElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def weights(self) -> set[int]:
-        return {len(w) for w in self.coeffs}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.weights()) <= 1
-
     def weight(self) -> int:
         """Weight of a homogeneous element (0 for the zero element)."""
-        ws = self.weights()
+        ws = {len(w) for w in self.coeffs}
         if len(ws) > 1:
             raise ValueError("element is not homogeneous")
         return ws.pop() if ws else 0
@@ -376,8 +370,6 @@ def present_with_generators(
     basis = t.basis
     if t.is_zero():
         return basis.zero(), basis.zero()
-    if not t.is_homogeneous():
-        raise ValueError("input must be homogeneous")
     d = t.weight()
     if d < 2:
         raise ValueError("input must have weight >= 2")

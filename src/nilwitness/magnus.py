@@ -29,13 +29,14 @@ m1 << j | m2 in degree i + j, so the block that row i times row j adds is
 their flattened outer product, taken over the nonzero entries only, with
 the side that has more entries in the inner loop.  bracket_rows forms
 PQ - QP the same way, taking each coefficient product once and adding it
-to the PQ block and subtracting it from the QP block.  _convolve runs
-either over the degrees of two series; commutator runs the bracket kernel
-for PQ - QP into one table; the free Lie layer runs it for every bracket,
-every Jacobi rewrite and its substitution check.  A deep element,
-2 weight(u) > trunc for u = g - 1, has u^2 = 0, so its powers take the
-closed form (1 + u)^n = 1 + n u: a view that holds the rows of u and the
-scale n, with no row copied.
+to the PQ block and subtracting it from the QP block; when P has no fewer
+entries than Q it forms -(QP - PQ) instead, so that one loop keeps the
+shorter side outermost.  _convolve runs either over the degrees of two
+series; commutator runs the bracket kernel for PQ - QP into one table; the
+free Lie layer runs it for every bracket, every Jacobi rewrite and its
+substitution check.  A deep element, 2 weight(u) > trunc for u = g - 1, has
+u^2 = 0, so its powers take the closed form (1 + u)^n = 1 + n u: a view
+that holds the rows of u and the scale n, with no row copied.
 
 A GroupWord is evaluated as the product of its letters, through the same
 walk as any expression.  mul_letter and conjugate_letter are plain products
@@ -119,23 +120,19 @@ def bracket_rows(acc: list[int], p: Entries, i: int, q: Entries, j: int, scale: 
 
     The one place where a bracket of two rows is formed: each coefficient
     product is taken once, added to PQ and subtracted from QP.  The side
-    with more entries runs innermost, as in mul_rows.
+    with more entries runs innermost, as in mul_rows: since PQ - QP =
+    -(QP - PQ), a P with no fewer entries than Q trades places with it and
+    the scale changes sign, so one loop serves both orders.
     """
+    if len(p[0]) >= len(q[0]):
+        p, i, q, j, scale = q, j, p, i, -scale
     (pm, pc), (qm, qc) = p, q
-    if len(pm) < len(qm):
-        for m1, c1 in zip(pm, pc):
-            hi, c1 = m1 << j, scale * c1
-            for m2, c2 in zip(qm, qc):
-                c = c1 * c2
-                acc[hi | m2] += c
-                acc[m2 << i | m1] -= c
-    else:
+    for m1, c1 in zip(pm, pc):
+        hi, c1 = m1 << j, scale * c1
         for m2, c2 in zip(qm, qc):
-            hi, c2 = m2 << i, scale * c2
-            for m1, c1 in zip(pm, pc):
-                c = c1 * c2
-                acc[m1 << j | m2] += c
-                acc[hi | m1] -= c
+            c = c1 * c2
+            acc[hi | m2] += c
+            acc[m2 << i | m1] -= c
 
 
 class MagnusElement:

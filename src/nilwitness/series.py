@@ -18,8 +18,6 @@ from typing import ClassVar, Mapping, Sequence
 
 from . import linalg
 
-RationalExponent = Fraction  # exact rational, stdlib keeps lowest terms
-
 # the weight (and valuation) of an element that is trivial at truncation
 INFINITE_WEIGHT = math.inf
 # the largest p of Z/p: primality is checked by trial division up to sqrt(p)
@@ -231,9 +229,6 @@ class LaurentPoly:
             for e2, c2 in other.terms.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly.from_terms(self.ring, out)
-
-    def augmentation(self):
-        return self.ring.coerce(sum(self.terms.values()))
 
     def to_json(self) -> dict[str, str]:
         return {str(e): str(c) for e, c in sorted(self.terms.items())}

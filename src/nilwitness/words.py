@@ -261,10 +261,6 @@ def product(*parts: WordExpr) -> WordExpr:
     return Prod(flat)
 
 
-def commutator(left: WordExpr, right: WordExpr) -> WordExpr:
-    return Comm(left, right)
-
-
 def engel(n: int) -> WordExpr:
     """The iterated commutator [a,_n b]; n = 0 gives a itself."""
     expr = A

@@ -140,6 +140,45 @@ def test_construct_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_out_file_holds_the_stdout_bytes(tmp_path):
+    # main writes every report: with --out, the file gets exactly what stdout
+    # gets without it, and stdout gets nothing
+    witness_file = tmp_path / "w.json"
+    assert run_cli(["construct", "--q", "1", "--weight", "3", "--out", str(witness_file)])[0] == 0
+    for argv in (
+        ["identities", "--max-n", "1"],
+        ["construct", "--q", "1", "--weight", "3"],
+        ["verify", "--in", str(witness_file)],
+        ["phi", "--word", "[a,b]", "--weight", "4"],
+        ["coinv", "--ring", "Q", "--weight", "4"],
+        ["involution", "--trials", "2"],
+        ["report", "--weight", "2"],
+    ):
+        code, printed = run_cli(argv)
+        assert code == cli.EXIT_OK and printed.startswith("{"), argv[0]
+        out = tmp_path / f"{argv[0]}.json"
+        assert run_cli(argv + ["--out", str(out)]) == (cli.EXIT_OK, ""), argv[0]
+        assert out.read_bytes() == printed.encode(), argv[0]
+        assert json.loads(printed)["command"] == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, fake",
+    [
+        (["identities", "--max-n", "1"], "freelie", "check_identity", lambda n: False),
+        (["coinv", "--ring", "Q", "--weight", "4"], "coinv", "coinvariant_rank_oracle",
+         lambda ring, K: -1),
+        (["involution", "--trials", "2"], "coinv", "involution_exactness_report",
+         lambda field, trials, seed: {"ok": False}),
+    ],
+)
+def test_failed_check_exits_one_with_its_report(monkeypatch, argv, module, name, fake):
+    monkeypatch.setattr(getattr(cli, module), name, fake)
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_CHECK_FAILED
+    assert json.loads(out)["ok"] is False
+
+
 def test_unknown_command_is_usage_error():
     code, _ = run_cli(["frobnicate"])
     assert code == cli.EXIT_USAGE

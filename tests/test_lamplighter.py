@@ -149,7 +149,7 @@ def test_phi_word_examples():
 def test_phi_kills_defining_relators():
     for i in range(-3, 4):
         conj = wd.product(wd.power(wd.B, -i), wd.A, wd.power(wd.B, i))
-        rel = wd.commutator(wd.A, conj)
+        rel = wd.Comm(wd.A, conj)
         assert lp.phi_word(rel, Z, 8).is_identity()
 
 

@@ -1,28 +1,30 @@
-"""The benchmark's span tracer must find every function it wraps.
+"""The benchmark's helpers must find every name of the package they use.
 
 ``bench/tracer.py`` raises ``TraceError`` when a target is renamed or
-deleted; loading it here turns that into a tier-1 failure instead of a
-failed traced benchmark run.
+deleted, and ``bench/child.py`` calls the evaluator and the witness pair
+directly; running both here turns a deleted name into a tier-1 failure
+instead of a failed benchmark run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import nilwitness.cli  # noqa: F401  (loads every module the tracer targets)
-from nilwitness import magnus
+from nilwitness import magnus, witness
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("nilwitness_bench_tracer", TRACER_PATH)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_target_exists():
-    tracer = _load_tracer().Tracer()
+    tracer = _load("nilwitness_bench_tracer", BENCH / "tracer.py").Tracer()
     original = magnus.MagnusElement.__mul__
     tracer.install()
     try:
@@ -30,3 +32,16 @@ def test_every_traced_target_exists():
     finally:
         tracer.uninstall()
     assert magnus.MagnusElement.__mul__ is original
+
+
+def test_benchmark_child_helpers_run(monkeypatch):
+    # child.py imports tracer as a top-level module, as it does when run from
+    # bench/; a traced witness run reads its pair back from the written file
+    monkeypatch.syspath_prepend(str(BENCH))
+    child = _load("nilwitness_bench_child", BENCH / "child.py")
+    pair = witness.build_witness((1,), 4)
+    again = witness.WitnessPair.from_json(json.loads(json.dumps(pair.to_json())))
+    assert child.max_coeff_bits([pair]) == child.max_coeff_bits([again]) >= 1
+    digest = child.witness_digest(pair.to_json())
+    assert len(digest) == 64
+    assert digest == child.witness_digest(witness.build_witness((1,), 4).to_json())

@@ -28,8 +28,8 @@ def test_alternating_product_base_cases():
 @pytest.mark.parametrize("n,K", [(1, 5), (2, 7), (3, 9)])
 def test_alternating_product_pairs_with_engel_commutator(n, K):
     # [[a,_2n b], a] * [z^-1, b] vanishes below weight 2n + 3
-    lhs = wd.commutator(wd.engel(2 * n), wd.A)
-    rhs = wd.commutator(wd.power(wt.alternating_engel_product(n), -1), wd.B)
+    lhs = wd.Comm(wd.engel(2 * n), wd.A)
+    rhs = wd.Comm(wd.power(wt.alternating_engel_product(n), -1), wd.B)
     combo = mg.eval_word(wd.product(lhs, rhs), 2 * n + 2)
     assert combo.is_one()
 
