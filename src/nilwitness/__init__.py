@@ -40,7 +40,6 @@ from .coinv import (
     CoinvariantSpace,
     InvolutiveField,
     build_coinvariants,
-    check_involution_exactness,
     pairing,
     theta,
 )

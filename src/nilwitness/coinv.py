@@ -399,7 +399,3 @@ def involution_exactness_report(
         "plus_minus_split": bool(decomp_ok),
         "ok": bool(scalar_ok and kernel_ok and psi_ok and decomp_ok),
     }
-
-
-def check_involution_exactness(F: InvolutiveField, trials: int = 20, seed: int = 0) -> bool:
-    return involution_exactness_report(F, trials, seed)["ok"]

@@ -30,7 +30,7 @@ from .series import (
     one_plus_x_power,
     ring_from_tag,
 )
-from .words import GroupWord, WordExpr, evaluate, parse_word_expr
+from .words import GroupWord, WordExpr, evaluate, parse_word_expr, seeded
 
 
 @dataclass(frozen=True)
@@ -126,21 +126,12 @@ class LampEvaluator:
     """Evaluates word expressions in a completed lamplighter group."""
 
     def __init__(self, ring: Ring, trunc: int):
-        self.ring = ring
-        self.trunc = trunc
-        self._cache: dict[str, LampElement] = {}
+        self._cache = seeded(
+            lamp_a(ring, trunc), lamp_b(ring, trunc), lamp_identity(ring, trunc)
+        )
 
     def eval(self, expr: WordExpr) -> LampElement:
-        return evaluate(expr, self._cache, self)
-
-    def one(self) -> LampElement:
-        return lamp_identity(self.ring, self.trunc)
-
-    def generator(self, name: str) -> LampElement:
-        return (lamp_a if name == "a" else lamp_b)(self.ring, self.trunc)
-
-    def comm(self, u: LampElement, v: LampElement) -> LampElement:
-        return u.commutator(v)
+        return evaluate(expr, self._cache)
 
 
 def phi_word(

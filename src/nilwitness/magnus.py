@@ -39,7 +39,9 @@ u^2 = 0, so its powers take the closed form (1 + u)^n = 1 + n u: a view
 that holds the rows of u and the scale n, with no row copied.
 
 A GroupWord is evaluated as the product of its letters, through the same
-walk as any expression.  mul_letter and conjugate_letter are plain products
+walk as any expression, words.evaluate, on a cache seeded with 1 + A, 1 + B
+and 1; the walk takes [g, h] as g.commutator(h), which calls the module
+function commutator by its global name.  mul_letter and conjugate_letter are plain products
 with a generator; they stay because the benchmark's tracer times them as a
 layer of its own.
 """
@@ -61,6 +63,7 @@ from .words import (
     engel,
     evaluate,
     parse_word_expr,
+    seeded,
 )
 
 # degree rows: index d holds the 2^d coefficients of degree d, None when zero
@@ -255,6 +258,11 @@ class MagnusElement:
                     mul_rows(acc[d], UNIT, entries, d, coeff * self._scale**j)
         return MagnusElement(T, acc)
 
+    def commutator(self, other: "MagnusElement") -> "MagnusElement":
+        """[self, other]: the module function commutator, which it calls by
+        its global name."""
+        return commutator(self, other)
+
     def mul_letter(self, letter: int) -> "MagnusElement":
         """self * x for the generator or inverse generator x of a signed
         letter (+-1 for a, +-2 for b)."""
@@ -405,20 +413,11 @@ class MagnusEvaluator:
     """Evaluates word expressions with a per-instance subexpression cache."""
 
     def __init__(self, trunc: int):
-        self.trunc = trunc
-        self._cache: dict[str, MagnusElement] = {}
+        gen = MagnusElement.generator
+        self._cache = seeded(gen("a", trunc), gen("b", trunc), MagnusElement.one(trunc))
 
     def eval(self, expr: WordExpr) -> MagnusElement:
-        return evaluate(expr, self._cache, self)
-
-    def one(self) -> MagnusElement:
-        return MagnusElement.one(self.trunc)
-
-    def generator(self, name: str) -> MagnusElement:
-        return MagnusElement.generator(name, self.trunc)
-
-    def comm(self, g: MagnusElement, h: MagnusElement) -> MagnusElement:
-        return commutator(g, h)
+        return evaluate(expr, self._cache)
 
 
 def gamma_weight(g: MagnusElement) -> int | float:

@@ -172,10 +172,6 @@ class TruncatedSeries:
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
-    @staticmethod
-    def from_json(ring: Ring, data: Sequence[str]) -> "TruncatedSeries":
-        return TruncatedSeries.from_coeffs(ring, len(data), [Fraction(s) for s in data])
-
     def __str__(self) -> str:
         terms = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0]
         return " + ".join(terms) if terms else "0"
@@ -229,9 +225,6 @@ class LaurentPoly:
             for e2, c2 in other.terms.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly.from_terms(self.ring, out)
-
-    def to_json(self) -> dict[str, str]:
-        return {str(e): str(c) for e, c in sorted(self.terms.items())}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):

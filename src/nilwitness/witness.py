@@ -42,18 +42,19 @@ the words in the lamplighter group, so the certificate does not rest on
 this lemma.  It checks (0)-(2) in one pass over the factors in index order
 and (3) on the image of the whole r-product.
 
-Builds and verifies at one K share a workspace: the Hall basis to K + 1,
-with the expansions and expressions of its words, and the Magnus and ZZ
+Builds and verifies at one K share a workspace: the Magnus and ZZ
 lamplighter evaluators at K, with the value of every subexpression they
-evaluated.  It is kept in one slot, so a build's own verify and builds in a
-row at one K run warm, and a call at another K releases it.
+evaluated, and the Hall basis to K + 1, with the expansions and expressions
+of its words.  The basis is built on first use, so a verify, which reads no
+Lie term, never builds it.  The workspace is kept in one slot, so a build's
+own verify and builds in a row at one K run warm, and a call at another K
+releases it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .freelie import FreeLieElement, HallBasis, hall_basis, present_with_generators
 from .lamplighter import LampEvaluator
@@ -61,7 +62,6 @@ from .magnus import (
     INFINITE_WEIGHT,
     MagnusElement,
     MagnusEvaluator,
-    commutator as magnus_commutator,
     gamma_weight,
     leading_lie,
 )
@@ -185,25 +185,35 @@ def _typed(value, kind: type, key: str):
     return value
 
 
-class _Workspace(NamedTuple):
-    """The basis to K + 1 and the evaluators at K (module docstring)."""
+class _Workspace:
+    """The evaluators at K and the basis to K + 1 (module docstring)."""
 
-    basis: HallBasis
-    magnus: MagnusEvaluator
-    lamp: LampEvaluator
+    def __init__(self, K: int):
+        self.K = K
+        self.magnus = MagnusEvaluator(K)
+        self.lamp = LampEvaluator(ZZ, K)
+
+    @functools.cached_property
+    def basis(self) -> HallBasis:
+        return hall_basis(self.K + 1)
 
 
 @functools.lru_cache(maxsize=1)
 def _workspace(K: int) -> _Workspace:
     """The workspace at K, in one slot: a call at another K releases it."""
-    return _Workspace(hall_basis(K + 1), MagnusEvaluator(K), LampEvaluator(ZZ, K))
+    return _Workspace(K)
+
+
+def _q_at(q: tuple[int, ...], i: int) -> int:
+    """q_i, indexed from 1: an exponent past the stored sequence is 0."""
+    return q[i - 1] if i - 1 < len(q) else 0
 
 
 def _defect(R: MagnusElement, S: MagnusElement) -> MagnusElement:
     """[R, a] [S, b] one degree past the truncation of the inputs: a and b
     have weight 1, so each commutator at T reads R and S only below T."""
     a, b = (MagnusElement.generator(name, R.trunc + 1) for name in "ab")
-    return magnus_commutator(R, a) * magnus_commutator(S, b)
+    return R.commutator(a) * S.commutator(b)
 
 
 def _lift_inverse(elt: FreeLieElement) -> WordExpr:
@@ -232,15 +242,11 @@ def build_witness(q, K: int) -> WitnessPair:
     if not 3 <= K <= MAX_K:
         raise ValueError(f"K must be in 3..{MAX_K}")
     q = tuple(int(v) for v in q)
-    basis, ev, _ = _workspace(K)
-
-    def q_at(i: int) -> int:
-        return q[i - 1] if i - 1 < len(q) else 0
-
+    ws = _workspace(K)
     r_factors: list[WordExpr] = []
     s_factors: list[WordExpr] = []
     n: list[int] = []
-    R = S = ev.one()
+    R = S = MagnusElement.one(K)
 
     for k in range(2, K):
         D = _defect(R.truncate(k + 1), S.truncate(k + 1))
@@ -253,7 +259,7 @@ def build_witness(q, K: int) -> WitnessPair:
             a_inv = b_inv = IDENTITY
             lead = 0
         else:
-            t = leading_lie(D, basis)
+            t = leading_lie(D, ws.basis)
             alpha, beta = present_with_generators(t)
             a_inv = _lift_inverse(alpha)
             b_inv = _lift_inverse(beta)
@@ -263,14 +269,14 @@ def build_witness(q, K: int) -> WitnessPair:
             n.append(-lead)
         else:
             half = k // 2
-            m = q_at(half) + lead
+            m = _q_at(q, half) + lead
             r_new = product(a_inv, power(engel(k), m))
             s_new = product(b_inv, power(alternating_engel_product(half), -m))
-            n.append(q_at(half))
+            n.append(_q_at(q, half))
         r_factors.append(r_new)
         s_factors.append(s_new)
-        R = R * ev.eval(r_new)
-        S = S * ev.eval(s_new)
+        R = R * ws.magnus.eval(r_new)
+        S = S * ws.magnus.eval(s_new)
 
     pair = WitnessPair(
         q=q,
@@ -302,7 +308,7 @@ def verify_witness(pair: WitnessPair) -> Report:
     # fails on the factor counts and the defect is checked at 1.
     K = pair.K
     top = max(K, 0)
-    _, ev, lamp = _workspace(max(K, 1))
+    ws = _workspace(max(K, 1))
 
     fails: dict[str, list[str]] = {name: [] for name in ("p0", "p1", "p2", "p3")}
     n_r, n_s, n_n = len(pair.r_factors), len(pair.s_factors), len(pair.n)
@@ -310,9 +316,9 @@ def verify_witness(pair: WitnessPair) -> Report:
         fails["p0"].append(
             f"K = {K} needs {K - 2} factors and exponents, got r {n_r}, s {n_s}, n {n_n}"
         )
-    R = S = ev.one()
+    R = S = MagnusElement.one(ws.K)
     for k, r, s in zip(pair.factor_indices(), pair.r_factors, pair.s_factors):
-        r_val, s_val = ev.eval(r), ev.eval(s)
+        r_val, s_val = ws.magnus.eval(r), ws.magnus.eval(s)
         for name, val in (("r", r_val), ("s", s_val)):
             gw = gamma_weight(val)
             if gw < k:
@@ -322,19 +328,19 @@ def verify_witness(pair: WitnessPair) -> Report:
         defect = _defect(R.truncate(Tk), S.truncate(Tk))
         if not defect.is_one():
             fails["p1"].append(f"step {k}: defect has weight {gamma_weight(defect)}")
-        img = lamp.eval(s)
+        img = ws.lamp.eval(s)
         if not img.is_identity():
             fails["p2"].append(f"s^({k}) maps to {img}")
 
     # p3 reads every r-factor, not only the ones zip paired with an s-factor
-    lamp_r = lamp.eval(pair.r_word())
+    lamp_r = ws.lamp.eval(pair.r_word())
     if lamp_r.e != 0:
         fails["p3"].append(f"r-product has shift exponent {lamp_r.e}")
     if lamp_r.f != witness_series(pair):
         fails["p3"].append("series of the r-product disagrees with the exponent data")
     for i in range(1, (K - 1) // 2 + 1):
         slot = 2 * i + 1
-        want = pair.q[i - 1] if i - 1 < len(pair.q) else 0
+        want = _q_at(pair.q, i)
         got = lamp_r.f.coeffs[slot - 1]
         if got != want:
             fails["p3"].append(f"controlled exponent n_{slot} = {got}, expected {want}")

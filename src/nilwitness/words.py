@@ -13,8 +13,11 @@ Two layers:
 
 evaluate is the one walk over an expression: the Magnus and lamplighter
 evaluators and the expansion into a GroupWord all run it, each with its own
-group and cache.  This module imports no other of the package; the
-expressions of Lyndon basis words are built by freelie.HallBasis.word_expr.
+cache.  A cache starts as seeded(a, b, one), the values of the leaves, and
+the walk asks each value for its products, powers and commutators, so no
+group object stands beside the values.  This module imports no other of the
+package; the expressions of Lyndon basis words are built by
+freelie.HallBasis.word_expr.
 
 Text syntax: letters a, A (= a^-1), b, B (= b^-1); commutators "[u,v]",
 left-normalized chains "[u,v,w,...]", iterated form "[u,_n v]" with
@@ -117,57 +120,39 @@ class WordExpr:
         Subexpression words are cached for the duration of the call, so
         each distinct subexpression is expanded once.
         """
-        return _LetterWords().eval(self)
-
-    def inverse(self) -> "WordExpr":
-        return power(self, -1)
+        letters = seeded(GroupWord.parse("a"), GroupWord.parse("b"), GroupWord.identity())
+        return evaluate(self, letters)
 
 
-def evaluate(expr: WordExpr, cache: dict, group):
-    """Value of expr in `group`, memoized in `cache` on expr.key().
+def seeded(a, b, one) -> dict:
+    """A cache for evaluate that holds the values of the leaves: the
+    generators a and b and the empty product one, under the texts of A, B
+    and IDENTITY."""
+    return {"a": a, "b": b, "": one}
 
-    `group` supplies one(), generator(name) and comm(u, v), the commutator
-    [u, v] of two values; one() is called only for the empty product.
-    Values need only * and ** with an integer exponent.
+
+def evaluate(expr: WordExpr, cache: dict):
+    """Value of expr, memoized in `cache` on expr.key().
+
+    The cache must hold the generators (see seeded); a generator missing
+    from it raises TypeError.  Values need only *, ** with an integer
+    exponent and u.commutator(v), the commutator [u, v].
     """
     key = expr.key()
     hit = cache.get(key)
     if hit is not None:
         return hit
-    if isinstance(expr, Gen):
-        out = group.generator(expr.name)
-    elif isinstance(expr, Pow):
-        out = evaluate(expr.base, cache, group) ** expr.exp
+    if isinstance(expr, Pow):
+        out = evaluate(expr.base, cache) ** expr.exp
     elif isinstance(expr, Comm):
-        left = evaluate(expr.left, cache, group)
-        out = group.comm(left, evaluate(expr.right, cache, group))
-    elif isinstance(expr, Prod):
-        # start from the first part: one() * x can cost a copy of x
-        values = [evaluate(p, cache, group) for p in expr.parts]
-        out = functools.reduce(operator.mul, values) if values else group.one()
+        out = evaluate(expr.left, cache).commutator(evaluate(expr.right, cache))
+    elif isinstance(expr, Prod) and expr.parts:
+        # start from the first part: one * x can cost a copy of x
+        out = functools.reduce(operator.mul, [evaluate(p, cache) for p in expr.parts])
     else:
         raise TypeError(f"cannot evaluate {expr!r}")
     cache[key] = out
     return out
-
-
-class _LetterWords:
-    """The free group on reduced letter words, for evaluate."""
-
-    def __init__(self):
-        self._cache: dict[str, GroupWord] = {}
-
-    def eval(self, expr: WordExpr) -> GroupWord:
-        return evaluate(expr, self._cache, self)
-
-    def one(self) -> GroupWord:
-        return GroupWord.identity()
-
-    def generator(self, name: str) -> GroupWord:
-        return GroupWord((_SIGNED[name],))
-
-    def comm(self, u: GroupWord, v: GroupWord) -> GroupWord:
-        return u.commutator(v)
 
 
 class Gen(WordExpr):

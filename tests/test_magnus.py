@@ -544,13 +544,24 @@ def test_commutator_reads_each_side_below_the_other_weight(T, u, v, short):
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), _sides, _sides, st.sampled_from(["g", "h"]))
+def test_commutator_method_is_the_module_function(T, u, v, short):
+    g, h = (mg.MagnusEvaluator(T).eval(x) for x in (u, v))
+    if short == "g":
+        g = g.truncate(max(T - h._weight(), 1))
+    else:
+        h = h.truncate(max(T - g._weight(), 1))
+    assert g.commutator(h) == mg.commutator(g, h)
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(2, 7), _sides, _sides)
 def test_defect_reads_its_inputs_one_degree_short(K, r, s):
     # _defect of R, S at K is [R, a][S, b] at K + 1, as it was computed with
     # R, S, a and b all at K + 1
     ev = mg.MagnusEvaluator(K + 1)
     R, S = ev.eval(r), ev.eval(s)
-    a, b = ev.generator("a"), ev.generator("b")
+    a, b = (mg.MagnusElement.generator(name, K + 1) for name in "ab")
     got = wt._defect(R.truncate(K), S.truncate(K))
     assert got == mg.commutator(R, a) * mg.commutator(S, b)
     word = wd.product(wd.Comm(r, wd.A), wd.Comm(s, wd.B)).to_group_word()
@@ -605,24 +616,22 @@ def test_words_reduce():
     assert (w * w.inverse()).is_identity()
 
 
-class _LettersWithoutOne:
-    """The free group on letter words, with no identity to start from."""
-
-    def one(self):
-        raise AssertionError("one() called for a nonempty product")
-
-    def generator(self, name):
-        return wd.GroupWord.parse(name)
-
-    def comm(self, u, v):
-        return u.commutator(v)
-
-
 def test_product_starts_from_its_first_part():
-    # one() * x would copy every row of a Magnus view x
-    assert str(wd.evaluate(wd.parse_word_expr("a b"), {}, _LettersWithoutOne())) == "ab"
+    # one * x would copy every row of a Magnus view x; a cache with no
+    # identity in it shows that a nonempty product never reads one
+    letters = {"a": wd.GroupWord.parse("a"), "b": wd.GroupWord.parse("b")}
+    assert str(wd.evaluate(wd.parse_word_expr("a b"), letters)) == "ab"
     one = mg.MagnusElement.one(3)
-    assert wd.evaluate(wd.Prod(()), {}, mg.MagnusEvaluator(3)) == one
+    cache = wd.seeded(*(mg.MagnusElement.generator(name, 3) for name in "ab"), one)
+    assert wd.evaluate(wd.Prod(()), cache) is one
+
+
+def test_evaluate_needs_the_generators_in_its_cache():
+    assert set(wd.seeded(1, 2, 0)) == {wd.A.key(), wd.B.key(), wd.IDENTITY.key()}
+    with pytest.raises(TypeError):
+        wd.evaluate(wd.A, {})
+    with pytest.raises(TypeError):
+        wd.evaluate(wd.parse_word_expr("[a,b]"), {"a": wd.GroupWord.parse("a")})
 
 
 def test_parser_rejects_garbage():

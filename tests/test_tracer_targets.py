@@ -45,3 +45,36 @@ def test_benchmark_child_helpers_run(monkeypatch):
     digest = child.witness_digest(pair.to_json())
     assert len(digest) == 64
     assert digest == child.witness_digest(witness.build_witness((1,), 4).to_json())
+
+
+# the layers a construct and the verify of its file must enter
+WITNESS_LAYERS = (
+    "magnus.mul",
+    "magnus.pow",
+    "magnus.commutator",
+    "magnus.eval",
+    "magnus.leading_lie",
+    "freelie.present",
+    "lamplighter.eval",
+    "words.parse",
+    "witness.build",
+    "witness.verify",
+)
+
+
+def test_traced_witness_run_sees_every_layer(tmp_path, capsys):
+    # a function bound once where a class is made (an alias in a class body)
+    # would keep calling the untraced original and read 0 calls here
+    tracer = _load("nilwitness_bench_tracer", BENCH / "tracer.py").Tracer()
+    path = str(tmp_path / "witness.json")
+    witness._workspace.cache_clear()
+    tracer.install()
+    try:
+        argv = ["construct", "--q", "1,0,1", "--weight", "7", "--out", path]
+        assert nilwitness.cli.main(argv) == 0
+        assert nilwitness.cli.main(["verify", "--in", path]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.layer_metrics()
+    assert [name for name in WITNESS_LAYERS if not metrics[f"{name}.calls"]] == []

@@ -355,7 +355,28 @@ def test_workspace_lives_until_a_build_at_another_K():
     # the build made the one workspace, and its own verify reused it
     info = wt._workspace.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    refs = [weakref.ref(part) for part in wt._workspace(9)]
+    ws = wt._workspace(9)
+    refs = [weakref.ref(getattr(ws, name)) for name in ("basis", "magnus", "lamp")]
+    del ws
     assert wt.build_witness((1, 0, 1), 10).report.ok
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+
+
+def test_verify_builds_no_basis(monkeypatch):
+    # a verify reads no Lie term, so its workspace never builds the basis;
+    # a build reads it at every step and builds it once
+    pair = wt.build_witness((1, 0, 1), 6)
+    calls = []
+
+    def counting_hall_basis(max_weight):
+        calls.append(max_weight)
+        return fl.hall_basis(max_weight)
+
+    monkeypatch.setattr(wt, "hall_basis", counting_hall_basis)
+    wt._workspace.cache_clear()
+    assert wt.verify_witness(pair).ok
+    assert calls == []
+    wt._workspace.cache_clear()
+    assert wt.build_witness((1, 0, 1), 6) == pair
+    assert calls == [7]
