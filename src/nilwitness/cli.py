@@ -36,8 +36,8 @@ EXIT_RESOURCE = 3
 MAX_SERIES_WEIGHT = 64
 # largest coinv --weight K: coinv eliminates K(K-1)/2 columns twice; the rows
 # hold at most 3 nonzeros, but the oracle's reversed order fills them in, so
-# over Q, the slowest ring, the time grows ~K^5: about 0.5 s at K = 24 and
-# 1 s at 28
+# over Q, the slowest ring, the time grows ~K^5: both eliminations take about
+# 0.4 s at K = 24 and 0.8 s at 28
 MAX_COINV_WEIGHT = 24
 # largest report --weight K, and largest weight 2n + 2 of identities --max-n:
 # neither builds a witness, and at the limit each takes about 10 s

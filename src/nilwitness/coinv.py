@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .series import PrimeField, Ring, TruncatedSeries, one_plus_x_power, sigma_tilde
+from .series import PrimeField, Ring, TruncatedSeries, sigma_tilde
 
 
 # --- exterior-square coinvariants
@@ -60,52 +60,27 @@ class CoinvariantSpace:
         }
 
 
-def wedge_coords(v: TruncatedSeries, w: TruncatedSeries) -> list:
-    """Coordinates of v ^ w in the x^i ^ x^j (i < j) basis.
+def _relation_rows(ring: Ring, trunc: int) -> tuple[tuple, list]:
+    """Wedge pairs and the rows t x^i ^ t x^j - x^i ^ x^j of the shift
+    t = 1 + x, one per pair i < j, in the lex-ordered x^i ^ x^j basis.
 
-    The sum of v_a w_b (x^a ^ x^b) over the nonzero coefficients of v and w:
-    a pair with a > b goes to (b, a) with its sign flipped, and a = b adds
-    nothing.  The basis is the K(K - 1)/2 lex-ordered pairs of
-    `_relation_rows` for K = v.trunc, where (i, j) sits at
-    i(2K - i - 1)/2 + (j - i - 1).
+    Since t x^i = x^i + x^(i+1), the row of (i, j) is
+    x^i ^ x^(j+1) + x^(i+1) ^ x^j + x^(i+1) ^ x^(j+1): every entry is 0 or
+    1, a term past x^(K-1) drops out, and x^(i+1) ^ x^j vanishes when
+    i + 1 = j.
     """
-    ring, K = v.ring, v.trunc
-    w_terms = [(b, wb) for b, wb in enumerate(w.coeffs) if wb]
-    acc: dict = {}
-    for a, va in enumerate(v.coeffs):
-        if not va:
-            continue
-        for b, wb in w_terms:
-            if a < b:
-                col, term = a * (2 * K - a - 1) // 2 + b - a - 1, va * wb
-            elif a > b:
-                col, term = b * (2 * K - b - 1) // 2 + a - b - 1, -va * wb
-            else:
-                continue
-            acc[col] = acc.get(col, 0) + term
-    out = [ring.coerce(0)] * (K * (K - 1) // 2)
-    for col, term in acc.items():
-        out[col] = ring.coerce(term)
-    return out
-
-
-def _relation_rows(ring: Ring, trunc: int, exponents: tuple) -> tuple[tuple, list]:
-    """Wedge pairs and the rows t^r v ^ t^r w - v ^ w over the monomial
-    pairs, exponent-major."""
     if trunc < 2:
         raise ValueError("need truncation >= 2 for a nonzero exterior square")
     pairs = tuple((i, j) for i in range(trunc) for j in range(i + 1, trunc))
-    basis_series = [
-        TruncatedSeries.monomial(ring, trunc, k) for k in range(trunc)
-    ]
+    column = {pair: idx for idx, pair in enumerate(pairs)}
+    one, zero = ring.coerce(1), ring.coerce(0)
     rows = []
-    for r in exponents:
-        t_r = one_plus_x_power(ring, r, trunc)
-        shifted = [t_r * f for f in basis_series]
-        for idx, (i, j) in enumerate(pairs):
-            row = wedge_coords(shifted[i], shifted[j])
-            row[idx] = ring.coerce(row[idx] - 1)
-            rows.append(row)
+    for i, j in pairs:
+        row = [zero] * len(pairs)
+        for pair in ((i, j + 1), (i + 1, j), (i + 1, j + 1)):
+            if pair in column:
+                row[column[pair]] = one
+        rows.append(row)
     return pairs, rows
 
 
@@ -118,9 +93,11 @@ def build_coinvariants(ring: Ring, trunc: int) -> CoinvariantSpace:
     t^r w - w = sum_{k<r} (t - 1)(t^k w), so it lies in the image of t - 1;
     t is invertible and commutes with t - 1, so negative powers add nothing
     either.  Over Q the coordinates of t^r w are polynomial in r, so rational
-    powers span no more than the integer ones.  The saturation tests re-check
-    this by eliminating rows of further integer and fractional exponents
-    (built by `_relation_rows`) and comparing ranks, pivots and rows.
+    powers span no more than the integer ones.  So the rows are those of t
+    alone, in closed form (`_relation_rows`), and the build makes no series
+    product.  The saturation tests re-check the claim: they add rows of
+    further integer and fractional exponents, built by an independent dense
+    oracle, and compare ranks, pivots and rows.
 
     The quotient has rank floor(K/2), and `theta` reads classes off in
     closed form.  Write A = R[x]/x^K, sigma for `sigma_tilde` (the ring
@@ -143,7 +120,7 @@ def build_coinvariants(ring: Ring, trunc: int) -> CoinvariantSpace:
        odd lowest degree.  The odd-degree coefficients are therefore
        coordinates on A-.
     """
-    pairs, rows = _relation_rows(ring, trunc, (1,))
+    pairs, rows = _relation_rows(ring, trunc)
     p = ring.p if isinstance(ring, PrimeField) else None
     rel_rank = linalg.field_rank(rows, p)
     return CoinvariantSpace(
@@ -176,7 +153,7 @@ def coinvariant_rank_oracle(ring: Ring, trunc: int) -> int:
     the wedge coordinates reversed; the resulting rank must match the primary
     computation.
     """
-    pairs, rows = _relation_rows(ring, trunc, (1,))
+    pairs, rows = _relation_rows(ring, trunc)
     p = ring.p if isinstance(ring, PrimeField) else None
     return len(pairs) - linalg.field_rank([row[::-1] for row in reversed(rows)], p)
 

@@ -19,14 +19,10 @@ anchor is pinned by tests rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .series import (
-    INFINITE_WEIGHT,
-    QQ,
     Ring,
     TruncatedSeries,
-    ZZ,
     one_plus_x_power,
     ring_from_tag,
 )
@@ -145,15 +141,6 @@ def phi_word(
     if not isinstance(w, WordExpr):
         w = parse_word_expr(str(w))
     return LampEvaluator(ring, trunc).eval(w)
-
-
-def to_rational(u: LampElement) -> LampElement:
-    """Coefficient-wise coercion of an element over Z into the group over Q."""
-    if u.f.ring != ZZ:
-        raise ValueError("expected an element over the integers")
-    return LampElement(
-        TruncatedSeries.from_coeffs(QQ, u.trunc, u.f.coeffs), Fraction(u.e)
-    )
 
 
 def gamma_weight_lamp(u: LampElement) -> int | float:

@@ -176,6 +176,8 @@ class MagnusElement:
 
     @staticmethod
     def generator(name: str, trunc: int) -> "MagnusElement":
+        if name not in ("a", "b"):
+            raise ValueError(f"unknown generator {name!r}")
         out = MagnusElement.one(trunc)
         row = [0, 0]
         row[0 if name == "a" else 1] = 1

@@ -116,10 +116,10 @@ class TruncatedSeries:
         return TruncatedSeries.from_coeffs(ring, trunc, (0, 1))
 
     @staticmethod
-    def monomial(ring: Ring, trunc: int, k: int, c=1) -> "TruncatedSeries":
+    def monomial(ring: Ring, trunc: int, k: int) -> "TruncatedSeries":
         if not 0 <= k < trunc:
             raise ValueError("exponent out of range")
-        return TruncatedSeries.from_coeffs(ring, trunc, (0,) * k + (c,))
+        return TruncatedSeries.from_coeffs(ring, trunc, (0,) * k + (1,))
 
     def _check(self, other: "TruncatedSeries") -> None:
         if self.ring != other.ring or self.trunc != other.trunc:

@@ -21,7 +21,9 @@ forms, and pin those two maps. ``verify_K10`` was recorded before
 witness words moved from truncation K + 1 to K, the change that touched
 the certificate most. ``coinv_Q_K16`` and ``coinv_Zp3_K24`` were recorded
 before exact elimination and the wedge moved to nonzero entries, and pin
-ranks past K = 12. When a change is meant to alter an output,
+ranks past K = 12. ``coinv_Q_K24`` (the CLI's weight limit) and
+``coinv_Zp5_K20`` were recorded before the relation rows of the shift moved
+to their closed form. When a change is meant to alter an output,
 re-run the command by hand, write its stdout over the file and say so in
 the change.
 """
@@ -51,6 +53,8 @@ CASES = {
     "coinv_Zp3_K8": ["coinv", "--ring", "Zp:3", "--weight", "8"],
     "coinv_Q_K16": ["coinv", "--ring", "Q", "--weight", "16"],
     "coinv_Zp3_K24": ["coinv", "--ring", "Zp:3", "--weight", "24"],
+    "coinv_Q_K24": ["coinv", "--ring", "Q", "--weight", "24"],
+    "coinv_Zp5_K20": ["coinv", "--ring", "Zp:5", "--weight", "20"],
     "coinv_Zp3_K8_in": [
         "coinv", "--ring", "Zp:3", "--weight", "8", "--in", str(GOLDEN / "series_K8.json")
     ],

@@ -373,6 +373,12 @@ def test_mismatched_truncations_rejected():
         g * h
 
 
+def test_generator_rejects_unknown_names():
+    for name in ("A", "B", "c", "", "ab"):
+        with pytest.raises(ValueError, match="unknown generator"):
+            mg.MagnusElement.generator(name, 3)
+
+
 def test_commutator_of_element_with_itself():
     g = mg.eval_word("[a,b] a", 6)
     assert mg.commutator(g, g).is_one()
