@@ -386,6 +386,12 @@ def commutator(g: MagnusElement, h: MagnusElement) -> MagnusElement:
             f"truncations {g.trunc} and {h.trunc} need to reach {T - wh} and "
             f"{T - wg} for a commutator at {T}"
         )
+    bit = _generator_bit(h)
+    if bit is not None:
+        return _commutator_with_generator(g, wg, bit, T)
+    bit = _generator_bit(g)
+    if bit is not None:
+        return _commutator_with_generator(h, wh, bit, T).inverse()
     ps = _nonzero_rows(g._deg, T - wh)
     qs = _nonzero_rows(h._deg, T - wg)
     out = _convolve([None] * (T + 1), ps, qs, g._scale * h._scale, bracket=True)
@@ -397,6 +403,58 @@ def commutator(g: MagnusElement, h: MagnusElement) -> MagnusElement:
         inv = _nonzero_rows(hg_inv._deg, low)
         _convolve(out, inv, _nonzero_rows(out, T - 1), hg_inv._scale)
     return MagnusElement(T, out)
+
+
+# the degree-1 rows of the generators a and b
+_GENERATOR_ROWS = ([1, 0], [0, 1])
+
+
+def _generator_bit(g: MagnusElement) -> int | None:
+    """0 if g is the generator a, 1 if it is b, None for any other element."""
+    deg = g._deg
+    if g._scale == 1 and g.trunc >= 1 and deg[1] in _GENERATOR_ROWS:
+        if deg[2:].count(None) == g.trunc - 1:
+            return deg[1][1]
+    return None
+
+
+def _commutator_with_generator(g: MagnusElement, w: int, bit: int, T: int) -> MagnusElement:
+    """[g, x] at T for g of weight w and the generator x = 1 + X of the
+    letter bit (0 for a, 1 for b): 1 + g^-1 (YX - XY) with Y = x^-1 (g - 1).
+
+    x Y = g - 1 gives Y_d = G_d - X Y_(d-1), and YX - XY starts at w + 1,
+    so g is read only below T.  A letter in front of a degree-d row is the
+    low (a) or high (b) half of a degree d + 1 row, and a letter behind it
+    every other slot, so no product is formed.  g^-1 = 1 + V has the weight
+    of g, so V (YX - XY) starts at 2w + 1: g^-1 is needed only up to
+    T - w - 1, as a series of about T / w terms, and not at all when
+    2w + 1 > T.  With g = 1 + s G the whole of [g, x] - 1 is s times the
+    same expression in G, so the rows are built from g's stored rows and
+    the result has g's scale.
+    """
+    out: Rows = [None] * (T + 1)
+    y = None
+    for d in range(w, T):
+        row = g._deg[d]
+        if y is not None:
+            row = list(row) if row else [0] * (1 << d)
+            lo, hi = bit * len(y), (bit + 1) * len(y)
+            row[lo:hi] = map(operator.sub, row[lo:hi], y)
+        if row is None:
+            continue
+        c = [0] * (2 << d)
+        c[bit::2] = row
+        lo, hi = bit << d, (bit + 1) << d
+        c[lo:hi] = map(operator.sub, c[lo:hi], row)
+        out[d + 1] = c
+        y = row
+    if 2 * w + 1 <= T:
+        low = T - w - 1
+        inv = g.truncate(low).inverse()
+        _convolve(out, _nonzero_rows(inv._deg, low), _nonzero_rows(out, T - w), inv._scale)
+    result = MagnusElement(T, out)
+    result._scale = g._scale
+    return result
 
 
 def eval_word(w: GroupWord | WordExpr | str, trunc: int) -> MagnusElement:

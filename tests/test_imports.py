@@ -40,3 +40,69 @@ def test_unread_imports_are_found():
 def test_module_reads_every_name_it_imports(module):
     source = (PACKAGE / f"{module}.py").read_text()
     assert unread_imports(source) == set()
+
+
+# --- every definition has a reader --------------------------------------------
+
+# definitions that nothing in src reads, each with the reader that keeps it
+UNREAD_IN_SRC = {
+    "magnus.MagnusElement.coefficient": "tests/test_magnus.py, reading single coefficients",
+    "magnus.MagnusElement.mul_letter": "bench/tracer.py, the magnus.letter layer",
+    "magnus.MagnusElement.conjugate_letter": "bench/tracer.py, the magnus.letter layer",
+    "magnus.MagnusElement.degree_terms": "bench/child.py max_coeff_bits, and the tests' oracle",
+    "magnus.eval_word": "the package exports (__init__) and the tests",
+    "series.TruncatedSeries.monomial": "tests/test_acceptance.py and the series tests",
+    "series.TruncatedSeries.x": "tests/test_series.py and tests/test_coinv.py",
+    "series.antipode": "the package exports (__init__) and tests/test_series.py",
+    "series.tau_q": "the package exports (__init__) and tests/test_acceptance.py",
+    "witness.WitnessPair.s_word": "bench/child.py max_coeff_bits",
+    "words.WordExpr.to_group_word": "the tests' letter-level oracle",
+}
+
+
+def unread_definitions(sources: dict[str, str]) -> set[str]:
+    """The functions, methods and classes of the modules in `sources` (name
+    -> text) that none of them loads by name: a module-level definition by
+    its name or as an attribute, a method as an attribute only.  A dunder
+    method is read by the syntax that calls it, so it never counts."""
+    trees = [ast.parse(text) for text in sources.values()]
+    loads = [n for t in trees for n in ast.walk(t) if isinstance(getattr(n, "ctx", None), ast.Load)]
+    names = {n.id for n in loads if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in loads if isinstance(n, ast.Attribute)}
+    unread = set()
+
+    def visit(body, prefix, in_class):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                read = name in attrs or (not in_class and name in names)
+                if not read and not (name.startswith("__") and name.endswith("__")):
+                    unread.add(prefix + name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{name}.", True)
+
+    for module, tree in zip(sources, trees):
+        visit(tree.body, f"{module}.", False)
+    return unread
+
+
+def test_unread_definitions_are_found():
+    source = (
+        "class C:\n"
+        "    def used(self): pass\n"
+        "    def unused(self): pass\n"
+        "    def __eq__(self, other): pass\n"
+        "def f(): pass\n"
+        "def g(): pass\n"
+        "def unused(): pass\n"
+        "C().used(f)\n"
+        "x = m.g\n"
+    )
+    # a method is not read by a plain name that happens to match it
+    assert unread_definitions({"m": source}) == {"m.C.unused", "m.unused"}
+    assert unread_definitions({"m": source + "unused()\n"}) == {"m.C.unused"}
+
+
+def test_every_definition_has_a_reader():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_definitions(sources) == set(UNREAD_IN_SRC)

@@ -6,6 +6,7 @@ import copy
 import functools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -24,10 +25,14 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def poly_mul(p, q, trunc):
+    # q's words grouped by length, so that only pairs within trunc are visited
+    by_len = {}
+    for w2, c2 in q.items():
+        by_len.setdefault(len(w2), []).append((w2, c2))
     out = {}
     for w1, c1 in p.items():
-        for w2, c2 in q.items():
-            if len(w1) + len(w2) <= trunc:
+        for n in range(trunc - len(w1) + 1):
+            for w2, c2 in by_len.get(n, ()):
                 key = w1 + w2
                 out[key] = out.get(key, 0) + c1 * c2
     return {w: c for w, c in out.items() if c}
@@ -572,6 +577,86 @@ def test_defect_reads_its_inputs_one_degree_short(K, r, s):
     assert got == mg.commutator(R, a) * mg.commutator(S, b)
     word = wd.product(wd.Comm(r, wd.A), wd.Comm(s, wd.B)).to_group_word()
     assert as_dict(got) == oracle_eval(_text(word.letters), K + 1)
+
+
+# --- commutators with a generator, in closed form ----------------------------
+
+
+def _generator_partners(T):
+    """(name, g, oracle of g, oracle of g^-1) at T: a plain word, a power of
+    a basis word (a view at T < 6), and a deep view with scale 3, the cube
+    of a unit 1 + U with random rows from degree T // 2 + 1 up."""
+    word = "aBBabAb"
+    yield "word", mg.eval_word(word, T), oracle_eval(word, T), oracle_eval(word[::-1].swapcase(), T)
+    base = wd.parse_word_expr("[a,b,a]")
+    ob = _oracle_cached(_text(base.to_group_word().letters), T)
+    g = mg.MagnusEvaluator(T).eval(base) ** -2
+    yield "basis power", g, poly_pow(ob, -2, T), poly_pow(ob, 2, T)
+    rng, w = random.Random(T), T // 2 + 1
+    rows = [None] * w + [[rng.randint(-3, 3) for _ in range(1 << d)] for d in range(w, T + 1)]
+    rows[w][0] = 1
+    unit = {mg.mask_word(m, d).upper(): c for d in range(w, T + 1) for m, c in enumerate(rows[d])}
+    view = mg.MagnusElement(T, rows) ** 3
+    assert view._scale == 3
+    og = {"": 1, **{k: 3 * c for k, c in unit.items() if c}}
+    yield "deep view", view, og, poly_inverse(og, T)
+
+
+@pytest.mark.parametrize("T", range(1, 13))
+def test_commutator_with_a_generator_matches_oracle(T, monkeypatch):
+    partners = list(_generator_partners(T))
+
+    def no_bracket(*args):
+        raise AssertionError("a commutator with a generator formed a bracket of rows")
+
+    monkeypatch.setattr(mg, "bracket_rows", no_bracket)
+    for name, g, og, ig in partners:
+        for letter in "ab":
+            x = mg.MagnusElement.generator(letter, T)
+            ox, ix = oracle_eval(letter, T), oracle_eval(letter.upper(), T)
+            g_x = poly_mul(ig, poly_mul(ix, poly_mul(og, ox, T), T), T)
+            x_g = poly_mul(ix, poly_mul(ig, poly_mul(ox, og, T), T), T)
+            # [g, x] at T reads g only below T
+            for tg in {T, max(T - 1, 1)}:
+                case = (name, letter, tg)
+                assert as_dict(mg.commutator(g.truncate(tg), x)) == g_x, case
+                assert as_dict(mg.commutator(x, g.truncate(tg))) == x_g, case
+            if T >= 3:
+                short = g.truncate(T - 2)
+                wg = short._weight()
+                message = "truncations {} and {} need to reach {} and {} for a commutator at {}"
+                with pytest.raises(ValueError, match=re.escape(
+                    message.format(T - 2, T, T - 1, T - wg, T)
+                )):
+                    mg.commutator(short, x)
+                with pytest.raises(ValueError, match=re.escape(
+                    message.format(T, T - 2, T - wg, T - 1, T)
+                )):
+                    mg.commutator(x, short)
+
+
+def test_defect_at_K12_forms_one_product_and_no_bracket(monkeypatch):
+    # [R, a] and [S, b] take the closed form, so the defect's one product is
+    # the product of the two commutators; R and S have weight 1, so both
+    # commutators also run their correction by R^-1 and S^-1
+    ev = mg.MagnusEvaluator(12)
+    R, S = ev.eval(wd.parse_word_expr("a b^-1 [a,b]^3")), ev.eval(wd.parse_word_expr("B a [a,b,b]"))
+    counts = {"brackets": 0, "products": 0}
+    bracket_rows, mul = mg.bracket_rows, mg.MagnusElement.__mul__
+
+    def counting_bracket_rows(*args):
+        counts["brackets"] += 1
+        return bracket_rows(*args)
+
+    def counting_mul(self, other):
+        counts["products"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(mg, "bracket_rows", counting_bracket_rows)
+    monkeypatch.setattr(mg.MagnusElement, "__mul__", counting_mul)
+    D = wt._defect(R, S)
+    assert counts == {"brackets": 0, "products": 1}
+    assert D.trunc == 13 and mg.gamma_weight(D) == 2
 
 
 def test_parser_rejects_unbounded_iterate_count(monkeypatch):

@@ -9,6 +9,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilwitness import freelie as fl
 from nilwitness import lamplighter as lp
@@ -135,8 +137,10 @@ def test_json_roundtrip():
     assert wt.verify_witness(back).ok
 
 
-def _tamper_factor(pair: wt.WitnessPair, which: str, index: int) -> wt.WitnessPair:
-    """Bump one exponent inside one factor word."""
+def _tamper_factor(
+    pair: wt.WitnessPair, which: str, index: int, delta: int = 1
+) -> wt.WitnessPair:
+    """Change one exponent inside one factor word by delta."""
     factors = list(getattr(pair, which))
     expr = factors[index]
     if isinstance(expr, wd.Prod) and expr.parts:
@@ -144,9 +148,9 @@ def _tamper_factor(pair: wt.WitnessPair, which: str, index: int) -> wt.WitnessPa
     else:
         head, rest = expr, ()
     if isinstance(head, wd.Pow):
-        tampered = wd.power(head.base, head.exp + 1)
+        tampered = wd.power(head.base, head.exp + delta)
     else:
-        tampered = wd.power(head, 2)
+        tampered = wd.power(head, 1 + delta)
     factors[index] = wd.product(tampered, *rest)
     return dataclasses.replace(pair, **{which: tuple(factors)}, report=None)
 
@@ -277,6 +281,121 @@ def test_tampered_golden_covers_every_case():
 def test_tampered_report_matches_golden(pair_K9, name):
     golden = json.loads(TAMPERED_GOLDEN.read_text())[name]
     assert wt.verify_witness(TAMPERED[name](pair_K9)).to_json() == golden
+
+
+# --- p1 certified by the last defect ------------------------------------------
+
+
+def _per_step_report(pair: wt.WitnessPair) -> wt.Report:
+    """verify_witness as it ran before p1 was read off the last defect: the
+    defect checked after every step.  The reference for the one-defect
+    check, which must give the same full report."""
+    K = pair.K
+    top = max(K, 0)
+    ws = wt._workspace(max(K, 1))
+    fails = {name: [] for name in ("p0", "p1", "p2", "p3")}
+    n_r, n_s, n_n = len(pair.r_factors), len(pair.s_factors), len(pair.n)
+    if not n_r == n_s == n_n == K - 2:
+        fails["p0"].append(
+            f"K = {K} needs {K - 2} factors and exponents, got r {n_r}, s {n_s}, n {n_n}"
+        )
+    R = S = mg.MagnusElement.one(ws.K)
+    for k, r, s in zip(pair.factor_indices(), pair.r_factors, pair.s_factors):
+        r_val, s_val = ws.magnus.eval(r), ws.magnus.eval(s)
+        for name, val in (("r", r_val), ("s", s_val)):
+            gw = mg.gamma_weight(val)
+            if gw < k:
+                fails["p0"].append(f"{name}^({k}) has weight {gw} < {k}")
+        R, S = R * r_val, S * s_val
+        Tk = min(k, top)
+        defect = wt._defect(R.truncate(Tk), S.truncate(Tk))
+        if not defect.is_one():
+            fails["p1"].append(f"step {k}: defect has weight {mg.gamma_weight(defect)}")
+        img = ws.lamp.eval(s)
+        if not img.is_identity():
+            fails["p2"].append(f"s^({k}) maps to {img}")
+    lamp_r = ws.lamp.eval(pair.r_word())
+    if lamp_r.e != 0:
+        fails["p3"].append(f"r-product has shift exponent {lamp_r.e}")
+    if lamp_r.f != wt.witness_series(pair):
+        fails["p3"].append("series of the r-product disagrees with the exponent data")
+    for i in range(1, (K - 1) // 2 + 1):
+        slot = 2 * i + 1
+        want = wt._q_at(pair.q, i)
+        got = lamp_r.f.coeffs[slot - 1]
+        if got != want:
+            fails["p3"].append(f"controlled exponent n_{slot} = {got}, expected {want}")
+    return wt.Report(
+        **{name: wt.PropertyResult(not f, "; ".join(f)) for name, f in fails.items()}
+    )
+
+
+def _prefix(pair: wt.WitnessPair, K: int) -> wt.WitnessPair:
+    """The witness at K that a build at K gives: growing K only appends."""
+    cut = K - 2
+    return dataclasses.replace(
+        pair, K=K, r_factors=pair.r_factors[:cut], s_factors=pair.s_factors[:cut], n=pair.n[:cut]
+    )
+
+
+def test_honest_verify_reads_one_defect(monkeypatch):
+    pair = dataclasses.replace(wt.build_witness((1, 0, 1, 1, 0), 11), report=None)
+    calls = []
+    defect = wt._defect
+
+    def counting_defect(R, S):
+        calls.append(R.trunc)
+        return defect(R, S)
+
+    monkeypatch.setattr(wt, "_defect", counting_defect)
+    for K in range(3, 12):
+        calls.clear()
+        assert wt.verify_witness(_prefix(pair, K)).ok
+        # the defect after the last step, at K + 1, and no other
+        assert calls == [K]
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED))
+def test_one_defect_report_matches_the_per_step_loop(pair_K9, name):
+    bad = TAMPERED[name](pair_K9)
+    assert wt.verify_witness(bad) == _per_step_report(bad)
+
+
+_SIDES = st.sampled_from(["r_factors", "s_factors"])
+
+
+@st.composite
+def _mutations(draw, pair: wt.WitnessPair):
+    """A mutated witness at K = 6-9: an exponent changed, two factors of one
+    side swapped, one factor cut, or the last r-factor times a power of a
+    commutator of weight K - 1, K or K + 1."""
+    K = draw(st.integers(6, 9))
+    pair = _prefix(pair, K)
+    index = st.integers(0, K - 3)
+    kind = draw(st.sampled_from(["exponent", "swap", "cut", "deep"]))
+    if kind == "exponent":
+        delta = draw(st.integers(-2, 2).filter(bool))
+        return _tamper_factor(pair, draw(_SIDES), draw(index), delta)
+    if kind == "deep":
+        weight, m = K + draw(st.integers(-1, 1)), draw(st.integers(-2, 2).filter(bool))
+        last = wd.product(pair.r_factors[-1], wd.power(wd.engel(weight - 1), m))
+        return dataclasses.replace(pair, r_factors=pair.r_factors[:-1] + (last,))
+    which = draw(_SIDES)
+    factors = list(getattr(pair, which))
+    i = draw(index)
+    if kind == "swap":
+        j = draw(index)
+        factors[i], factors[j] = factors[j], factors[i]
+    else:
+        del factors[i]
+    return dataclasses.replace(pair, **{which: tuple(factors)})
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_defect_report_matches_the_per_step_loop_on_mutations(pair_K9, data):
+    bad = data.draw(_mutations(pair_K9))
+    assert wt.verify_witness(bad) == _per_step_report(bad)
 
 
 def test_build_work_counts(monkeypatch):
