@@ -32,18 +32,32 @@ PQ - QP the same way, taking each coefficient product once and adding it
 to the PQ block and subtracting it from the QP block; when P has no fewer
 entries than Q it forms -(QP - PQ) instead, so that one loop keeps the
 shorter side outermost.  _convolve runs either over the degrees of two
-series; commutator runs the bracket kernel for PQ - QP into one table; the
-free Lie layer runs it for every bracket, every Jacobi rewrite and its
-substitution check.  A deep element, 2 weight(u) > trunc for u = g - 1, has
-u^2 = 0, so its powers take the closed form (1 + u)^n = 1 + n u: a view
-that holds the rows of u and the scale n, with no row copied.
+series; commutator runs the bracket kernel for PQ - QP into one table when
+neither side is a generator; the free Lie layer runs it for every bracket,
+every Jacobi rewrite and its substitution check.  A deep element,
+2 weight(u) > trunc for u = g - 1, has u^2 = 0, so its powers take the
+closed form (1 + u)^n = 1 + n u: a view that holds the rows of u and the
+scale n, with no row copied.
+
+A commutator with a generator x = 1 + X, the shape of [R, a] and [S, b] in
+every witness defect and of each step of an iterated commutator [u,_k b],
+takes a closed form of its own: [g, x] = 1 + g^-1 (YX - XY), where
+Y = x^-1 (g - 1) comes from the recurrence Y_d = G_d - X Y_(d-1).  A letter
+in front of a row fills the low half (a) or the high half (b) of the next degree's row,
+and a letter behind it every other slot, so Y and YX - XY are slice
+assignments, and x^-1 is never formed.  g^-1 has the weight of g, so its
+series has about T / weight(g) terms and is skipped when
+2 weight(g) + 1 > T; [x, g] is [g, x]^-1, a view when [g, x] is deep.  The
+general form inverts hg, of weight 1 when one side is a letter, by a series
+of about T terms; writing that inverse as g^-1 h^-1 saved nothing, because
+the letter's inverse is itself a series of T terms.
 
 A GroupWord is evaluated as the product of its letters, through the same
 walk as any expression, words.evaluate, on a cache seeded with 1 + A, 1 + B
 and 1; the walk takes [g, h] as g.commutator(h), which calls the module
-function commutator by its global name.  mul_letter and conjugate_letter are plain products
-with a generator; they stay because the benchmark's tracer times them as a
-layer of its own.
+function commutator by its global name.  mul_letter and conjugate_letter
+are plain products with a generator; they stay because the benchmark's
+tracer times them as a layer of its own.
 """
 
 from __future__ import annotations
@@ -370,8 +384,9 @@ def _convolve(
 
 
 def commutator(g: MagnusElement, h: MagnusElement) -> MagnusElement:
-    """g^-1 h^-1 g h, computed as 1 + (hg)^-1 (gh - hg), at the larger of
-    the two truncations T.
+    """g^-1 h^-1 g h at the larger of the two truncations T: in closed form
+    when one side is a generator (module docstring), else computed as
+    1 + (hg)^-1 (gh - hg).
 
     With g = 1 + P and h = 1 + Q the difference gh - hg is PQ - QP, which
     starts at weight(g) + weight(h); so (hg)^-1 is needed only below

@@ -42,6 +42,15 @@ the words in the lamplighter group, so the certificate does not rest on
 this lemma.  It checks (0)-(2) in one pass over the factors in index order
 and (3) on the image of the whole r-product.
 
+When (0) holds, (1) is read off the last defect alone.  The defect after
+step k is checked at k + 1, where [R, a][S, b] reads R and S only below
+degree k + 1; the factors of later steps have weight above k, so there R
+and S already equal the full products.  The last defect, at K + 1, truncated
+at k + 1 is therefore the defect after step k, and a trivial last defect
+makes every earlier one trivial.  When (0) fails or the last defect is not
+trivial, the defect after every step is checked, so the report names each
+failing step.
+
 Builds and verifies at one K share a workspace: the Magnus and ZZ
 lamplighter evaluators at K, with the value of every subexpression they
 evaluated, and the Hall basis to K + 1, with the expansions and expressions
@@ -299,6 +308,9 @@ def verify_witness(pair: WitnessPair) -> Report:
     (0)-(2) are checked in one pass over the indexed pairs of factors, which
     evaluates each factor in the Magnus ring once; that pass stops at the
     shorter factor list, so (3) evaluates the whole r-product on its own.
+    When (0) passes, a trivial defect after the last step certifies (1)
+    for every step (module docstring); otherwise the defect after each step
+    is computed, so the report lists every failing step.
 
     Failures are recorded with the first failing weight or factor index;
     they are data, not exceptions.
