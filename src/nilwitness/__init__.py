@@ -23,18 +23,14 @@ from .magnus import (
     leading_lie,
 )
 from .series import (
-    LaurentPoly,
     PrimeField,
     QQ,
     TruncatedSeries,
     ZZ,
-    antipode,
     check_augmentation_iso,
     rat_pow,
     ring_from_tag,
     sigma_tilde,
-    tau,
-    tau_q,
 )
 from .coinv import (
     CoinvariantSpace,
@@ -51,7 +47,6 @@ from .witness import (
     witness_series,
 )
 from .words import (
-    GroupWord,
     WordExpr,
     alternating_engel_product,
     engel,

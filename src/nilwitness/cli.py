@@ -8,7 +8,9 @@ exit code: 0 when the verdict holds, 1 when a mathematical check failed.  The
 verdict is the report's "ok" field; construct, whose report has none, returns
 the witness report's.  An exception becomes exit code 2 for usage errors, 1
 for internal errors and 3 for resource or I/O errors, and then no report is
-written.  Reports are deterministic byte-for-byte for a fixed configuration
+written.  An exception of a type that main does not name is an internal
+error, printed as "internal error: <type>: <message>" with no traceback.
+Reports are deterministic byte-for-byte for a fixed configuration
 (timings go to stderr, never into the JSON).
 """
 
@@ -403,6 +405,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("resource limit exceeded", file=sys.stderr)
         return EXIT_RESOURCE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Completed lamplighter groups at truncation: R[[x]] extended by a cyclic
-shift, with the shift acting through the substitution t -> 1 + x.
+shift t, which acts as multiplication by 1 + x; its powers (1 + x)^e come
+in closed form from series.one_plus_x_power.
 
 The coefficient ring R is any ring of the series module: the integers, the
 rationals or Z/p.  An element carries no ring of its own; it reads R and the
@@ -13,7 +14,8 @@ e.  The multiplication twists the right-hand series by the inverse shift,
 
 the sign of the action chosen so that the iterated commutators
 [a,_k b] of the generators a = (1, 0), b = (0, 1) land on (x^k, 0); that
-anchor is pinned by tests rather than assumed.
+anchor is pinned by tests rather than assumed.  phi_word takes a word as
+a WordExpr or as its text, the one form of a word in the package.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .series import (
     one_plus_x_power,
     ring_from_tag,
 )
-from .words import GroupWord, WordExpr, evaluate, parse_word_expr, seeded
+from .words import WordExpr, evaluate, parse_word_expr, seeded
 
 
 @dataclass(frozen=True)
@@ -131,11 +133,11 @@ class LampEvaluator:
 
 
 def phi_word(
-    w: GroupWord | WordExpr | str, ring: Ring | str = "Z", trunc: int = 8
+    w: WordExpr | str, ring: Ring | str = "Z", trunc: int = 8
 ) -> LampElement:
     """Image of a free-group word under a -> (1, 0), b -> (0, 1) over
-    `ring` (a Ring or its tag).  Text and a GroupWord (whose text is its
-    letters) are parsed first and evaluated as an expression."""
+    `ring` (a Ring or its tag).  Text is parsed first and evaluated as an
+    expression."""
     if isinstance(ring, str):
         ring = ring_from_tag(ring)
     if not isinstance(w, WordExpr):

@@ -52,12 +52,12 @@ general form inverts hg, of weight 1 when one side is a letter, by a series
 of about T terms; writing that inverse as g^-1 h^-1 saved nothing, because
 the letter's inverse is itself a series of T terms.
 
-A GroupWord is evaluated as the product of its letters, through the same
-walk as any expression, words.evaluate, on a cache seeded with 1 + A, 1 + B
-and 1; the walk takes [g, h] as g.commutator(h), which calls the module
-function commutator by its global name.  mul_letter and conjugate_letter
-are plain products with a generator; they stay because the benchmark's
-tracer times them as a layer of its own.
+A word is evaluated as an expression, text being parsed first, by
+words.evaluate on a cache seeded with 1 + A, 1 + B and 1; the walk takes
+[g, h] as g.commutator(h), which calls the module function commutator by
+its global name.  mul_letter and conjugate_letter are plain products with
+a generator; they stay because the benchmark's tracer times them as a
+layer of its own.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from .words import (
     A,
     B,
     Comm,
-    GroupWord,
     WordExpr,
     alternating_engel_product,
     engel,
@@ -209,8 +208,9 @@ class MagnusElement:
         return 0 if row is None else self._scale * row[word_mask(monomial)]
 
     def degree_terms(self, d: int) -> dict[str, int]:
-        """Degree-d homogeneous part as a dict over words in a, b; for
-        display only, since every computation reads the rows."""
+        """Degree-d homogeneous part as a dict over words in a, b.  No
+        computation here reads it (they all read the rows); the benchmark's
+        coefficient-size metric and the tests' dict oracle do."""
         row, s = self._deg[d], self._scale
         return {} if row is None else {mask_word(m, d): s * c for m, c in zip(*nonzero(row))}
 
@@ -472,12 +472,12 @@ def _commutator_with_generator(g: MagnusElement, w: int, bit: int, T: int) -> Ma
     return result
 
 
-def eval_word(w: GroupWord | WordExpr | str, trunc: int) -> MagnusElement:
+def eval_word(w: WordExpr | str, trunc: int) -> MagnusElement:
     """Image of a word under a -> 1 + A, b -> 1 + B at the given truncation.
 
-    Text and a GroupWord (whose text is its letters) are parsed first, so
-    every word is evaluated bottom-up as an expression: commutators cost
-    group operations instead of expanded word length.
+    Text is parsed first, so every word is evaluated bottom-up as an
+    expression: commutators cost group operations instead of expanded word
+    length.
     """
     if not isinstance(w, WordExpr):
         w = parse_word_expr(str(w))

@@ -1,12 +1,14 @@
-"""Truncated commutative power series R[x]/x^K and Laurent polynomials R[C].
+"""Truncated commutative power series R[x]/x^K.
 
 Three coefficient rings: the integers, the rationals (exact fractions), and
-the integers modulo an odd prime.  On top of the arithmetic this module
-provides the substitution t -> 1 + x from the group ring of the infinite
-cyclic group C = <t>, the antipode t -> t^-1 and the involution it induces on
-series, rational powers of one-units, and a certified check that the
-substitution identifies R[C] modulo powers of the augmentation ideal with
-truncated series.
+the integers modulo an odd prime.  The group ring R[C] of the infinite
+cyclic group C = <t> appears here only through its image under t -> 1 + x:
+an element sum c_e t^e is the series sum c_e (1 + x)^e, each power given in
+closed form by one_plus_x_power.  On top of the arithmetic this module
+provides the involution sigma_tilde that t -> t^-1 induces on series,
+rational powers of one-units, and a certified check that the substitution
+identifies R[C] modulo powers of the augmentation ideal with truncated
+series.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Mapping, Sequence
+from typing import ClassVar, Sequence
 
 from . import linalg
 
@@ -177,69 +179,6 @@ class TruncatedSeries:
         return " + ".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Element of the group ring R[C], C = <t>; exponent -> coefficient."""
-
-    ring: Ring
-    terms: Mapping[int, object]
-
-    @staticmethod
-    def from_terms(ring: Ring, terms: Mapping[int, object]) -> "LaurentPoly":
-        clean = {}
-        for e, c in terms.items():
-            c = ring.coerce(c)
-            if c != 0:
-                clean[int(e)] = c
-        return LaurentPoly(ring, clean)
-
-    @staticmethod
-    def t_power(ring: Ring, e: int) -> "LaurentPoly":
-        return LaurentPoly.from_terms(ring, {e: 1})
-
-    @staticmethod
-    def one(ring: Ring) -> "LaurentPoly":
-        return LaurentPoly.t_power(ring, 0)
-
-    def _check(self, other: "LaurentPoly") -> None:
-        if self.ring != other.ring:
-            raise ValueError("mismatched rings")
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly.from_terms(self.ring, out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly.from_terms(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        out: dict[int, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly.from_terms(self.ring, out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.ring == other.ring and dict(self.terms) == dict(other.terms)
-
-    def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
-
-
-def antipode(p: LaurentPoly) -> LaurentPoly:
-    """The group-ring involution t^i -> t^-i."""
-    return LaurentPoly.from_terms(p.ring, {-e: c for e, c in p.terms.items()})
-
-
 def binomials(r, n: int) -> list:
     """C(r, 0), ..., C(r, n - 1) for rational r, by the recurrence
     C(r, k + 1) = C(r, k) (r - k) / (k + 1): exact ints when r is an integer
@@ -255,23 +194,16 @@ def binomials(r, n: int) -> list:
 
 
 def one_plus_x_power(ring: Ring, r, trunc: int) -> TruncatedSeries:
-    """(1 + x)^r for rational r: the coefficients are the binomials C(r, k).
-    A non-integer r needs the rational ring."""
+    """(1 + x)^r for rational r, the image of t^r: the coefficients are the
+    binomials C(r, k).  A non-integer r needs the rational ring."""
     if Fraction(r).denominator != 1 and not isinstance(ring, RationalRing):
         raise ValueError("rational powers need the rational coefficient ring")
     return TruncatedSeries.from_coeffs(ring, trunc, binomials(r, trunc))
 
 
-def tau(p: LaurentPoly, trunc: int) -> TruncatedSeries:
-    """Ring homomorphism R[C] -> R[x]/x^K extending t -> 1 + x."""
-    out = TruncatedSeries.zero(p.ring, trunc)
-    for e, c in p.terms.items():
-        out = out + one_plus_x_power(p.ring, e, trunc).scale(c)
-    return out
-
-
 def sigma_tilde(f: TruncatedSeries) -> TruncatedSeries:
-    """Involution of R[x]/x^K induced by the antipode through tau.
+    """Involution of R[x]/x^K induced through t -> 1 + x by the group-ring
+    involution t -> t^-1.
 
     It substitutes x -> (1 + x)^-1 - 1 = -x / (1 + x), so x^k maps to
     (-x)^k (1 + x)^-k, and coefficient n >= 1 of the image is
@@ -308,23 +240,19 @@ def rat_pow(f: TruncatedSeries, r) -> TruncatedSeries:
     return acc
 
 
-def tau_q(r, trunc: int) -> TruncatedSeries:
-    """Image of the group element t^r, rational r: (1 + x)^r over Q."""
-    return one_plus_x_power(QQ, r, trunc)
-
-
 # --- the augmentation-filtration isomorphism certificate
 
 
 def augmentation_iso_report(ring: Ring, n: int) -> dict:
-    """Certificates that tau identifies R[C]/I^n with R[x]/x^n.
+    """Certificates that t -> 1 + x identifies R[C]/I^n with R[x]/x^n.
 
     I is the augmentation ideal (kernel of t -> 1).  Working over the
     spanning set {t^-N, ..., t^N}, N = n + 2, the report certifies:
 
-    * surjectivity - the rows tau(t^j) mod x^n span R^n (over Z: with all
+    * surjectivity - the rows (1 + x)^j mod x^n span R^n (over Z: with all
       elementary divisors 1, so the row lattice is the full lattice);
-    * kernel containment - tau((t-1)^n t^j) has valuation >= n;
+    * kernel containment - the image of each (t-1)^n t^j, the sum of the
+      rows weighted by its coefficient vector, is 0 mod x^n;
     * kernel exactness - the relation lattice of the rows equals the lattice
       spanned by the coefficient vectors of (t-1)^n t^j (over a field, equal
       dimensions plus containment);
@@ -357,14 +285,13 @@ def augmentation_iso_report(ring: Ring, n: int) -> dict:
             surj = rank == n
             null_rank = len(rows) - rank
             ideal_rank = linalg.field_rank(ideal_rows, p)
-            # containment: each ideal row maps to valuation >= n
             exact = ideal_rank == null_rank
+        # containment: each ideal row weights the rows of (1 + x)^e into
+        # sum c_e (1 + x)^e, which must vanish mod x^n
         contain = all(
-            tau(
-                LaurentPoly.from_terms(ring, {j + k: binom[k] for k in range(n + 1)}),
-                n,
-            ).is_zero()
-            for j in range(-N, N - n + 1)
+            ring.coerce(sum(c * row[d] for c, row in zip(vec, rows) if c)) == 0
+            for vec in ideal_rows
+            for d in range(n)
         )
         results[f"N={N}"] = {
             "surjective": bool(surj),

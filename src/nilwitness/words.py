@@ -1,23 +1,17 @@
-"""Words and word expressions in the free group on a, b.
+"""Word expressions in the free group on a, b.
 
-Two layers:
-
-* GroupWord - a freely reduced word, stored as a tuple of signed letters
-  (+1 = a, -1 = a^-1, +2 = b, -2 = b^-1).  The canonical form of a word.
-
-* WordExpr - a structured expression (letters, powers, commutators,
-  products) that evaluates to a group element.  Expressions are what the
-  text syntax parses to; keeping the commutator structure around lets
-  evaluators work at the element level instead of expanding commutators
-  into very long letter strings.
+A WordExpr is a structured expression (letters, powers, commutators,
+products) that evaluates to a group element.  Expressions are what the text
+syntax parses to, and the one form of a word in this package; keeping the
+commutator structure around lets evaluators work at the element level
+instead of expanding commutators into very long letter strings.
 
 evaluate is the one walk over an expression: the Magnus and lamplighter
-evaluators and the expansion into a GroupWord all run it, each with its own
-cache.  A cache starts as seeded(a, b, one), the values of the leaves, and
-the walk asks each value for its products, powers and commutators, so no
-group object stands beside the values.  This module imports no other of the
-package; the expressions of Lyndon basis words are built by
-freelie.HallBasis.word_expr.
+evaluators both run it, each with its own cache.  A cache starts as
+seeded(a, b, one), the values of the leaves, and the walk asks each value
+for its products, powers and commutators, so no group object stands beside
+the values.  This module imports no other of the package; the expressions
+of Lyndon basis words are built by freelie.HallBasis.word_expr.
 
 Text syntax: letters a, A (= a^-1), b, B (= b^-1); commutators "[u,v]",
 left-normalized chains "[u,v,w,...]", iterated form "[u,_n v]" with
@@ -33,62 +27,10 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass
-
-_LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
-_SIGNED = {"a": 1, "A": -1, "b": 2, "B": -2}
 
 # largest n accepted in "[u,_n v]", and most brackets in one chain
 # "[u,v,_n w,...]"; the chains of a witness of depth K hold about K brackets
 MAX_ITERATE = 64
-
-
-@dataclass(frozen=True)
-class GroupWord:
-    """Freely reduced word over {a, a^-1, b, b^-1}."""
-
-    letters: tuple[int, ...]
-
-    @staticmethod
-    def identity() -> "GroupWord":
-        return GroupWord(())
-
-    @staticmethod
-    def from_letters(seq) -> "GroupWord":
-        out: list[int] = []
-        for s in seq:
-            if out and out[-1] == -s:
-                out.pop()
-            else:
-                out.append(s)
-        return GroupWord(tuple(out))
-
-    @staticmethod
-    def parse(text: str) -> "GroupWord":
-        return GroupWord.from_letters(_SIGNED[ch] for ch in text if not ch.isspace())
-
-    def __mul__(self, other: "GroupWord") -> "GroupWord":
-        return GroupWord.from_letters(self.letters + other.letters)
-
-    def inverse(self) -> "GroupWord":
-        return GroupWord(tuple(-s for s in reversed(self.letters)))
-
-    def __pow__(self, n: int) -> "GroupWord":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return GroupWord.from_letters(self.letters * n)
-
-    def commutator(self, other: "GroupWord") -> "GroupWord":
-        return self.inverse() * other.inverse() * self * other
-
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def __str__(self) -> str:
-        return "".join(_LETTER[s] for s in self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
 
 # --- structured expressions
@@ -113,15 +55,6 @@ class WordExpr:
 
     def __hash__(self):
         return hash(self._text)
-
-    def to_group_word(self) -> GroupWord:
-        """Expand to a reduced letter word.
-
-        Subexpression words are cached for the duration of the call, so
-        each distinct subexpression is expanded once.
-        """
-        letters = seeded(GroupWord.parse("a"), GroupWord.parse("b"), GroupWord.identity())
-        return evaluate(self, letters)
 
 
 def seeded(a, b, one) -> dict:

@@ -77,7 +77,7 @@ def test_criterion_4_involution_and_power_laws():
     base = TruncatedSeries.from_coeffs(QQ, 10, (1, 1))
     for _ in range(50):
         r = Fraction(rng.randint(-14, 14), rng.randint(1, 9))
-        ok &= series.tau_q(r, 10) == series.rat_pow(base, r)
+        ok &= series.one_plus_x_power(QQ, r, 10) == series.rat_pow(base, r)
     _report(4, "involution and power laws", ok, time.monotonic() - t0, 20)
 
 

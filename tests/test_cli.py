@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nilwitness import cli, lamplighter, series
+from nilwitness import cli, lamplighter, magnus, series, witness
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -544,6 +544,31 @@ def test_runtime_error_is_internal_error(monkeypatch, capsys):
     code, _ = run_cli(["construct", "--q", "1", "--weight", "5"])
     assert code == cli.EXIT_CHECK_FAILED
     assert capsys.readouterr().err == "internal error: defect lost weight\n"
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError, IndexError, ZeroDivisionError])
+@pytest.mark.parametrize("command", ["construct", "verify", "phi"])
+def test_unmapped_exception_is_internal_error(command, error, monkeypatch, capsys, tmp_path):
+    # a bug deep in the kernel ends with exit 1 and one stderr line naming
+    # the exception, never with a traceback
+    path = tmp_path / "witness.json"
+    assert run_cli(["construct", "--q", "1", "--weight", "5", "--out", str(path)])[0] == 0
+    argv = {
+        "construct": ["construct", "--q", "1", "--weight", "5"],
+        "verify": ["verify", "--in", str(path)],
+        "phi": ["phi", "--word", "[a,b] b a", "--weight", "5"],
+    }[command]
+    owner = lamplighter.LampElement if command == "phi" else magnus.MagnusElement
+
+    def fail(self, other):
+        raise error("kernel bug")
+
+    monkeypatch.setattr(owner, "__mul__", fail)
+    witness._workspace.cache_clear()  # no product is served from an earlier run
+    capsys.readouterr()
+    code, out = run_cli(argv)
+    assert (code, out) == (cli.EXIT_CHECK_FAILED, "")
+    assert capsys.readouterr().err == f"internal error: {error.__name__}: {error('kernel bug')}\n"
 
 
 def test_json_flag_removed():

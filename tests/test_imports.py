@@ -3,6 +3,7 @@ imported and never read is dead code, or a re-export that belongs in
 ``__init__``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -46,17 +47,14 @@ def test_module_reads_every_name_it_imports(module):
 
 # definitions that nothing in src reads, each with the reader that keeps it
 UNREAD_IN_SRC = {
-    "magnus.MagnusElement.coefficient": "tests/test_magnus.py, reading single coefficients",
+    "magnus.MagnusElement.coefficient": "public accessor of one coefficient; tests/test_magnus.py",
     "magnus.MagnusElement.mul_letter": "bench/tracer.py, the magnus.letter layer",
     "magnus.MagnusElement.conjugate_letter": "bench/tracer.py, the magnus.letter layer",
     "magnus.MagnusElement.degree_terms": "bench/child.py max_coeff_bits, and the tests' oracle",
-    "magnus.eval_word": "the package exports (__init__) and the tests",
-    "series.TruncatedSeries.monomial": "tests/test_acceptance.py and the series tests",
-    "series.TruncatedSeries.x": "tests/test_series.py and tests/test_coinv.py",
-    "series.antipode": "the package exports (__init__) and tests/test_series.py",
-    "series.tau_q": "the package exports (__init__) and tests/test_acceptance.py",
+    "magnus.eval_word": "public constructor of a word's image (__init__ exports it); the tests",
+    "series.TruncatedSeries.monomial": "public constructor; tests/test_acceptance.py and the series tests",
+    "series.TruncatedSeries.x": "public constructor; tests/test_series.py and tests/test_coinv.py",
     "witness.WitnessPair.s_word": "bench/child.py max_coeff_bits",
-    "words.WordExpr.to_group_word": "the tests' letter-level oracle",
 }
 
 
@@ -106,3 +104,36 @@ def test_unread_definitions_are_found():
 def test_every_definition_has_a_reader():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_definitions(sources) == set(UNREAD_IN_SRC)
+
+
+# --- the public surface --------------------------------------------------------
+
+README = PACKAGE.parent.parent / "README.md"
+
+
+def readme_surface() -> dict[str, list[str]]:
+    """The names of the fenced block under "### Public surface" in the
+    README, by the label of their line: a module, or "modules"; a line with
+    no label continues the one above."""
+    block = README.read_text().split("### Public surface", 1)[1].split("```")[1]
+    surface, label = {}, None
+    for line in block.strip().splitlines():
+        head, sep, rest = line.partition(":")
+        if sep and head.strip().isidentifier():
+            label, line = head.strip(), rest
+        surface.setdefault(label, []).extend(line.split())
+    return surface
+
+
+def test_readme_lists_the_public_surface():
+    nilwitness = importlib.import_module("nilwitness")
+    surface = readme_surface()
+    names = [name for listed in surface.values() for name in listed]
+    assert sorted(names) == sorted(nilwitness.__all__)
+    for label, listed in surface.items():
+        for name in listed:
+            value = getattr(nilwitness, name)
+            if label == "modules":
+                assert value is importlib.import_module(f"nilwitness.{name}"), name
+            else:
+                assert value is getattr(importlib.import_module(f"nilwitness.{label}"), name), name

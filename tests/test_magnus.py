@@ -19,6 +19,8 @@ from nilwitness import magnus as mg
 from nilwitness import witness as wt
 from nilwitness import words as wd
 
+from letterwords import GroupWord, to_group_word
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # --- independent oracle: direct polynomial arithmetic over word dicts -------
@@ -85,12 +87,12 @@ def as_dict(g: mg.MagnusElement):
 
 
 def test_eval_empty_and_cancelling_words():
-    assert mg.eval_word(wd.GroupWord.parse("aA"), 5).is_one()
-    assert mg.eval_word(wd.GroupWord.identity(), 5).is_one()
+    assert mg.eval_word(str(GroupWord.parse("aA")), 5).is_one()
+    assert mg.eval_word(str(GroupWord.identity()), 5).is_one()
 
 
 def test_eval_ab_expansion():
-    g = mg.eval_word(wd.GroupWord.parse("ab"), 4)
+    g = mg.eval_word(str(GroupWord.parse("ab")), 4)
     assert as_dict(g) == {"": 1, "A": 1, "B": 1, "AB": 1}
 
 
@@ -110,19 +112,19 @@ def test_expr_eval_matches_letterwise_eval():
     ]
     for text in exprs:
         expr = wd.parse_word_expr(text)
-        assert mg.eval_word(expr, 7) == mg.eval_word(expr.to_group_word(), 7)
+        assert mg.eval_word(expr, 7) == mg.eval_word(str(to_group_word(expr)), 7)
 
 
 def test_eval_is_homomorphism_on_random_words():
     rng = random.Random(4)
     for _ in range(40):
-        u = wd.GroupWord.from_letters(
+        u = GroupWord.from_letters(
             rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 12))
         )
-        v = wd.GroupWord.from_letters(
+        v = GroupWord.from_letters(
             rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 12))
         )
-        assert mg.eval_word(u * v, 6) == mg.eval_word(u, 6) * mg.eval_word(v, 6)
+        assert mg.eval_word(str(u * v), 6) == mg.eval_word(str(u), 6) * mg.eval_word(str(v), 6)
 
 
 # --- every kernel operation against the oracle on random plain words -------
@@ -151,12 +153,12 @@ def _operand(drawn, trunc):
     """An element and its oracle dict: a plain word, or a power of a basis
     commutator (a view when the commutator is deep at trunc)."""
     if isinstance(drawn, list):
-        g = mg.eval_word(wd.GroupWord(tuple(drawn)), trunc)
+        g = mg.eval_word(str(GroupWord(tuple(drawn))), trunc)
         return g, oracle_eval(_text(drawn), trunc)
     text, n = drawn
     base = wd.parse_word_expr(text)
     g = mg.MagnusEvaluator(trunc).eval(base) ** n
-    letters = base.to_group_word().letters
+    letters = to_group_word(base).letters
     return g, poly_pow(_oracle_cached(_text(letters), trunc), n, trunc)
 
 
@@ -390,8 +392,8 @@ def test_commutator_of_element_with_itself():
 
 
 def test_commutator_word_vs_elements():
-    ga = mg.eval_word(wd.GroupWord.parse("a"), 6)
-    gb = mg.eval_word(wd.GroupWord.parse("b"), 6)
+    ga = mg.eval_word(str(GroupWord.parse("a")), 6)
+    gb = mg.eval_word(str(GroupWord.parse("b")), 6)
     assert mg.commutator(ga, gb) == mg.eval_word("[a,b]", 6)
 
 
@@ -517,7 +519,7 @@ def _exprs(depth):
 @given(_exprs(3), st.integers(1, 6))
 def test_expression_walk_matches_letter_loops(expr, trunc):
     assert wd.parse_word_expr(str(expr)) == expr
-    word = expr.to_group_word()
+    word = str(to_group_word(expr))
     assert mg.MagnusEvaluator(trunc).eval(expr) == mg.eval_word(word, trunc)
     for tag in ("Z", "Q", "Zp:5"):
         assert lp.phi_word(expr, tag, trunc) == lp.phi_word(word, tag, trunc)
@@ -534,7 +536,7 @@ _sides = st.one_of(
 @given(st.integers(2, 7), _sides, _sides, st.sampled_from(["g", "h", "both"]))
 def test_commutator_reads_each_side_below_the_other_weight(T, u, v, short):
     # [g, h] at T reads g only up to T - weight(h) and h up to T - weight(g)
-    lu, lv = (x.to_group_word().letters for x in (u, v))
+    lu, lv = (to_group_word(x).letters for x in (u, v))
     g, h = (mg.MagnusEvaluator(T).eval(x) for x in (u, v))
     assume(not g.is_one() and not h.is_one())
     tg = T - h._weight() if short in ("g", "both") else T
@@ -575,7 +577,7 @@ def test_defect_reads_its_inputs_one_degree_short(K, r, s):
     a, b = (mg.MagnusElement.generator(name, K + 1) for name in "ab")
     got = wt._defect(R.truncate(K), S.truncate(K))
     assert got == mg.commutator(R, a) * mg.commutator(S, b)
-    word = wd.product(wd.Comm(r, wd.A), wd.Comm(s, wd.B)).to_group_word()
+    word = to_group_word(wd.product(wd.Comm(r, wd.A), wd.Comm(s, wd.B)))
     assert as_dict(got) == oracle_eval(_text(word.letters), K + 1)
 
 
@@ -589,7 +591,7 @@ def _generator_partners(T):
     word = "aBBabAb"
     yield "word", mg.eval_word(word, T), oracle_eval(word, T), oracle_eval(word[::-1].swapcase(), T)
     base = wd.parse_word_expr("[a,b,a]")
-    ob = _oracle_cached(_text(base.to_group_word().letters), T)
+    ob = _oracle_cached(_text(to_group_word(base).letters), T)
     g = mg.MagnusEvaluator(T).eval(base) ** -2
     yield "basis power", g, poly_pow(ob, -2, T), poly_pow(ob, 2, T)
     rng, w = random.Random(T), T // 2 + 1
@@ -702,7 +704,7 @@ def test_parser_engel_equivalence():
 
 
 def test_words_reduce():
-    w = wd.GroupWord.parse("aAbBba")
+    w = GroupWord.parse("aAbBba")
     assert str(w) == "ba"
     assert (w * w.inverse()).is_identity()
 
@@ -710,7 +712,7 @@ def test_words_reduce():
 def test_product_starts_from_its_first_part():
     # one * x would copy every row of a Magnus view x; a cache with no
     # identity in it shows that a nonempty product never reads one
-    letters = {"a": wd.GroupWord.parse("a"), "b": wd.GroupWord.parse("b")}
+    letters = {"a": GroupWord.parse("a"), "b": GroupWord.parse("b")}
     assert str(wd.evaluate(wd.parse_word_expr("a b"), letters)) == "ab"
     one = mg.MagnusElement.one(3)
     cache = wd.seeded(*(mg.MagnusElement.generator(name, 3) for name in "ab"), one)
@@ -722,7 +724,7 @@ def test_evaluate_needs_the_generators_in_its_cache():
     with pytest.raises(TypeError):
         wd.evaluate(wd.A, {})
     with pytest.raises(TypeError):
-        wd.evaluate(wd.parse_word_expr("[a,b]"), {"a": wd.GroupWord.parse("a")})
+        wd.evaluate(wd.parse_word_expr("[a,b]"), {"a": GroupWord.parse("a")})
 
 
 def test_parser_rejects_garbage():
