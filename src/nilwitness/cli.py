@@ -8,10 +8,13 @@ exit code: 0 when the verdict holds, 1 when a mathematical check failed.  The
 verdict is the report's "ok" field; construct, whose report has none, returns
 the witness report's.  An exception becomes exit code 2 for usage errors, 1
 for internal errors and 3 for resource or I/O errors, and then no report is
-written.  An exception of a type that main does not name is an internal
-error, printed as "internal error: <type>: <message>" with no traceback.
-Reports are deterministic byte-for-byte for a fixed configuration
-(timings go to stderr, never into the JSON).
+written.  Only argv gives exit 2: each handler checks what it reads from
+argv before any work and raises UsageError.  Any other exception that main
+does not name, a ValueError too, is an internal error, printed as "internal
+error: <type>: <message>" with no traceback; Python's refusal to write a
+computed integer as text is a resource limit.  Reports are deterministic
+byte-for-byte for a fixed configuration (timings go to stderr, never into
+the JSON).
 """
 
 from __future__ import annotations
@@ -48,32 +51,12 @@ MAX_REPORT_WEIGHT = 20
 MAX_TRIALS = 1000
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(Exception):
+    """Bad argv, found by a handler before any work (exit 2)."""
 
 
 class InputError(Exception):
     """An input file that was read but holds bad data (exit 3)."""
-
-
-class OutputLimitError(Exception):
-    """A computed number too long to write as text (exit 3)."""
-
-
-def _as_text(render):
-    """render(), which writes computed numbers as text.  Python refuses to
-    write an integer of more than sys.get_int_max_str_digits() digits, with a
-    ValueError that only its message tells apart; for a computed result that
-    is a resource limit, not bad usage.  Any other ValueError passes."""
-    try:
-        return render()
-    except ValueError as exc:
-        if "integer string conversion" not in str(exc):
-            raise
-        raise OutputLimitError(
-            f"a result has more than {sys.get_int_max_str_digits()} digits, "
-            "Python's limit for writing an integer as text"
-        ) from None
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -102,6 +85,16 @@ def _parse_q(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad sequence {text!r}: {exc}") from None
 
 
+def _from_argv(parse, text: str):
+    """parse(text) for text from argv, where a ValueError is bad usage: a
+    ring tag that names no ring, a word that does not parse, or an integer
+    too long to read."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise UsageError(exc) from None
+
+
 def cmd_identities(args) -> tuple[dict, bool]:
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
@@ -124,8 +117,9 @@ def cmd_identities(args) -> tuple[dict, bool]:
 
 def cmd_construct(args) -> tuple[dict, bool]:
     q = _parse_q(args.q)
-    # the factor words hold their exponents as text
-    pair = _as_text(lambda: witness.build_witness(q, args.weight))
+    if not 3 <= args.weight <= witness.MAX_K:
+        raise UsageError(f"K must be in 3..{witness.MAX_K}")
+    pair = witness.build_witness(q, args.weight)
     return pair.to_json(), pair.report.ok
 
 
@@ -138,8 +132,7 @@ def cmd_verify(args) -> tuple[dict, bool]:
     except (TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"bad witness file: {type(exc).__name__}: {exc}") from None
     try:
-        # a failed check's detail writes the lamplighter image as text
-        report = _as_text(lambda: witness.verify_witness(pair))
+        report = witness.verify_witness(pair)
     except RecursionError:
         raise InputError("witness words are nested too deeply to evaluate") from None
     payload = {
@@ -154,15 +147,17 @@ def cmd_verify(args) -> tuple[dict, bool]:
 def cmd_phi(args) -> tuple[dict, bool]:
     if args.weight > MAX_SERIES_WEIGHT:
         raise UsageError(f"--weight must be at most {MAX_SERIES_WEIGHT}")
-    ring = series.ring_from_tag(args.ring)
+    if args.weight < 1:
+        raise UsageError("--weight must be >= 1")
+    ring = _from_argv(series.ring_from_tag, args.ring)
     try:
-        img = phi_word(parse_word_expr(args.word), ring, args.weight)
+        img = phi_word(_from_argv(parse_word_expr, args.word), ring, args.weight)
     except RecursionError:
         raise UsageError("word nested too deeply to evaluate") from None
     weight = gamma_weight_lamp(img)
     payload = {
         "config": {"word": args.word, "ring": args.ring, "K": args.weight},
-        "image": _as_text(img.to_json),
+        "image": img.to_json(),
         "weight": "inf" if weight == series.INFINITE_WEIGHT else weight,
         "ok": True,
     }
@@ -193,7 +188,7 @@ def _exact_coeffs(name: str, coeffs, K: int) -> list[Fraction]:
 
 
 def cmd_coinv(args) -> tuple[dict, bool]:
-    ring = series.ring_from_tag(args.ring)
+    ring = _from_argv(series.ring_from_tag, args.ring)
     if isinstance(ring, series.IntegerRing):
         raise UsageError("coinvariants are computed over Q or Z/p")
     if not 2 <= args.weight <= MAX_COINV_WEIGHT:
@@ -212,8 +207,7 @@ def cmd_coinv(args) -> tuple[dict, bool]:
         except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad series file: {type(exc).__name__}: {exc}") from None
     space = coinv.build_coinvariants(ring, args.weight)
-    thetas = {name: coinv.theta(f) for name, f in inputs.items()}
-    classes = _as_text(lambda: {name: list(map(str, t)) for name, t in thetas.items()})
+    classes = {name: list(map(str, coinv.theta(f))) for name, f in inputs.items()}
     oracle = coinv.coinvariant_rank_oracle(ring, args.weight)
     payload = {
         **space.to_json(),
@@ -387,17 +381,11 @@ def main(argv=None) -> int:
         report, ok = args.func(args)
         _emit({"schema": SCHEMA, "command": args.command, **report}, args.out)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except OutputLimitError as exc:
-        print(f"resource limit exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
@@ -406,6 +394,13 @@ def main(argv=None) -> int:
         print("resource limit exceeded", file=sys.stderr)
         return EXIT_RESOURCE
     except Exception as exc:
+        # every integer from outside was read at the edge, so this message
+        # can only come from writing a computed one as text
+        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            limit = sys.get_int_max_str_digits()
+            print(f"resource limit exceeded: a result has more than {limit} digits, "
+                  "Python's limit for writing an integer as text", file=sys.stderr)
+            return EXIT_RESOURCE
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

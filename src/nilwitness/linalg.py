@@ -180,18 +180,3 @@ def reduce_mod_rowspace(vec: list, rref_rows: list[list], pivots: list[int], p: 
         if out[c]:
             out = _sub_multiple(out, out[c], row, p)
     return out
-
-
-def field_nullspace(rows: list[list], p: int | None = None) -> list[list]:
-    """Basis of {v : rows_matrix * v = 0} over Q or Z/p (column kernel)."""
-    ncols = len(rows[0]) if rows else 0
-    rank, pivots, red = rref(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append([coerce_entry(x, p) for x in v])
-    return basis

@@ -261,9 +261,7 @@ def build_witness(q, K: int) -> WitnessPair:
         D = _defect(R.truncate(k + 1), S.truncate(k + 1))
         gw = gamma_weight(D)
         if gw < k + 2:
-            raise RuntimeError(
-                f"internal error: defect after step {k} has weight {gw} < {k + 2}"
-            )
+            raise RuntimeError(f"defect after step {k} has weight {gw} < {k + 2}")
         if gw == INFINITE_WEIGHT:
             a_inv = b_inv = IDENTITY
             lead = 0

@@ -1,5 +1,6 @@
 """CLI contract: deterministic byte-identical reports, exit codes, file I/O."""
 
+import contextlib
 import io
 import json
 import math
@@ -8,8 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from nilwitness import cli, lamplighter, magnus, series, witness
+from nilwitness import cli, coinv, freelie, lamplighter, magnus, series, witness
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -377,7 +380,7 @@ def _refuse(*args, **kwargs):
     raise AssertionError("work began on an input above the limit")
 
 
-def test_weight_limits_checked_before_any_work(tmp_path, monkeypatch):
+def test_weight_limits_checked_before_any_work(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.witness, "_workspace", _refuse)
     monkeypatch.setattr(cli.coinv, "_relation_rows", _refuse)
     monkeypatch.setattr(lamplighter, "LampEvaluator", _refuse)
@@ -398,6 +401,18 @@ def test_weight_limits_checked_before_any_work(tmp_path, monkeypatch):
     weight = str(cli.MAX_SERIES_WEIGHT + 1)
     code, _ = run_cli(["phi", "--word", "b a", "--weight", weight])
     assert code == cli.EXIT_USAGE
+
+    # the lower bounds, and the ring tags, are argv too
+    for weight in ("0", "-1"):
+        code, _ = run_cli(["phi", "--word", "b a", "--weight", weight])
+        assert code == cli.EXIT_USAGE, weight
+    code, _ = run_cli(["construct", "--q", "1", "--weight", "2"])
+    assert code == cli.EXIT_USAGE
+    capsys.readouterr()
+    for argv in (["coinv", "--ring", "Zp:4"], ["phi", "--word", "b a", "--ring", "W"]):
+        code, out = run_cli(argv)
+        assert (code, out) == (cli.EXIT_USAGE, ""), argv
+        assert capsys.readouterr().err.startswith("usage error:"), argv
 
 
 def test_involution_trials_bounded_before_any_work(monkeypatch):
@@ -543,32 +558,110 @@ def test_runtime_error_is_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(cli.witness, "build_witness", fail)
     code, _ = run_cli(["construct", "--q", "1", "--weight", "5"])
     assert code == cli.EXIT_CHECK_FAILED
-    assert capsys.readouterr().err == "internal error: defect lost weight\n"
+    assert capsys.readouterr().err == "internal error: RuntimeError: defect lost weight\n"
 
 
-@pytest.mark.parametrize("error", [TypeError, KeyError, IndexError, ZeroDivisionError])
-@pytest.mark.parametrize("command", ["construct", "verify", "phi"])
+@pytest.mark.parametrize(
+    "error", [TypeError, KeyError, IndexError, ZeroDivisionError, ValueError, RuntimeError]
+)
+@pytest.mark.parametrize(
+    "command", ["construct", "verify", "phi", "coinv", "identities", "report", "involution"]
+)
 def test_unmapped_exception_is_internal_error(command, error, monkeypatch, capsys, tmp_path):
-    # a bug deep in the kernel ends with exit 1 and one stderr line naming
-    # the exception, never with a traceback
+    # a bug past the argv checks ends with exit 1 and one stderr line naming
+    # the exception, never with a traceback: a ValueError is no usage error
     path = tmp_path / "witness.json"
     assert run_cli(["construct", "--q", "1", "--weight", "5", "--out", str(path)])[0] == 0
-    argv = {
-        "construct": ["construct", "--q", "1", "--weight", "5"],
-        "verify": ["verify", "--in", str(path)],
-        "phi": ["phi", "--word", "[a,b] b a", "--weight", "5"],
+    argv, owner, name = {
+        "construct": (["construct", "--q", "1", "--weight", "5"], magnus.MagnusElement, "__mul__"),
+        "verify": (["verify", "--in", str(path)], magnus.MagnusElement, "__mul__"),
+        "phi": (["phi", "--word", "[a,b] b a", "--weight", "5"], lamplighter.LampElement, "__mul__"),
+        "coinv": (["coinv", "--ring", "Q", "--weight", "4"], coinv, "_relation_rows"),
+        "identities": (["identities", "--max-n", "1"], freelie, "check_identity"),
+        "report": (["report", "--weight", "2"], series, "check_augmentation_iso"),
+        "involution": (["involution", "--trials", "2"], coinv, "involution_exactness_report"),
     }[command]
-    owner = lamplighter.LampElement if command == "phi" else magnus.MagnusElement
 
-    def fail(self, other):
+    def fail(*args, **kwargs):
         raise error("kernel bug")
 
-    monkeypatch.setattr(owner, "__mul__", fail)
+    monkeypatch.setattr(owner, name, fail)
     witness._workspace.cache_clear()  # no product is served from an earlier run
     capsys.readouterr()
     code, out = run_cli(argv)
     assert (code, out) == (cli.EXIT_CHECK_FAILED, "")
     assert capsys.readouterr().err == f"internal error: {error.__name__}: {error('kernel bug')}\n"
+
+
+# drawn inputs for verify and phi: 30-digit exponents, atoms that do not
+# parse, values of the wrong type and missing keys
+BIG = "9" * 30
+ATOMS = ["a", "b", "A", "B", "[a,b]", "[a,b,b]", "[a,b,a]", "(a B)", "[a,", "x", "[a,_65 b]", "()"]
+WORDS = st.lists(
+    st.tuples(st.sampled_from(ATOMS), st.sampled_from(["", "^2", "^-1", f"^{BIG}", f"^-{BIG}"])),
+    max_size=4,
+).map(lambda parts: " ".join(atom + exp for atom, exp in parts))
+INTS = st.one_of(st.integers(-3, 3), st.just(int(BIG)))
+WRONG = st.sampled_from([None, True, 1.5, "5", [], {}])
+
+
+@st.composite
+def witness_data(draw):
+    K = draw(st.integers(-2, 6))
+    count = draw(st.one_of(st.just(max(K - 2, 0)), st.integers(0, 5)))
+    data = {"q": draw(st.lists(INTS, max_size=3)), "K": K}
+    for key, items in (("r_factors", WORDS), ("s_factors", WORDS), ("n", INTS)):
+        data[key] = draw(st.lists(items, min_size=count, max_size=count))
+    for key in sorted(draw(st.sets(st.sampled_from(sorted(data)), max_size=2))):
+        data[key] = draw(st.one_of(WRONG, st.lists(WRONG, min_size=1, max_size=2)))
+    if draw(st.booleans()):
+        del data[draw(st.sampled_from(sorted(data)))]
+    return data
+
+
+PHI_TOKENS = ["a", "b", "A", "B", "[", "]", ",", "_", "^", "(", ")", " ", "2", "-1", "_3", "_65",
+              "x", "9" * 5000]
+PHI_RINGS = st.one_of(
+    st.sampled_from(["Z", "Q", "Zp:3", "Z/7"]),
+    st.sampled_from(["Zp:2", "Zp:4", "Zp:x", "W", "", "Zp:" + "9" * 5000]),
+)
+
+
+def run_cli_captured(argv):
+    """(exit code, stdout, stderr) of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, out, err, codes):
+    assert code in codes, err
+    assert "Traceback" not in err and "internal error" not in err, err
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED) or out == ""
+
+
+@seed(23)
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=witness_data())
+def test_verify_fuzz_exits_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "w.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli_captured(["verify", "--in", str(path)])
+    assert_clean_exit(code, out, err, (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_RESOURCE))
+
+
+@seed(23)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    word=st.one_of(WORDS, st.lists(st.sampled_from(PHI_TOKENS), max_size=20).map("".join)),
+    ring=PHI_RINGS,
+    weight=st.one_of(st.integers(1, 12), st.sampled_from([-1, 0, 64, 65])),
+)
+def test_phi_fuzz_exits_cleanly(word, ring, weight):
+    argv = ["phi", "--word", word, "--ring", ring, "--weight", str(weight)]
+    code, out, err = run_cli_captured(argv)
+    assert_clean_exit(code, out, err, (cli.EXIT_OK, cli.EXIT_USAGE))
 
 
 def test_json_flag_removed():
