@@ -1,6 +1,7 @@
 """Exact symbolic computation in free nilpotent quotients, completed
 lamplighter groups, and truncated exterior-square coinvariants."""
 
+from . import coinv, freelie, lamplighter, linalg, magnus, series, witness, words
 from .freelie import (
     FreeLieElement,
     HallBasis,
@@ -53,4 +54,18 @@ from .words import (
     parse_word_expr,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the README's "Public surface", module by module: a name that a submodule
+# import brings in is not public unless it is listed here
+__all__ = [
+    "CoinvariantSpace", "InvolutiveField", "build_coinvariants", "pairing", "theta",
+    "FreeLieElement", "HallBasis", "WeightOverflowError", "bracket", "check_identity",
+    "engel_lie", "hall_basis", "present_with_generators", "witt_number",
+    "LampElement", "gamma_weight_lamp", "phi_word",
+    "MagnusElement", "check_group_identity", "commutator", "eval_word", "gamma_weight",
+    "leading_lie",
+    "INFINITE_WEIGHT", "PrimeField", "QQ", "TruncatedSeries", "ZZ", "check_augmentation_iso",
+    "rat_pow", "ring_from_tag", "sigma_tilde",
+    "Report", "WitnessPair", "build_witness", "verify_witness", "witness_series",
+    "WordExpr", "alternating_engel_product", "engel", "parse_word_expr",
+    "coinv", "freelie", "lamplighter", "linalg", "magnus", "series", "witness", "words",
+]

@@ -25,8 +25,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .series import PrimeField, Ring, TruncatedSeries, sigma_tilde
@@ -35,8 +35,7 @@ from .series import PrimeField, Ring, TruncatedSeries, sigma_tilde
 # --- exterior-square coinvariants
 
 
-@dataclass(frozen=True)
-class CoinvariantSpace:
+class CoinvariantSpace(NamedTuple):
     """Ranks of the quotient of the truncated exterior square by the
     diagonal action of the shift t = 1 + x."""
 
@@ -161,12 +160,15 @@ def coinvariant_rank_oracle(ring: Ring, trunc: int) -> int:
 # --- quadratic extension fields with conjugation
 
 
-@dataclass(frozen=True)
 class QuadExt:
-    """Element u + v * sqrt(d) of the quadratic field Q(sqrt(d))."""
+    """Element u + v * sqrt(d) of the quadratic field Q(sqrt(d)).  Immutable
+    by convention; equal by (u, v)."""
 
-    u: Fraction
-    v: Fraction
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: Fraction, v: Fraction):
+        self.u = u
+        self.v = v
 
     def __add__(self, o: "QuadExt") -> "QuadExt":
         return QuadExt(self.u + o.u, self.v + o.v)
@@ -190,23 +192,43 @@ class QuadExt:
     def of(u, v=0) -> "QuadExt":
         return QuadExt(Fraction(u), Fraction(v))
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.u, self.v) == (other.u, other.v)
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash((self.u, self.v))
+
+    def __repr__(self) -> str:
+        return f"QuadExt(u={self.u!r}, v={self.v!r})"
+
+
 class InvolutiveField:
     """Q(sqrt(d)) with conjugation, acting coordinatewise on V = K^dim, with
-    the fixed vector v0 = e_1."""
+    the fixed vector v0 = e_1.  Immutable by convention; equal by (d, dim)."""
 
-    d: int
-    dim: int
+    __slots__ = ("d", "dim")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, d: int, dim: int):
+        if dim < 1:
             raise ValueError("V must be nonzero")
-        r = math.isqrt(abs(self.d))
-        if self.d == 0 or (self.d > 0 and r * r == self.d):
-            raise ValueError(
-                f"d = {self.d} gives a trivial involution (not a field extension)"
-            )
+        r = math.isqrt(abs(d))
+        if d == 0 or (d > 0 and r * r == d):
+            raise ValueError(f"d = {d} gives a trivial involution (not a field extension)")
+        self.d = d
+        self.dim = dim
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.dim) == (other.d, other.dim)
+
+    def __hash__(self):
+        return hash((self.d, self.dim))
+
+    def __repr__(self) -> str:
+        return f"InvolutiveField(d={self.d!r}, dim={self.dim!r})"
 
     # vectors are tuples of QuadExt of length dim
     def basis_vec(self, i: int):

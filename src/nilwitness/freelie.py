@@ -25,14 +25,15 @@ worklist pass: pending right factors are rewritten by Jacobi longest first,
 so each is complete when taken, and words [a, v] keep the one-term form
 -[v, a] that the witness words are built from.  No presentation is cached.
 
-Elements are immutable and operations are pure.  A HallBasis only gains memo
-entries, each a function of its word alone, so threads may share one: two
-that fill the same entry store equal values.
+Elements and bases are plain classes with __slots__, immutable by convention,
+and operations are pure.  A HallBasis only gains memo entries, each a
+function of its word alone, so threads may share one: two that fill the same
+entry store equal values.  Bases are equal by (max_weight, words), and
+elements by basis words and coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .magnus import UNIT, Entries, _convolve, bracket_rows, mask_word, mul_rows, nonzero, word_mask
@@ -110,20 +111,36 @@ def bracket_string(word: str) -> str:
 # --- the basis and its elements
 
 
-@dataclass(frozen=True)
 class HallBasis:
     """Ordered Lyndon-word basis of the free Lie ring, graded by weight.
 
     `words` lists the basis words up to `max_weight`, ordered by (weight, lex).
     `_masks[w]` maps the words of weight w to their row indices in lex order,
-    which is increasing order of mask; `_masks[0]` is empty.
+    which is increasing order of mask; `_masks[0]` is empty.  Two bases are
+    equal by (max_weight, words): the mask tables follow from the words, and
+    the memos are not compared.  A basis may be weakly referenced, so a test
+    can see its memos freed with it.
     """
 
-    max_weight: int
-    words: tuple[str, ...]
-    _masks: tuple[dict[str, int], ...] = field(repr=False, compare=False)
-    _expansions: dict[str, Entries] = field(default_factory=dict, repr=False, compare=False)
-    _exprs: dict[str, WordExpr] = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("max_weight", "words", "_masks", "_expansions", "_exprs", "__weakref__")
+
+    def __init__(self, max_weight: int, words: tuple[str, ...], masks: tuple[dict[str, int], ...]):
+        self.max_weight = max_weight
+        self.words = words
+        self._masks = masks
+        self._expansions: dict[str, Entries] = {}
+        self._exprs: dict[str, WordExpr] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_weight, self.words) == (other.max_weight, other.words)
+
+    def __hash__(self):
+        return hash((self.max_weight, self.words))
+
+    def __repr__(self) -> str:
+        return f"HallBasis(max_weight={self.max_weight!r}, words={self.words!r})"
 
     def words_of_weight(self, w: int) -> tuple[str, ...]:
         if w < 1:
@@ -216,18 +233,18 @@ def hall_basis(max_weight: int) -> HallBasis:
     return HallBasis(max_weight, tuple(w for table in masks for w in table), tuple(masks))
 
 
-@dataclass(frozen=True)
 class FreeLieElement:
     """Integer combination of basis brackets, keyed by Lyndon word; no zero
-    coefficients stored."""
+    coefficients stored.  Immutable by convention."""
 
-    basis: HallBasis
-    coeffs: Mapping[str, int]
+    __slots__ = ("basis", "coeffs")
 
-    def __post_init__(self):
-        for w, c in self.coeffs.items():
-            if c == 0 or len(w) > self.basis.max_weight or w not in self.basis._masks[len(w)]:
+    def __init__(self, basis: HallBasis, coeffs: Mapping[str, int]):
+        for w, c in coeffs.items():
+            if c == 0 or len(w) > basis.max_weight or w not in basis._masks[len(w)]:
                 raise ValueError("invalid coefficient map")
+        self.basis = basis
+        self.coeffs = coeffs
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -269,6 +286,9 @@ class FreeLieElement:
 
     def __hash__(self):
         return hash((self.basis.words, tuple(sorted(self.coeffs.items()))))
+
+    def __repr__(self) -> str:
+        return f"FreeLieElement(basis={self.basis!r}, coeffs={self.coeffs!r})"
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -20,8 +20,6 @@ a WordExpr or as its text, the one form of a word in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .series import (
     Ring,
     TruncatedSeries,
@@ -31,10 +29,15 @@ from .series import (
 from .words import WordExpr, evaluate, parse_word_expr, seeded
 
 
-@dataclass(frozen=True)
 class LampElement:
-    f: TruncatedSeries
-    e: object  # int, or Fraction over Q
+    """The pair (f, e): a series f and a shift exponent e, an int, or a
+    Fraction over Q.  Immutable by convention; equal by (f, e)."""
+
+    __slots__ = ("f", "e")
+
+    def __init__(self, f: TruncatedSeries, e):
+        self.f = f
+        self.e = e
 
     @property
     def trunc(self) -> int:
@@ -81,6 +84,17 @@ class LampElement:
 
     def __str__(self) -> str:
         return f"({self.f}, t^{self.e})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.f, self.e) == (other.f, other.e)
+
+    def __hash__(self):
+        return hash((self.f, self.e))
+
+    def __repr__(self) -> str:
+        return f"LampElement(f={self.f!r}, e={self.e!r})"
 
 
 def square_and_multiply(x, n: int, one):

@@ -9,14 +9,19 @@ provides the involution sigma_tilde that t -> t^-1 induces on series,
 rational powers of one-units, and a certified check that the substitution
 identifies R[C] modulo powers of the augmentation ideal with truncated
 series.
+
+The rings and series are plain classes with __slots__, immutable by
+convention: no method writes a field after construction.  A series is equal
+to, and hashes as, another with the same ring, truncation and coefficients;
+a prime field is equal by p, and the integers and the rationals are each
+one ring however often they are built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 from . import linalg
 
@@ -26,9 +31,11 @@ INFINITE_WEIGHT = math.inf
 MAX_PRIME = 2**31 - 1
 
 
-@dataclass(frozen=True)
 class IntegerRing:
-    tag: ClassVar[str] = "Z"
+    """The integers; every instance is the same ring."""
+
+    __slots__ = ()
+    tag = "Z"
 
     def coerce(self, v):
         # the common case first: isinstance(v, Fraction) goes through ABCMeta
@@ -40,28 +47,48 @@ class IntegerRing:
             return int(v)
         return int(v)
 
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is self.__class__ else NotImplemented
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "IntegerRing()"
+
+
 class RationalRing:
-    tag: ClassVar[str] = "Q"
+    """The rationals as exact fractions; every instance is the same ring."""
+
+    __slots__ = ()
+    tag = "Q"
 
     def coerce(self, v):
         return Fraction(v)
 
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is self.__class__ else NotImplemented
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "RationalRing()"
+
+
 class PrimeField:
-    p: int
+    """The integers modulo an odd prime p; equal by p."""
 
-    def __post_init__(self):
-        if self.p == 2:
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        if p == 2:
             raise ValueError("characteristic 2 is not supported (odd primes only)")
-        if self.p > MAX_PRIME:
+        if p > MAX_PRIME:
             raise ValueError(f"p must be at most {MAX_PRIME}")
-        if self.p < 3 or any(
-            self.p % q == 0 for q in range(2, math.isqrt(self.p) + 1)
-        ):
-            raise ValueError(f"{self.p} is not an odd prime")
+        if p < 3 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            raise ValueError(f"{p} is not an odd prime")
+        self.p = p
 
     @property
     def tag(self) -> str:
@@ -69,6 +96,17 @@ class PrimeField:
 
     def coerce(self, v):
         return linalg.coerce_entry(v, self.p)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
+
+    def __repr__(self) -> str:
+        return f"PrimeField(p={self.p!r})"
 
 
 ZZ = IntegerRing()
@@ -89,13 +127,16 @@ def ring_from_tag(tag: str) -> Ring:
     raise ValueError(f"unknown ring tag {tag!r}")
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Element of R[x]/x^K; exactly K stored coefficients."""
+    """Element of R[x]/x^K; exactly K stored coefficients, each already in
+    the ring.  Immutable by convention; equal by (ring, trunc, coeffs)."""
 
-    ring: Ring
-    trunc: int
-    coeffs: tuple
+    __slots__ = ("ring", "trunc", "coeffs")
+
+    def __init__(self, ring: Ring, trunc: int, coeffs: tuple):
+        self.ring = ring
+        self.trunc = trunc
+        self.coeffs = coeffs
 
     @staticmethod
     def from_coeffs(ring: Ring, trunc: int, coeffs: Sequence) -> "TruncatedSeries":
@@ -177,6 +218,17 @@ class TruncatedSeries:
     def __str__(self) -> str:
         terms = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0]
         return " + ".join(terms) if terms else "0"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.trunc, self.coeffs) == (other.ring, other.trunc, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.ring, self.trunc, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries(ring={self.ring!r}, trunc={self.trunc!r}, coeffs={self.coeffs!r})"
 
 
 def binomials(r, n: int) -> list:

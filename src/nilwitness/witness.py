@@ -58,12 +58,17 @@ of its words.  The basis is built on first use, so a verify, which reads no
 Lie term, never builds it.  The workspace is kept in one slot, so a build's
 own verify and builds in a row at one K run warm, and a call at another K
 releases it.
+
+A WitnessPair, its Report and each PropertyResult are NamedTuples: equal by
+their fields, refusing assignment, and copied with a change by _replace.
+WitnessPair.from_json parses all the factors of a file with one memo, so a
+commutator that recurs across them is built once.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .freelie import FreeLieElement, HallBasis, hall_basis, present_with_generators
 from .lamplighter import LampEvaluator
@@ -102,14 +107,12 @@ __all__ = [
 MAX_K = 15
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     p0: PropertyResult
     p1: PropertyResult
     p2: PropertyResult
@@ -132,8 +135,7 @@ class Report:
         return out
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(NamedTuple):
     """The sequence q, the factor words indexed 3..K, and the realized
     exponent sequence n_3..n_K of the lamplighter image."""
 
@@ -177,11 +179,12 @@ class WitnessPair:
             tuple(_typed(v, kind, key) for v in _typed(data[key], list, key))
             for key, kind in (("q", int), ("n", int), ("r_factors", str), ("s_factors", str))
         )
+        memo: dict = {}
         return WitnessPair(
             q=q,
             K=K,
-            r_factors=tuple(map(parse_word_expr, r_texts)),
-            s_factors=tuple(map(parse_word_expr, s_texts)),
+            r_factors=tuple(parse_word_expr(text, memo) for text in r_texts),
+            s_factors=tuple(parse_word_expr(text, memo) for text in s_texts),
             n=n,
         )
 
@@ -292,7 +295,7 @@ def build_witness(q, K: int) -> WitnessPair:
         s_factors=tuple(s_factors),
         n=tuple(n),
     )
-    return replace(pair, report=verify_witness(pair))
+    return pair._replace(report=verify_witness(pair))
 
 
 def verify_witness(pair: WitnessPair) -> Report:

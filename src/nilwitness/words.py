@@ -18,7 +18,9 @@ left-normalized chains "[u,v,w,...]", iterated form "[u,_n v]" with
 0 <= n <= MAX_ITERATE; powers "w^n" with integer n.  One chain holds at most
 MAX_ITERATE brackets, an entry "_n v" counting n.  Whitespace is ignored.
 parse_word_expr splits a text into tokens with one regular expression and
-builds a commutator atom that recurs in the text once (see _Parser).
+builds a commutator that recurs in the text once (see _Parser); parses that
+share a memo, such as those of the factors of one witness file, build a
+commutator that recurs anywhere in their texts once.
 """
 
 from __future__ import annotations
@@ -205,8 +207,12 @@ class WordSyntaxError(ValueError):
     pass
 
 
-def parse_word_expr(text: str) -> WordExpr:
-    return _Parser(text).parse_product(_END)
+def parse_word_expr(text: str, memo: dict | None = None) -> WordExpr:
+    """The expression of a text.  A commutator that recurs in it is built
+    once (see _Parser); parses that are passed one `memo`, a dict the caller
+    starts empty, share it, so a commutator that recurs anywhere in their
+    texts is built once.  An error names its offset in `text`."""
+    return _Parser(text, {} if memo is None else memo).parse_product(_END)
 
 
 # one token: an integer, any other non-space character, or the end of input
@@ -222,16 +228,24 @@ _LETTER_ATOMS = {"a": A, "b": B, "A": Pow(A, -1), "B": Pow(B, -1)}
 class _Parser:
     """Recursive descent over the tokens of one text.
 
-    Each commutator atom "[...]" that parses is kept under its source span,
-    the text from its "[" to the matching "]", so an atom that recurs in the
-    text is parsed and built once and the copies share one expression.  The
-    memo holds the offsets of the first copy under the hash of its text, and
-    a hit is confirmed on the text itself: no span is held as a key, so a
-    deeply nested atom costs no copies of the text.  A span that did not
-    parse is never kept, so errors are reported where they occur.
+    The memo, which the caller owns and parsers of several texts may share,
+    holds two kinds of entry, told apart by their keys:
+
+    * under an int, the hash of a source span (the text from a "[" to the
+      matching "]"): the text and offsets of the first copy of a commutator
+      atom that parsed, and its expression.  An atom that recurs is parsed
+      once and the copies share one expression.  A hit is confirmed on the
+      span itself: no span is held as a key, so a deeply nested atom costs
+      no copies of the text.  A span that did not parse is never kept, so
+      errors are reported where they occur.
+    * under a pair of ints, the identities of u and v: the bracket [u, v]
+      that a chain built from them.  Letters are shared and a repeated atom
+      is one expression, so a chain "[a,b,b]" takes the node of an earlier
+      "[a,b]", and each commutator is built once.  The entry holds u and v,
+      so their identities stay unique.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, memo: dict):
         self.text = text
         self.tokens: list[str] = _TOKEN.findall(text)
         self.i = 0
@@ -247,7 +261,7 @@ class _Parser:
             elif opened:
                 j, start = opened.pop()
                 self.spans[j] = (start, m.end(), i)
-        self.atoms: dict[int, tuple[int, int, WordExpr]] = {}
+        self.memo = memo
 
     def offset(self, i: int) -> int:
         """Character offset of token i, found again for an error message."""
@@ -291,12 +305,12 @@ class _Parser:
                 return self.parse_commutator()
             start, end, close = span
             key = hash(self.text[start:end])
-            seen = self.atoms.get(key)
-            if seen and self.text[seen[0] : seen[1]] == self.text[start:end]:
+            seen = self.memo.get(key)
+            if seen and seen[0][seen[1] : seen[2]] == self.text[start:end]:
                 self.i = close + 1
-                return seen[2]
+                return seen[3]
             expr = self.parse_commutator()
-            self.atoms.setdefault(key, (start, end, expr))
+            self.memo.setdefault(key, (self.text, start, end, expr))
             return expr
         raise self.error(f"unexpected character {tok[:1]!r}")
 
@@ -327,7 +341,11 @@ class _Parser:
             if isinstance(arg, Prod) and not arg.parts:
                 raise self.error("empty commutator argument")
             for _ in range(count):
-                expr = Comm(expr, arg)
+                key = (id(expr), id(arg))
+                node = self.memo.get(key)
+                if node is None:
+                    node = self.memo[key] = Comm(expr, arg)
+                expr = node
         if self.tokens[self.i] != "]":
             raise self.error("unclosed bracket")
         self.i += 1

@@ -5,7 +5,6 @@ Every check is exact integer/rational arithmetic; the only tolerances are the
 wall-clock budgets, which are asserted as stated.
 """
 
-import dataclasses
 import io
 import json
 import random
@@ -113,7 +112,7 @@ def test_criterion_5_witness_construction():
             else:
                 tampered = wd.power(head, 2)
             factors[index] = wd.product(tampered, *rest)
-            bad = dataclasses.replace(built, **{which: tuple(factors)}, report=None)
+            bad = built._replace(**{which: tuple(factors)}, report=None)
             ok &= not witness.verify_witness(bad).ok
     _report(5, "witness construction", ok, time.monotonic() - t0, 60)
 

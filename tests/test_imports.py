@@ -4,6 +4,10 @@ imported and never read is dead code, or a re-export that belongs in
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,3 +141,24 @@ def test_readme_lists_the_public_surface():
                 assert value is importlib.import_module(f"nilwitness.{name}"), name
             else:
                 assert value is getattr(importlib.import_module(f"nilwitness.{label}"), name), name
+
+
+# --- what an import loads ------------------------------------------------------
+
+
+def test_fresh_import_loads_no_dataclass_machinery():
+    # pytest itself loads dataclasses, so the import runs in a fresh
+    # interpreter; dataclasses pulls in inspect, ast, dis and tokenize
+    code = (
+        "import json, sys; before = set(sys.modules); "
+        "import nilwitness.cli; from nilwitness import witness; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    added = set(json.loads(out.stdout))
+    assert "nilwitness.witness" in added
+    assert added.isdisjoint({"dataclasses", "inspect"}), sorted(added)

@@ -1,7 +1,6 @@
 """The witness constructor: base case, inductive properties, determinism,
 tamper detection, and the two-path computation of the exponent series."""
 
-import dataclasses
 import gc
 import json
 import sys
@@ -139,6 +138,40 @@ def test_json_roundtrip():
     assert wt.verify_witness(back).ok
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_witness_file_builds_each_commutator_once(monkeypatch):
+    # the K = 10 file of construct --q 1,0,1,1,0,1 --weight 10 holds 234
+    # distinct commutators across its 16 factors; a parse memo per factor
+    # built 1585 Comm nodes
+    built = []
+
+    class Counting(wd.Comm):
+        def __init__(self, left, right):
+            built.append(None)
+            super().__init__(left, right)
+
+    monkeypatch.setattr(wd, "Comm", Counting)
+    data = json.loads((GOLDEN / "construct_K10.json").read_text())
+    pair = wt.WitnessPair.from_json(data)
+    assert len(built) == 234
+    assert [str(w) for w in pair.r_factors] == data["r_factors"]
+    assert [str(w) for w in pair.s_factors] == data["s_factors"]
+
+
+def test_witness_file_errors_name_the_offset_in_their_factor():
+    # a factor after others that share its atoms fails where it fails alone
+    good = "[a,b,b] [a,[a,b,b]]"
+    data = {"q": [1], "K": 4, "n": [1, 0], "r_factors": [good, good]}
+    data["s_factors"] = [good, "[a,b,b] [a,b"]
+    with pytest.raises(wd.WordSyntaxError) as alone:
+        wd.parse_word_expr(data["s_factors"][1])
+    with pytest.raises(wd.WordSyntaxError) as shared:
+        wt.WitnessPair.from_json(data)
+    assert str(shared.value) == str(alone.value) == "unclosed bracket at 12"
+
+
 def _tamper_factor(
     pair: wt.WitnessPair, which: str, index: int, delta: int = 1
 ) -> wt.WitnessPair:
@@ -154,7 +187,7 @@ def _tamper_factor(
     else:
         tampered = wd.power(head, 1 + delta)
     factors[index] = wd.product(tampered, *rest)
-    return dataclasses.replace(pair, **{which: tuple(factors)}, report=None)
+    return pair._replace(**{which: tuple(factors)}, report=None)
 
 
 def test_single_exponent_tamper_detected():
@@ -198,24 +231,24 @@ def test_empty_sequence_builds_trivially():
 
 
 def _cut_s_only(pair):
-    return dataclasses.replace(pair, s_factors=pair.s_factors[:-2])
+    return pair._replace(s_factors=pair.s_factors[:-2])
 
 
 MUTATIONS = {
-    "truncate": lambda p: dataclasses.replace(
-        p, r_factors=p.r_factors[:2], s_factors=p.s_factors[:2], n=p.n[:2]
+    "truncate": lambda p: p._replace(
+        r_factors=p.r_factors[:2], s_factors=p.s_factors[:2], n=p.n[:2]
     ),
     "cut_s_only": _cut_s_only,
-    "reorder": lambda p: dataclasses.replace(
-        p, r_factors=p.r_factors[::-1], s_factors=p.s_factors[::-1]
+    "reorder": lambda p: p._replace(
+        r_factors=p.r_factors[::-1], s_factors=p.s_factors[::-1]
     ),
-    "swap_r_s": lambda p: dataclasses.replace(
-        p, r_factors=p.s_factors, s_factors=p.r_factors
+    "swap_r_s": lambda p: p._replace(
+        r_factors=p.s_factors, s_factors=p.r_factors
     ),
-    "raise_K": lambda p: dataclasses.replace(p, K=p.K + 1),
-    "lower_K": lambda p: dataclasses.replace(p, K=p.K - 1),
-    "negative_K": lambda p: dataclasses.replace(p, K=-1),
-    "change_n": lambda p: dataclasses.replace(p, n=p.n[:-1] + (p.n[-1] + 1,)),
+    "raise_K": lambda p: p._replace(K=p.K + 1),
+    "lower_K": lambda p: p._replace(K=p.K - 1),
+    "negative_K": lambda p: p._replace(K=-1),
+    "change_n": lambda p: p._replace(n=p.n[:-1] + (p.n[-1] + 1,)),
 }
 
 
@@ -223,7 +256,7 @@ MUTATIONS = {
 def pair_K9():
     pair = wt.build_witness((1, 0, 1, 1), 9)
     assert pair.report.ok
-    return dataclasses.replace(pair, report=None)
+    return pair._replace(report=None)
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
@@ -243,7 +276,7 @@ def _q_and_n_changed(pair):
     q[2] = 0
     n = list(pair.n)
     n[7 - 3] = 0
-    return dataclasses.replace(pair, q=tuple(q), n=tuple(n))
+    return pair._replace(q=tuple(q), n=tuple(n))
 
 
 def test_controlled_exponents_read_from_image(pair_K9):
@@ -255,15 +288,15 @@ def test_controlled_exponents_read_from_image(pair_K9):
 
 
 def _no_factors(K):
-    return lambda p: dataclasses.replace(p, K=K, r_factors=(), s_factors=(), n=())
+    return lambda p: p._replace(K=K, r_factors=(), s_factors=(), n=())
 
 
 TAMPERED = {
     **MUTATIONS,
     "untouched": lambda p: p,
     "q_and_n_changed": _q_and_n_changed,
-    "last_r_times_b": lambda p: dataclasses.replace(
-        p, r_factors=p.r_factors[:-1] + (wd.product(p.r_factors[-1], wd.B),)
+    "last_r_times_b": lambda p: p._replace(
+        r_factors=p.r_factors[:-1] + (wd.product(p.r_factors[-1], wd.B),)
     ),
     "empty_pair": lambda p: wt.WitnessPair(q=(), K=2, r_factors=(), s_factors=(), n=()),
     **{f"no_factors_K{K}": _no_factors(K) for K in (0, 1, 2)},
@@ -335,13 +368,13 @@ def _per_step_report(pair: wt.WitnessPair) -> wt.Report:
 def _prefix(pair: wt.WitnessPair, K: int) -> wt.WitnessPair:
     """The witness at K that a build at K gives: growing K only appends."""
     cut = K - 2
-    return dataclasses.replace(
-        pair, K=K, r_factors=pair.r_factors[:cut], s_factors=pair.s_factors[:cut], n=pair.n[:cut]
+    return pair._replace(
+        K=K, r_factors=pair.r_factors[:cut], s_factors=pair.s_factors[:cut], n=pair.n[:cut]
     )
 
 
 def test_honest_verify_reads_one_defect(monkeypatch):
-    pair = dataclasses.replace(wt.build_witness((1, 0, 1, 1, 0), 11), report=None)
+    pair = wt.build_witness((1, 0, 1, 1, 0), 11)._replace(report=None)
     calls = []
     defect = wt._defect
 
@@ -381,7 +414,7 @@ def _mutations(draw, pair: wt.WitnessPair):
     if kind == "deep":
         weight, m = K + draw(st.integers(-1, 1)), draw(st.integers(-2, 2).filter(bool))
         last = wd.product(pair.r_factors[-1], wd.power(wd.engel(weight - 1), m))
-        return dataclasses.replace(pair, r_factors=pair.r_factors[:-1] + (last,))
+        return pair._replace(r_factors=pair.r_factors[:-1] + (last,))
     which = draw(_SIDES)
     factors = list(getattr(pair, which))
     i = draw(index)
@@ -390,7 +423,7 @@ def _mutations(draw, pair: wt.WitnessPair):
         factors[i], factors[j] = factors[j], factors[i]
     else:
         del factors[i]
-    return dataclasses.replace(pair, **{which: tuple(factors)})
+    return pair._replace(**{which: tuple(factors)})
 
 
 @settings(max_examples=30, deadline=None)
