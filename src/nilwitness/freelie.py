@@ -262,6 +262,8 @@ class FreeLieElement:
             yield w, self.coeffs[w]
 
     def __add__(self, other: "FreeLieElement") -> "FreeLieElement":
+        if not isinstance(other, FreeLieElement):
+            return NotImplemented
         self._check(other)
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
@@ -272,6 +274,8 @@ class FreeLieElement:
         return self.scale(-1)
 
     def __sub__(self, other: "FreeLieElement") -> "FreeLieElement":
+        if not isinstance(other, FreeLieElement):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, n: int) -> "FreeLieElement":

@@ -44,6 +44,8 @@ class LampElement:
         return self.f.trunc
 
     def __mul__(self, other: "LampElement") -> "LampElement":
+        if not isinstance(other, LampElement):
+            return NotImplemented
         # a ring or truncation mismatch raises in the series arithmetic
         return LampElement(self.f + _shift(other.f, -self.e), self.e + other.e)
 

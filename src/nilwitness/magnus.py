@@ -227,6 +227,8 @@ class MagnusElement:
         only one factor holds is shared, unless that factor is a view with a
         scale, and only the rows _convolve writes are fresh.
         """
+        if not isinstance(other, MagnusElement):
+            return NotImplemented
         self._check(other)
         T, p, q, sp, sq = self.trunc, self._deg, other._deg, self._scale, other._scale
         wp, wq = self._weight(), other._weight()

@@ -169,6 +169,8 @@ class TruncatedSeries:
             raise ValueError("mismatched series rings or truncations")
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         self._check(other)
         ring = self.ring
         return TruncatedSeries(
@@ -182,9 +184,13 @@ class TruncatedSeries:
         return TruncatedSeries(ring, self.trunc, tuple(ring.coerce(-u) for u in self.coeffs))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         self._check(other)
         K = self.trunc
         out = [0] * K

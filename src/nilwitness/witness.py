@@ -62,7 +62,7 @@ releases it.
 A WitnessPair, its Report and each PropertyResult are NamedTuples: equal by
 their fields, refusing assignment, and copied with a change by _replace.
 WitnessPair.from_json parses all the factors of a file with one memo, so a
-commutator that recurs across them is built once.
+commutator atom that recurs across them is parsed once.
 """
 
 from __future__ import annotations

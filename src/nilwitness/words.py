@@ -17,10 +17,12 @@ Text syntax: letters a, A (= a^-1), b, B (= b^-1); commutators "[u,v]",
 left-normalized chains "[u,v,w,...]", iterated form "[u,_n v]" with
 0 <= n <= MAX_ITERATE; powers "w^n" with integer n.  One chain holds at most
 MAX_ITERATE brackets, an entry "_n v" counting n.  Whitespace is ignored.
+An expression is identified by its canonical text alone: the text is its
+str, its equality and hash, and its key in an evaluate cache.
 parse_word_expr splits a text into tokens with one regular expression and
-builds a commutator that recurs in the text once (see _Parser); parses that
-share a memo, such as those of the factors of one witness file, build a
-commutator that recurs anywhere in their texts once.
+parses a commutator atom "[...]" that recurs in the text once (see
+_Parser); parses that share a memo, such as those of the factors of one
+witness file, parse an atom that recurs anywhere in their texts once.
 """
 
 from __future__ import annotations
@@ -39,12 +41,9 @@ MAX_ITERATE = 64
 
 
 class WordExpr:
-    """Immutable expression tree; leaves are generators."""
+    """Expression tree, immutable by convention; leaves are generators."""
 
     __slots__ = ("_text",)
-
-    def key(self) -> str:
-        return self._text  # canonical text, used as cache key
 
     def __str__(self) -> str:
         return self._text
@@ -67,13 +66,13 @@ def seeded(a, b, one) -> dict:
 
 
 def evaluate(expr: WordExpr, cache: dict):
-    """Value of expr, memoized in `cache` on expr.key().
+    """Value of expr, memoized in `cache` on its canonical text.
 
     The cache must hold the generators (see seeded); a generator missing
     from it raises TypeError.  Values need only *, ** with an integer
     exponent and u.commutator(v), the commutator [u, v].
     """
-    key = expr.key()
+    key = expr._text
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -91,30 +90,26 @@ def evaluate(expr: WordExpr, cache: dict):
 
 
 class Gen(WordExpr):
-    __slots__ = ("name",)
+    __slots__ = ()
 
     def __init__(self, name: str):
         if name not in ("a", "b"):
             raise ValueError(f"unknown generator {name!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_text", name)
-
+        self._text = name
 
 
 class Pow(WordExpr):
     __slots__ = ("base", "exp")
 
     def __init__(self, base: WordExpr, exp: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exp", exp)
+        self.base = base
+        self.exp = exp
         if isinstance(base, Gen) and exp == -1:
-            text = base.name.upper()
+            self._text = base._text.upper()
         elif isinstance(base, Prod):
-            text = f"({base})^{exp}"
+            self._text = f"({base})^{exp}"
         else:
-            text = f"{base}^{exp}"
-        object.__setattr__(self, "_text", text)
-
+            self._text = f"{base}^{exp}"
 
 
 class Comm(WordExpr):
@@ -123,9 +118,9 @@ class Comm(WordExpr):
     __slots__ = ("left", "right")
 
     def __init__(self, left: WordExpr, right: WordExpr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_text", self._format(left, right))
+        self.left = left
+        self.right = right
+        self._text = self._format(left, right)
 
     @staticmethod
     def _format(left: WordExpr, right: WordExpr) -> str:
@@ -141,7 +136,6 @@ class Comm(WordExpr):
         return f"[{left},{right}]"
 
 
-
 class Prod(WordExpr):
     __slots__ = ("parts",)
 
@@ -152,9 +146,8 @@ class Prod(WordExpr):
                 flat.extend(p.parts)
             else:
                 flat.append(p)
-        object.__setattr__(self, "parts", tuple(flat))
-        object.__setattr__(self, "_text", " ".join(str(p) for p in flat))
-
+        self.parts = tuple(flat)
+        self._text = " ".join(str(p) for p in flat)
 
 
 A = Gen("a")
@@ -208,10 +201,10 @@ class WordSyntaxError(ValueError):
 
 
 def parse_word_expr(text: str, memo: dict | None = None) -> WordExpr:
-    """The expression of a text.  A commutator that recurs in it is built
-    once (see _Parser); parses that are passed one `memo`, a dict the caller
-    starts empty, share it, so a commutator that recurs anywhere in their
-    texts is built once.  An error names its offset in `text`."""
+    """The expression of a text.  A commutator atom "[...]" that recurs in
+    it is parsed once (see _Parser); parses that are passed one `memo`, a
+    dict the caller starts empty, share it, so an atom that recurs anywhere
+    in their texts is parsed once.  An error names its offset in `text`."""
     return _Parser(text, {} if memo is None else memo).parse_product(_END)
 
 
@@ -229,20 +222,15 @@ class _Parser:
     """Recursive descent over the tokens of one text.
 
     The memo, which the caller owns and parsers of several texts may share,
-    holds two kinds of entry, told apart by their keys:
-
-    * under an int, the hash of a source span (the text from a "[" to the
-      matching "]"): the text and offsets of the first copy of a commutator
-      atom that parsed, and its expression.  An atom that recurs is parsed
-      once and the copies share one expression.  A hit is confirmed on the
-      span itself: no span is held as a key, so a deeply nested atom costs
-      no copies of the text.  A span that did not parse is never kept, so
-      errors are reported where they occur.
-    * under a pair of ints, the identities of u and v: the bracket [u, v]
-      that a chain built from them.  Letters are shared and a repeated atom
-      is one expression, so a chain "[a,b,b]" takes the node of an earlier
-      "[a,b]", and each commutator is built once.  The entry holds u and v,
-      so their identities stay unique.
+    maps the hash of a source span (the text from a "[" to the matching
+    "]") to the text and offsets of the first copy of a commutator atom
+    that parsed, and its expression.  An atom that recurs is parsed once and
+    the copies share one expression.  A hit is confirmed on the span itself:
+    no span is held as a key, so a deeply nested atom costs no copies of the
+    text.  A span that did not parse is never kept, so errors are reported
+    where they occur.  The brackets of a chain are built afresh; evaluate
+    caches values by text, so an equal bracket built twice is evaluated
+    once.
     """
 
     def __init__(self, text: str, memo: dict):
@@ -341,11 +329,7 @@ class _Parser:
             if isinstance(arg, Prod) and not arg.parts:
                 raise self.error("empty commutator argument")
             for _ in range(count):
-                key = (id(expr), id(arg))
-                node = self.memo.get(key)
-                if node is None:
-                    node = self.memo[key] = Comm(expr, arg)
-                expr = node
+                expr = Comm(expr, arg)
         if self.tokens[self.i] != "]":
             raise self.error("unclosed bracket")
         self.i += 1

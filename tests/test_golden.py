@@ -28,6 +28,7 @@ re-run the command by hand, write its stdout over the file and say so in
 the change.
 """
 
+import hashlib
 import io
 import sys
 from pathlib import Path
@@ -67,14 +68,76 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name):
+
+def _stdout(argv) -> bytes:
     buf = io.StringIO()
     old = sys.stdout
     sys.stdout = buf
     try:
-        code = cli.main(CASES[name])
+        code = cli.main(argv)
     finally:
         sys.stdout = old
     assert code == cli.EXIT_OK
-    assert buf.getvalue().encode() == (GOLDEN / f"{name}.json").read_bytes()
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    assert _stdout(CASES[name]) == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# sha256 of the stdout of ``construct --q 1,0,1,1,0,1 -K <K>`` and of
+# ``verify`` on that output, recorded before word expressions were
+# identified by their text alone
+DIGESTS = {
+    3: (
+        "2e9bf50e842339297c90b0c85e7f14fbd27688f48ef61c6a40d0dc5eb8f984d3",
+        "b0415f9afea4de541a04a4eae98528b17d0cc96e3688eac909644c0063669dec",
+    ),
+    4: (
+        "ae4beff4a801e3928e43a1d921917296169591f918c429f1946b87bd3a169d6f",
+        "5cfd89d57c235f9a2386a5d47ddab0ec9aaac5ff261ee32e52eddb54f7ad62e9",
+    ),
+    5: (
+        "2df7603e14b48aea9a6b5855acdbc9a4f56726ac7700d2fd3178d4d4dbf5c26d",
+        "9ae9991375b973965b49188f470df1a2bdf1d9a316dacfb4b3c3058a0699f40c",
+    ),
+    6: (
+        "553a4b24eb4480996523a0add62bd3ccb88fd1f2501c3a5ebca5f92b6727e321",
+        "f4a3f87da7a1f16fc0db52cdbe8d8d3e3c073e373118d6847ba3a80505d04996",
+    ),
+    7: (
+        "15b8ee4aae6cb0dadb919bf353bd572b19602bafae7ba15c10e29a9b152084c6",
+        "2996013499409109439d7e7f07fc7d63057ae6b0c7d83ca711db15ce5551b4aa",
+    ),
+    8: (
+        "eb8be820b00787f29d918bfd03630c176db940ff642cc69d64e10599e7159e92",
+        "5066212be09f2c1a7ca4f0416e2ced2b15561acdb1bfab4f709abe3284a3d32e",
+    ),
+    9: (
+        "1472e6b70a39f857ab99f5a269c0995b5fff16843e806222f88def5029e73afa",
+        "84922973013e659739ade96972169cbd8a835654fa23fd36f59e9c2c4bc398d3",
+    ),
+    10: (
+        "808f987af40c569df2be15940256583603ef0cb0c78a719b96d92608039a645e",
+        "062d53131afe228bbd47e2689b2865e7533eb9fd7f5be942cd8b8d20391dd09f",
+    ),
+    11: (
+        "13fa34621d005256f053628770835e476af4243727c88cf964b43a6744f4d22b",
+        "17ca91bc6a935374f6e4d2c8242f127a81d2756b5ce3ffd79497158ebf3d7091",
+    ),
+    12: (
+        "0ca88b5bd6014098817d92d0cf16f8f4b4ece50982634a9b9044bb6690b224c8",
+        "80805c76d4a7c8ba77127acb3029933518432e771076a26e58574f45e80a95f4",
+    ),
+}
+
+
+@pytest.mark.parametrize("K", sorted(DIGESTS))
+def test_construct_and_verify_match_their_digests(K, tmp_path):
+    built = _stdout(["construct", "--q", "1,0,1,1,0,1", "-K", str(K)])
+    path = tmp_path / "witness.json"
+    path.write_bytes(built)
+    checked = _stdout(["verify", "--in", str(path)])
+    got = tuple(hashlib.sha256(out).hexdigest() for out in (built, checked))
+    assert got == DIGESTS[K]

@@ -1,6 +1,7 @@
 """Value semantics of the package's plain classes and records: equal values
 built apart compare and hash equal, validation raises as documented, records
-refuse assignment, and no value is a tuple to arithmetic."""
+refuse assignment, no value is a tuple to arithmetic, and an operator given
+a value of another class raises TypeError."""
 
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from nilwitness import coinv as cv
 from nilwitness import freelie as fl
 from nilwitness import lamplighter as lp
+from nilwitness import magnus as mg
 from nilwitness import series as sr
 from nilwitness import witness as wt
 
@@ -85,6 +87,30 @@ def test_records_refuse_assignment():
             setattr(record, field, None)
         with pytest.raises(AttributeError):
             record.extra = None
+
+
+def _mixed_operands():
+    series = sr.TruncatedSeries.one(sr.ZZ, 3)
+    lamp = lp.LampElement(series, 0)
+    lie = fl.hall_basis(3).gen("a")
+    return {
+        "series * 2": lambda: series * 2,
+        "series + 1": lambda: series + 1,
+        "series - 1": lambda: series - 1,
+        "magnus * 2": lambda: mg.MagnusElement.one(3) * 2,
+        "magnus * series": lambda: mg.MagnusElement.one(3) * series,
+        "lamp * 2": lambda: lamp * 2,
+        "lamp * series": lambda: lamp * series,
+        "lie + 2": lambda: lie + 2,
+        "lie - 2": lambda: lie - 2,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_mixed_operands()))
+def test_operators_with_another_class_raise_type_error(name):
+    # each operator returns NotImplemented, so Python raises TypeError
+    with pytest.raises(TypeError):
+        _mixed_operands()[name]()
 
 
 def test_series_is_no_sequence_to_arithmetic():

@@ -1,7 +1,9 @@
 """The witness constructor: base case, inductive properties, determinism,
 tamper detection, and the two-path computation of the exponent series."""
 
+import functools
 import gc
+import itertools
 import json
 import sys
 import weakref
@@ -19,6 +21,7 @@ from nilwitness import words as wd
 from nilwitness.series import TruncatedSeries, ZZ
 
 from letterwords import to_group_word
+from test_magnus import oracle_eval, poly_inverse, poly_mul
 
 
 def test_alternating_product_base_cases():
@@ -141,10 +144,11 @@ def test_json_roundtrip():
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def test_witness_file_builds_each_commutator_once(monkeypatch):
-    # the K = 10 file of construct --q 1,0,1,1,0,1 --weight 10 holds 234
-    # distinct commutators across its 16 factors; a parse memo per factor
-    # built 1585 Comm nodes
+def test_witness_file_shares_one_parse_memo_across_its_factors(monkeypatch):
+    # the K = 10 file of construct --q 1,0,1,1,0,1 --weight 10: with one
+    # memo for its 16 factors, a commutator atom that recurs in any of them
+    # is parsed once and its Comm nodes built once; a memo per factor
+    # builds them again in each factor
     built = []
 
     class Counting(wd.Comm):
@@ -155,9 +159,13 @@ def test_witness_file_builds_each_commutator_once(monkeypatch):
     monkeypatch.setattr(wd, "Comm", Counting)
     data = json.loads((GOLDEN / "construct_K10.json").read_text())
     pair = wt.WitnessPair.from_json(data)
-    assert len(built) == 234
+    assert len(built) == 428
     assert [str(w) for w in pair.r_factors] == data["r_factors"]
     assert [str(w) for w in pair.s_factors] == data["s_factors"]
+    built.clear()
+    for text in data["r_factors"] + data["s_factors"]:
+        wd.parse_word_expr(text)
+    assert len(built) == 1585
 
 
 def test_witness_file_errors_name_the_offset_in_their_factor():
@@ -431,6 +439,65 @@ def _mutations(draw, pair: wt.WitnessPair):
 def test_one_defect_report_matches_the_per_step_loop_on_mutations(pair_K9, data):
     bad = data.draw(_mutations(pair_K9))
     assert wt.verify_witness(bad) == _per_step_report(bad)
+
+
+# --- p1 recomputed from letter words, with no Magnus code ----------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _letter_oracle(expr: wd.WordExpr, trunc: int) -> dict:
+    """The dict oracle of an expression's letter word; an expression hashes
+    by its text, so a factor that recurs across witnesses expands once."""
+    return oracle_eval(str(to_group_word(expr)), trunc)
+
+
+def _oracle_commutator(x: dict, y: dict, trunc: int) -> dict:
+    """x^-1 y^-1 x y of two oracle dicts."""
+    inverses = poly_mul(poly_inverse(x, trunc), poly_inverse(y, trunc), trunc)
+    return poly_mul(inverses, poly_mul(x, y, trunc), trunc)
+
+
+def _oracle_p1(pair: wt.WitnessPair) -> wt.PropertyResult:
+    """p1 as verify_witness states it, from the factor words alone: after
+    step k = 3, 4, ... the defect [R_k, a][S_k, b] of the products R_k, S_k
+    of the factors so far, at truncation min(k, K) + 1 (a K below 0 counts
+    as 0), evaluated by the dict oracle of test_magnus."""
+    steps = list(zip(itertools.count(3), pair.r_factors, pair.s_factors))
+    if not steps:
+        return wt.PropertyResult(True, "")
+    top = max(pair.K, 0)
+    T = min(steps[-1][0], top) + 1
+    a, b = oracle_eval("a", T), oracle_eval("b", T)
+    R = S = {"": 1}
+    fails = []
+    for k, r, s in steps:
+        R = poly_mul(R, _letter_oracle(r, T), T)
+        S = poly_mul(S, _letter_oracle(s, T), T)
+        Tk = min(k, top) + 1
+        Rk, Sk = ({w: c for w, c in x.items() if len(w) <= Tk} for x in (R, S))
+        defect = poly_mul(_oracle_commutator(Rk, a, Tk), _oracle_commutator(Sk, b, Tk), Tk)
+        weight = min((len(w) for w in defect if w), default=None)
+        if weight is not None:
+            fails.append(f"step {k}: defect has weight {weight}")
+    return wt.PropertyResult(not fails, "; ".join(fails))
+
+
+@pytest.mark.parametrize("q, K", [((1,), 4), ((1, 0, 1), 5), ((2, -3), 6), ((1, 0, 1), 6)])
+def test_p1_matches_the_letter_oracle_on_honest_witnesses(q, K):
+    pair = wt.build_witness(q, K)
+    assert pair.report.p1 == _oracle_p1(pair) == wt.PropertyResult(True, "")
+
+
+@pytest.fixture(scope="module")
+def pair_K6():
+    return wt.build_witness((1, 0, 1), 6)._replace(report=None)
+
+
+# q_and_n_changed sets n_7, which a K = 6 witness does not hold
+@pytest.mark.parametrize("name", sorted(set(TAMPERED) - {"q_and_n_changed"}))
+def test_p1_matches_the_letter_oracle_on_tampered_witnesses(pair_K6, name):
+    bad = TAMPERED[name](pair_K6)
+    assert wt.verify_witness(bad).p1 == _oracle_p1(bad)
 
 
 def test_build_work_counts(monkeypatch):
