@@ -5,12 +5,24 @@ degree K; the images are units with constant term 1 and the map is injective
 on F/gamma_{K+1}(F).  Lower-central weight becomes visible as the lowest
 degree of g - 1, which is what gamma_weight reads off.
 
-Degree-d coefficients are stored densely: a row of 2^d integers indexed by
-the monomial's bitmask (word_mask: bit 1 = B, most significant bit =
-leftmost letter), so within one degree lex order of words is numeric order
-of masks.  A degree with no nonzero coefficients is stored as None, which is
-what keeps products of deep-weight elements cheap.  This module owns the row
-format: the free Lie layer holds its homogeneous polynomials as rows too.
+Degree-d coefficients are stored as a row: a dense list of 2^d integers
+indexed by the monomial's bitmask (word_mask: bit 1 = B, most significant
+bit = leftmost letter), so within one degree lex order of words is numeric
+order of masks.  A degree with no nonzero coefficients is stored as None,
+which is what keeps products of deep-weight elements cheap.  This module
+owns the row format: the free Lie layer holds its homogeneous polynomials as
+dense rows too.
+
+A row that the evaluator stores for a deep element (below) is packed when it
+has at least 64 slots and fewer than a quarter of them are nonzero: the tuple
+(masks, coefficients, 2^d) of its nonzero entries in increasing mask order,
+as array('l') and array('q'), the coefficients a list when one needs more
+than 64 bits, so packing is exact.  Deep elements hold most of a witness's
+row slots, and few of those are nonzero.  nonzero returns a packed row's
+entries without a scan and _add_rows adds them by index; the readers that
+need a dense row (the generator commutator, leading_lie, == and hash) build
+one, and coefficient looks the mask up by bisection.  Only stored values are
+packed: products, commutators and powers build dense rows.
 
 Rows are immutable once an element holds them, so elements share them: a
 truncation holds the rows of its source, and a product holds each row of a
@@ -53,7 +65,8 @@ of about T terms; writing that inverse as g^-1 h^-1 saved nothing, because
 the letter's inverse is itself a series of T terms.
 
 A word is evaluated as an expression, text being parsed first, by
-words.evaluate on a cache seeded with 1 + A, 1 + B and 1; the walk takes
+words.evaluate on a cache seeded with 1 + A, 1 + B and 1, which packs the
+rows of the deep values it stores (above); the walk takes
 [g, h] as g.commutator(h), which calls the module function commutator by
 its global name.  mul_letter and conjugate_letter are plain products with
 a generator; they stay because the benchmark's tracer times them as a
@@ -63,8 +76,10 @@ layer of its own.
 from __future__ import annotations
 
 import operator
+from array import array
+from bisect import bisect_left
 from itertools import compress
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .series import INFINITE_WEIGHT, binomials
 from .words import (
@@ -79,8 +94,14 @@ from .words import (
     seeded,
 )
 
-# degree rows: index d holds the 2^d coefficients of degree d, None when zero
-Rows = list[list[int] | None]
+# a packed row: the masks of its nonzero entries in increasing order, their
+# coefficients in the same order (a list when one needs more than 64 bits),
+# and the number of slots 2^d of the dense row it stands for
+Packed = tuple[array, array | list[int], int]
+# one degree: a dense row of 2^d coefficients, or a packed one
+Row = list[int] | Packed
+# degree rows: index d holds the row of degree d, None when zero
+Rows = list[Row | None]
 # the nonzero entries of one row: their masks in increasing order, and their
 # coefficients in the same order
 Entries = tuple[Sequence[int], Sequence[int]]
@@ -103,9 +124,52 @@ def mask_word(mask: int, d: int) -> str:
     return format(mask, f"0{d}b").translate(_LETTERS)
 
 
-def nonzero(row: list[int]) -> Entries:
-    """The nonzero entries of a row, as masks and coefficients."""
-    return list(compress(range(len(row)), row)), list(filter(None, row))
+def nonzero(row: Row) -> Entries:
+    """The nonzero entries of a row, as masks and coefficients: a packed
+    row's stored entries, a dense row's by a scan."""
+    if type(row) is tuple:
+        return row[0], row[1]
+    masks = list(_nonzero_masks(row))
+    return masks, list(map(row.__getitem__, masks))
+
+
+# 0, 1, 2, ... up to the longest dense row scanned: a scan selects its masks
+# from here rather than making an int object for every slot, which halves
+# its cost.  It only grows, and index i always holds i.
+_MASKS: list[int] = []
+
+
+def _nonzero_masks(row: list[int]) -> Iterator[int]:
+    """The masks of the nonzero slots of a dense row, in increasing order."""
+    if len(row) > len(_MASKS):
+        _MASKS.extend(range(len(_MASKS), len(row)))
+    return compress(_MASKS, row)
+
+
+def _dense(row: Row, scale: int = 1) -> list[int]:
+    """scale * row as a new dense row."""
+    if type(row) is list:
+        return list(row) if scale == 1 else [scale * c for c in row]
+    masks, coeffs, size = row
+    out = [0] * size
+    for m, c in zip(masks, coeffs):
+        out[m] = scale * c
+    return out
+
+
+def _pack(row: Row | None) -> Row | None:
+    """A dense row with fewer than a quarter of its slots nonzero in packed
+    form; any other row as it is.  Counting the zeros first costs about a
+    seventh of a scan, so a dense row is not scanned.  Coefficients that do
+    not fit 64 bits stay a list, so packing is exact."""
+    if type(row) is not list or 4 * (len(row) - row.count(0)) >= len(row):
+        return row
+    masks, coeffs = nonzero(row)
+    try:
+        coeffs = array("q", coeffs)
+    except OverflowError:
+        pass
+    return array("l", masks), coeffs, len(row)
 
 
 def mul_rows(acc: list[int], p: Entries, q: Entries, j: int, scale: int) -> None:
@@ -155,7 +219,9 @@ class MagnusElement:
     """Unit of the truncated series ring with constant term 1; immutable.
 
     No row is written after construction, so elements share rows freely.
-    The element is 1 + _scale * (the rows in _deg); _scale is never 0.
+    The element is 1 + _scale * (the rows in _deg); _scale is never 0.  The
+    evaluator's cache may give a deep element a new _deg that holds the same
+    rows, some of them packed (module docstring).
     """
 
     __slots__ = ("trunc", "_deg", "_scale")
@@ -176,10 +242,11 @@ class MagnusElement:
         out.trunc, out._deg, out._scale = trunc, deg, scale
         return out
 
-    def _rows(self) -> Rows:
-        """The rows of self - 1, scaled: copies unless the scale is 1."""
+    def _rows(self) -> list[list[int] | None]:
+        """The rows of self - 1, scaled and dense: a dense row at scale 1 is
+        shared, any other is a copy."""
         s = self._scale
-        return self._deg if s == 1 else [r and [s * c for c in r] for r in self._deg]
+        return [r if type(r) is list and s == 1 else r and _dense(r, s) for r in self._deg]
 
     @staticmethod
     def one(trunc: int) -> "MagnusElement":
@@ -204,8 +271,14 @@ class MagnusElement:
             return 1
         if d > self.trunc:
             raise ValueError("monomial degree beyond truncation")
-        row = self._deg[d]
-        return 0 if row is None else self._scale * row[word_mask(monomial)]
+        row, m = self._deg[d], word_mask(monomial)
+        if row is None:
+            return 0
+        if type(row) is list:
+            return self._scale * row[m]
+        masks, coeffs, _ = row
+        i = bisect_left(masks, m)
+        return self._scale * coeffs[i] if i < len(masks) and masks[i] == m else 0
 
     def degree_terms(self, d: int) -> dict[str, int]:
         """Degree-d homogeneous part as a dict over words in a, b.  No
@@ -300,12 +373,8 @@ class MagnusElement:
         if not isinstance(other, MagnusElement):
             return NotImplemented
         # zero rows are always stored as None and a scale is never 0, so equal
-        # elements hold equal lists at equal scales
-        if self.trunc != other.trunc:
-            return False
-        if self._scale == other._scale:
-            return self._deg == other._deg
-        return self._rows() == other._rows()
+        # elements have equal dense rows once scaled
+        return self.trunc == other.trunc and self._rows() == other._rows()
 
     def __hash__(self):
         return hash(
@@ -325,27 +394,38 @@ class MagnusElement:
         return f"MagnusElement(trunc={self.trunc}, degrees={nz})"
 
 
-def _add_rows(
-    a: list[int] | None, sa: int, b: list[int] | None, sb: int, fresh: bool = False
-) -> list[int] | None:
+def _add_rows(a: Row | None, sa: int, b: Row | None, sb: int, fresh: bool = False) -> Row | None:
     """sa * a + sb * b, None standing for a zero row.  A lone row at scale 1
-    is returned as it is, or as a copy if fresh; any other result is fresh.
-    A scaled row is added by its nonzero entries: for a 1024-slot row at 18%
-    density that costs about what a dense add of two rows costs, and a dense
-    scaled add 1.6 times as much."""
-    if a is None or (sa != 1 and b is not None and sb == 1):
+    is returned as it is, or as a dense copy if fresh; any other result is a
+    new dense row.  Two dense rows at scale 1 are added slot by slot.
+    Otherwise one row is copied, a dense one at scale 1 rather than a packed
+    one and a packed one rather than a scaled dense one, and the other is
+    added by its nonzero entries, stored in a packed row and found by a scan
+    in a dense one: for a 1024-slot row at 18% density the scan and the adds
+    cost about what a dense add of two rows costs, and a dense scaled add 1.6
+    times as much."""
+    if a is None or (b is not None and _copy_cost(b, sb) < _copy_cost(a, sa)):
         a, sa, b, sb = b, sb, a, sa
     if a is None:
         return None
     if b is None and sa == 1:
-        return list(a) if fresh else a
-    if sa == sb == 1:
+        return _dense(a) if fresh else a
+    if sa == sb == 1 and type(a) is list and type(b) is list:
         return list(map(operator.add, a, b))
-    acc = list(a) if sa == 1 else [sa * c for c in a]
-    if b is not None:
-        for m in compress(range(len(b)), b):
+    acc = _dense(a, sa)
+    if type(b) is list:
+        for m in _nonzero_masks(b):
             acc[m] += sb * b[m]
+    elif b is not None:
+        for m, c in zip(b[0], b[1]):
+            acc[m] += sb * c
     return acc
+
+
+def _copy_cost(row: Row, scale: int) -> int:
+    """Rank of a row as the copied side of a sum: 0 dense at scale 1, 1
+    packed, 2 dense and scaled."""
+    return 1 if type(row) is tuple else 0 if scale == 1 else 2
 
 
 def _nonzero_rows(rows: Rows, top: int) -> list[Entries | None]:
@@ -454,9 +534,11 @@ def _commutator_with_generator(g: MagnusElement, w: int, bit: int, T: int) -> Ma
     for d in range(w, T):
         row = g._deg[d]
         if y is not None:
-            row = list(row) if row else [0] * (1 << d)
+            row = _dense(row) if row else [0] * (1 << d)
             lo, hi = bit * len(y), (bit + 1) * len(y)
             row[lo:hi] = map(operator.sub, row[lo:hi], y)
+        elif type(row) is tuple:
+            row = _dense(row)
         if row is None:
             continue
         c = [0] * (2 << d)
@@ -491,10 +573,28 @@ class MagnusEvaluator:
 
     def __init__(self, trunc: int):
         gen = MagnusElement.generator
-        self._cache = seeded(gen("a", trunc), gen("b", trunc), MagnusElement.one(trunc))
+        self._cache = _PackingCache(seeded(gen("a", trunc), gen("b", trunc), MagnusElement.one(trunc)))
 
     def eval(self, expr: WordExpr) -> MagnusElement:
         return evaluate(expr, self._cache)
+
+
+# the lowest degree whose rows are packed: rows of 64 slots and more
+_PACK_DEGREE = 6
+
+
+class _PackingCache(dict):
+    """The evaluator's cache: a deep element it stores keeps its sparse rows
+    packed (module docstring).  Only stored values are packed; the products
+    that make them stay dense."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key: str, g: MagnusElement) -> None:
+        deg = g._deg
+        if len(deg) > _PACK_DEGREE and 2 * g._weight() > g.trunc:
+            g._deg = deg[:_PACK_DEGREE] + [_pack(r) for r in deg[_PACK_DEGREE:]]
+        dict.__setitem__(self, key, g)
 
 
 def gamma_weight(g: MagnusElement) -> int | float:
@@ -515,7 +615,10 @@ def leading_lie(g: MagnusElement, basis):
         raise ValueError("identity element has no leading term")
     if k > basis.max_weight:
         raise ValueError("leading weight exceeds basis truncation")
-    return basis.from_words(basis.lie_coordinates(g._deg[k])).scale(g._scale)
+    row = g._deg[k]
+    if type(row) is tuple:
+        row = _dense(row)
+    return basis.from_words(basis.lie_coordinates(row)).scale(g._scale)
 
 
 def check_group_identity(n: int) -> bool:

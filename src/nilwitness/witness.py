@@ -101,9 +101,10 @@ __all__ = [
 ]
 
 # largest truncation weight accepted by build_witness and in a witness file:
-# degree-K tables hold 2^K coefficients, and memory grows about 3.4 times per
-# step of K; a construct peaks at about 720 MB of RSS at K = 14 and 2.4 GB at
-# K = 15, the largest K measured to finish under 3 GiB, and K = 16 needs 8 GB
+# degree-K tables hold 2^K coefficients, and memory grows about 2.9 times per
+# step of K; a construct peaks at about 275 MB of RSS at K = 14 and 0.8 GB at
+# K = 15, the largest K measured to finish under 3 GiB (K = 16 is not
+# measured since deep rows are packed; it needed 8 GB before)
 MAX_K = 15
 
 

@@ -327,6 +327,7 @@ def test_shared_rows_are_never_written():
     rng = random.Random(8)
     sample = rng.sample(list(wt._workspace(T).magnus._cache.values()), 12)
     assert {2 * g._weight() > T for g in sample} == {True, False}  # deep and shallow
+    assert any(type(r) is tuple for g in sample for r in g._deg)  # packed rows
     for g in sample:
         for d, row in enumerate(g._deg[1:], 1):
             assert g.truncate(d)._deg[d] is row
@@ -348,6 +349,100 @@ def test_shared_rows_are_never_written():
     # results share the rows of their operands, so they are operands in turn
     made = exercise(sample)
     exercise(sample + rng.sample(made, 40))
+
+
+# --- packed rows: stored deep values keep their sparse rows as entries -------
+
+
+def _dense_evaluator(trunc):
+    """An evaluator whose cache packs nothing, so every row it makes stays
+    dense: the same element in the other form."""
+    ev = mg.MagnusEvaluator(trunc)
+    ev._cache = dict(ev._cache)
+    return ev
+
+
+def _packed_degrees(g):
+    return [d for d, r in enumerate(g._deg) if type(r) is tuple]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[a,_5 b]", "[a,_5 b]^-3", "[a,_4 b,a]^-3 [a,_5 b]^2", "[a,_5 b]^7 [a,_6 b]^-2"],
+)
+def test_packed_and_dense_forms_read_the_same(text):
+    T = 9
+    expr = wd.parse_word_expr(text)
+    g, h = mg.MagnusEvaluator(T).eval(expr), _dense_evaluator(T).eval(expr)
+    assert _packed_degrees(g) and not _packed_degrees(h)
+    assert g == h and h == g and hash(g) == hash(h)
+    assert g != h**2 and h**2 != g
+    for d in range(1, T + 1):
+        assert g.degree_terms(d) == h.degree_terms(d)
+        for m in range(1 << d):
+            w = mg.mask_word(m, d).upper()
+            assert g.coefficient(w) == h.coefficient(w)
+    basis = fl.hall_basis(T)
+    assert mg.leading_lie(g, basis) == mg.leading_lie(h, basis)
+    for x in [mg.eval_word(w, T) for w in ("a", "b", "[a,b]", "b^-1 a")] + [g**2]:
+        assert g * x == h * x and x * g == x * h
+        assert mg.commutator(g, x) == mg.commutator(h, x)
+        assert mg.commutator(x, g) == mg.commutator(x, h)
+
+
+def test_pack_threshold():
+    # 64 slots with 15 nonzero (under a quarter) pack; with 16 they stay a list
+    row = [0] * 64
+    for m in range(15):
+        row[4 * m + 1] = m - 7 or 100
+    masks, coeffs, size = mg._pack(list(row))
+    assert list(masks) == [4 * m + 1 for m in range(15)] and size == 64
+    assert list(coeffs) == [m - 7 or 100 for m in range(15)]
+    row[63] = 1
+    assert mg._pack(row) is row
+    # rows under 64 slots stay lists, sparse as they may be: at T = 5,
+    # [a,_4 b] is deep and its one row has 5 of 32 slots nonzero
+    g = mg.MagnusEvaluator(5).eval(wd.parse_word_expr("[a,_4 b]"))
+    assert 2 * g._weight() > 5 and type(g._deg[5]) is list
+    assert 4 * (32 - g._deg[5].count(0)) < 32
+    # in a build's cache, a row of a deep value packs exactly when it has at
+    # least 64 slots and under a quarter of them are nonzero
+    wt._workspace.cache_clear()
+    wt.build_witness((1, 0, 1), 8)
+    kinds = set()
+    for g in wt._workspace(8).magnus._cache.values():
+        for d, r in enumerate(g._deg):
+            if r is None:
+                continue
+            nnz = len(r[0]) if type(r) is tuple else len(r) - r.count(0)
+            sparse = 1 << d >= 64 and 4 * nnz < 1 << d
+            if 2 * g._weight() > g.trunc:
+                assert (type(r) is tuple) == sparse
+                kinds.add((type(r) is tuple, 1 << d >= 64))
+            elif type(r) is tuple:
+                # a shallow value holds a packed row only as its factor's
+                assert sparse
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_packed_rows_keep_coefficients_beyond_64_bits():
+    # a product of deep powers with exponents near 2^70 has coefficients
+    # that array('q') cannot hold: its packed rows keep them in a list
+    T, N, M = 9, 2**70 + 3, -(2**69) - 5
+    expr = wd.parse_word_expr(f"[a,_5 b]^{N} [a,_6 b]^{M}")
+    g = mg.MagnusEvaluator(T).eval(expr)
+    wide = [r for r in g._deg if type(r) is tuple and type(r[1]) is list]
+    assert wide and max(abs(c) for r in wide for c in r[1]) >= 2**63
+    assert g == _dense_evaluator(T).eval(expr)
+
+    def deep_power(text, n):
+        # 1 + u with u^2 = 0 at T, so (1 + u)^n = 1 + n u
+        base = oracle_eval(_text(to_group_word(wd.parse_word_expr(text)).letters), T)
+        u = {w: c for w, c in base.items() if w}
+        assert u and poly_mul(u, u, T) == {}
+        return {"": 1, **{w: n * c for w, c in u.items()}}
+
+    assert as_dict(g) == poly_mul(deep_power("[a,_5 b]", N), deep_power("[a,_6 b]", M), T)
 
 
 # --- group laws ------------------------------------------------------------

@@ -501,21 +501,34 @@ def test_p1_matches_the_letter_oracle_on_tampered_witnesses(pair_K6, name):
 
 
 def test_build_work_counts(monkeypatch):
-    # dense row slots that nonzero scans, and multiply-adds in mul_rows, for
-    # one build from empty caches; deterministic, so a bound that moves up
-    # means work that is done twice again.  Before rows were shared and deep
-    # powers took the closed form: 848,698 slots and 336,332 multiply-adds;
-    # then 531,070 and 273,131 while words were evaluated at K + 1; then, at
-    # K, 375,690 and 171,078; then, with present_with_generators checking its
-    # result on rows, 367,986 and 162,000.  Now that it presents the leading
-    # Lie term in one worklist pass, not one Jacobi recursion and two
-    # read-offs per basis word: 224,814 and 128,562.
-    counts = {"slots": 0, "madds": 0}
-    nonzero, mul_rows = mg.nonzero, mg.mul_rows
+    # row slots that nonzero reads (all of a dense row, the stored entries of
+    # a packed one), and multiply-adds in mul_rows, for one build from empty
+    # caches; deterministic, so a bound that moves up means work that is done
+    # twice again.  Before rows were shared and deep powers took the closed
+    # form: 848,698 slots and 336,332 multiply-adds; then 531,070 and 273,131
+    # while words were evaluated at K + 1; then, at K, 375,690 and 171,078;
+    # then, with present_with_generators checking its result on rows, 367,986
+    # and 162,000.  Now that it presents the leading Lie term in one worklist
+    # pass, not one Jacobi recursion and two read-offs per basis word:
+    # 224,814 and 128,562 (the build had come down to 165,136 and 48,624
+    # under those bounds).  Now that the evaluator packs the sparse rows of
+    # the deep values it stores: 162,685 and 48,624, and apart from them the
+    # 63,296 slots of the rows that packing scans once for their entries.
+    counts = {"slots": 0, "packing": 0, "madds": 0}
+    nonzero, mul_rows, pack = mg.nonzero, mg.mul_rows, mg._pack
+    packing = []
 
     def counting_nonzero(row):
-        counts["slots"] += len(row)
+        n = len(row[0]) if type(row) is tuple else len(row)
+        counts["packing" if packing else "slots"] += n
         return nonzero(row)
+
+    def counting_pack(row):
+        packing.append(row)
+        try:
+            return pack(row)
+        finally:
+            packing.pop()
 
     def counting_mul_rows(acc, p, q, j, scale):
         counts["madds"] += len(p[0]) * len(q[0])
@@ -524,11 +537,13 @@ def test_build_work_counts(monkeypatch):
     for mod in (mg, fl):
         monkeypatch.setattr(mod, "nonzero", counting_nonzero)
         monkeypatch.setattr(mod, "mul_rows", counting_mul_rows)
+    monkeypatch.setattr(mg, "_pack", counting_pack)
     # an empty workspace: its basis holds no expansions, its evaluator no rows
     wt._workspace.cache_clear()
     assert wt.build_witness((1, 0, 1, 1), 9).report.ok
-    assert counts["slots"] <= 224_814
-    assert counts["madds"] <= 128_562
+    assert counts["slots"] <= 162_685
+    assert counts["packing"] <= 63_296
+    assert counts["madds"] <= 48_624
     # the build and its verify share one workspace and evaluate every word
     # at K, nothing at K + 1
     assert wt._workspace.cache_info().misses == 1
@@ -536,15 +551,26 @@ def test_build_work_counts(monkeypatch):
 
 
 def test_build_row_memory():
-    # distinct row slots that the evaluator cache holds after one K = 10
-    # build from an empty cache; deterministic, so a bound that moves up
-    # means rows that are copied again.  While each power of a deep element
-    # held a scaled copy of its base's rows: 892,176; as views: 382,224.
+    # bytes that the distinct rows in the evaluator cache hold after one
+    # K = 10 build from an empty cache (the lists and arrays, not the int
+    # objects of a list); deterministic, so a bound that moves up means rows
+    # that are copied again or stored dense.  Counted in dense slots while
+    # each power of a deep element held a scaled copy of its base's rows:
+    # 892,176; as views: 382,224 slots, which hold 3,101,120 bytes.  With the
+    # sparse rows of deep values packed: 1,599,120 bytes.
     wt._workspace.cache_clear()
     assert wt.build_witness((1, 0, 1, 1, 0, 1), 10).report.ok
     cached = wt._workspace(10).magnus._cache.values()
-    slots = {id(r): len(r) for g in cached for r in g._deg if r is not None}
-    assert sum(slots.values()) <= 382_224
+    held = {id(r): _row_bytes(r) for g in cached for r in g._deg if r is not None}
+    assert sum(held.values()) <= 1_599_120
+
+
+def _row_bytes(row):
+    """Bytes of a dense row's list, or of a packed row's masks and
+    coefficients."""
+    if type(row) is list:
+        return sys.getsizeof(row)
+    return sys.getsizeof(row[0]) + sys.getsizeof(row[1])
 
 
 # --- caches: one owner each ---------------------------------------------------
