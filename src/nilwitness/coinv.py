@@ -13,7 +13,8 @@ v (x) conj(v), and checks exactness of
 
     0 -> K --(. v0)--> V --(- (x) v0)--> (V (x)_K V) / D
 
-by brute-force kernel computation over the rationals.  The tensor product is
+over the rationals: the kernel by one rank, and every other part, which is
+Q-linear or quadratic, on a rational basis.  The tensor product is
 the conjugate-balanced one (scalars move across the tensor sign through the
 involution), which is the reading under which D is an honest K-subspace; in
 coordinates v (x) u is the matrix (v_j * conj(u)_k) and D becomes the
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -253,14 +253,14 @@ class InvolutiveField:
     def minus_part(self, vec):
         return tuple(QuadExt(Fraction(0), c.v) for c in vec)
 
-    def random_scalar(self, rng) -> QuadExt:
-        return QuadExt.of(
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-        )
-
-    def random_vec(self, rng):
-        return tuple(self.random_scalar(rng) for _ in range(self.dim))
+    def rational_basis(self) -> list:
+        """The Q-basis e_1, sqrt(d) e_1, e_2, sqrt(d) e_2, ... of V."""
+        zero = QuadExt.of(0)
+        return [
+            tuple(unit if j == i else zero for j in range(self.dim))
+            for i in range(self.dim)
+            for unit in (QuadExt.of(1), QuadExt.of(0, 1))
+        ]
 
 
 def _tensor_coords(F: InvolutiveField, v, u) -> list[Fraction]:
@@ -324,64 +324,50 @@ def psi_value(F: InvolutiveField, v, u) -> list[Fraction]:
     return out
 
 
-def involution_exactness_report(
-    F: InvolutiveField, trials: int = 20, seed: int = 0
-) -> dict:
-    """Brute-force check of the exactness statement for (F, V, v0).
+def involution_exactness_report(F: InvolutiveField) -> dict:
+    """The exactness statement for (F, V, v0), each part proved by finitely
+    many exact checks.  With b_1 .. b_n the rational basis of V (n = 2 dim):
 
-    * scalar line: alpha * v0 (x) v0 lies in D for `trials` random alpha;
-    * kernel: { v : v (x) v0 in D } computed by rational elimination equals
-      exactly the K-line through v0;
-    * psi kills `trials` random additive combinations of pure tensors;
-    * the plus/minus decomposition identities hold on random vectors.
+    * scalar line: alpha v0 (x) v0 lies in D for alpha = 1 and sqrt(d), a
+      Q-basis of K; alpha -> alpha v0 (x) v0 is Q-linear and D is a
+      Q-subspace, so every alpha follows;
+    * kernel: v -> v (x) v0 mod D kills b_1 = v0 and b_2 = sqrt(d) v0 and has
+      rank n - 2, so its kernel is exactly the K-line through v0;
+    * psi kills D: w -> psi(w (x) sigma(w)) is a quadratic form in the
+      rational coordinates of w, so by polarization it vanishes on V when it
+      vanishes at each b_k + b_l, k <= l (2 b_k at k = l); psi is Q-linear,
+      so it then kills every rational combination of pure tensors, and these
+      span D;
+    * the plus/minus identities v+ + v- = v, sigma(v+) = v+ and
+      sigma(v-) = -v- are Q-linear in v, so they hold when they hold at each
+      b_k.
     """
-    rng = random.Random(seed)
-    d_rows = _diagonal_span_rows(F)
-    rel_rank, pivots, rref_rows = linalg.rref(d_rows)
+    basis = F.rational_basis()
+    _, pivots, rref_rows = linalg.rref(_diagonal_span_rows(F))
 
-    def in_d(vec) -> bool:
-        return all(
-            c == 0 for c in linalg.reduce_mod_rowspace(vec, rref_rows, pivots)
-        )
+    def mod_d(vec) -> list:
+        return linalg.reduce_mod_rowspace(vec, rref_rows, pivots)
 
-    scalar_ok = all(
-        in_d(_tensor_coords(F, F.scale_vec(F.random_scalar(rng), F.v0), F.v0))
-        for _ in range(trials)
+    scalar_ok = not any(
+        c
+        for alpha in (QuadExt.of(1), QuadExt.of(0, 1))
+        for c in mod_d(_tensor_coords(F, F.scale_vec(alpha, F.v0), F.v0))
     )
 
-    # kernel of v -> v (x) v0 mod D over the rationals (dim_Q V = 2 dim)
-    qdim = 2 * F.dim
-    images = []
-    for idx in range(qdim):
-        coords = [QuadExt.of(0)] * F.dim
-        coords[idx // 2] = QuadExt.of(1) if idx % 2 == 0 else QuadExt.of(0, 1)
-        images.append(
-            linalg.reduce_mod_rowspace(
-                _tensor_coords(F, tuple(coords), F.v0), rref_rows, pivots
-            )
-        )
     # the kernel is the Q-span of v0 and sqrt(d) v0 exactly when both map to
-    # 0 and the images of the other qdim - 2 basis vectors are independent
+    # 0 and the images of the other 2 dim - 2 basis vectors are independent
+    images = [mod_d(_tensor_coords(F, b, F.v0)) for b in basis]
     kernel_ok = (
-        not any(images[0]) and not any(images[1]) and linalg.field_rank(images) == qdim - 2
+        not any(images[0]) and not any(images[1]) and linalg.field_rank(images) == len(basis) - 2
     )
 
     psi_ok = True
-    for _ in range(trials):
-        terms = []
-        for _ in range(rng.randint(1, 4)):
-            w = F.random_vec(rng)
-            c = Fraction(rng.randint(-3, 3))
-            terms.append((c, w))
-        vals = [
-            [c * x for x in psi_value(F, w, F.sigma_v(w))] for c, w in terms
-        ]
-        total = [sum(col) for col in zip(*vals)]
-        psi_ok &= all(x == 0 for x in total)
+    for b, c in itertools.combinations_with_replacement(basis, 2):
+        w = F.add_vec(b, c)
+        psi_ok &= not any(psi_value(F, w, F.sigma_v(w)))
 
     decomp_ok = True
-    for _ in range(trials):
-        v = F.random_vec(rng)
+    for v in basis:
         vp, vm = F.plus_part(v), F.minus_part(v)
         decomp_ok &= F.add_vec(vp, vm) == v
         decomp_ok &= F.sigma_v(vp) == vp

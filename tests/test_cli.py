@@ -120,7 +120,7 @@ def test_coinv_classifies_series(tmp_path):
 
 
 def test_involution_suite():
-    code, out = run_cli(["involution", "--trials", "5"])
+    code, out = run_cli(["involution"])
     assert code == 0
     assert json.loads(out)["ok"]
 
@@ -154,7 +154,7 @@ def test_out_file_holds_the_stdout_bytes(tmp_path):
         ["verify", "--in", str(witness_file)],
         ["phi", "--word", "[a,b]", "--weight", "4"],
         ["coinv", "--ring", "Q", "--weight", "4"],
-        ["involution", "--trials", "2"],
+        ["involution"],
         ["report", "--weight", "2"],
     ):
         code, printed = run_cli(argv)
@@ -171,8 +171,7 @@ def test_out_file_holds_the_stdout_bytes(tmp_path):
         (["identities", "--max-n", "1"], "freelie", "check_identity", lambda n: False),
         (["coinv", "--ring", "Q", "--weight", "4"], "coinv", "coinvariant_rank_oracle",
          lambda ring, K: -1),
-        (["involution", "--trials", "2"], "coinv", "involution_exactness_report",
-         lambda field, trials, seed: {"ok": False}),
+        (["involution"], "coinv", "involution_exactness_report", lambda field: {"ok": False}),
     ],
 )
 def test_failed_check_exits_one_with_its_report(monkeypatch, argv, module, name, fake):
@@ -415,11 +414,12 @@ def test_weight_limits_checked_before_any_work(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("usage error:"), argv
 
 
-def test_involution_trials_bounded_before_any_work(monkeypatch):
+def test_involution_takes_no_sampling_options(monkeypatch):
+    # the certificates draw nothing, so there is nothing to count or seed
     monkeypatch.setattr(cli.coinv, "involution_exactness_report", _refuse)
-    for trials in (0, -5, cli.MAX_TRIALS + 1):
-        code, _ = run_cli(["involution", "--trials", str(trials)])
-        assert code == cli.EXIT_USAGE, trials
+    for argv in (["involution", "--trials", "5"], ["involution", "--seed", "0"]):
+        code, out = run_cli(argv)
+        assert (code, out) == (cli.EXIT_USAGE, ""), argv
 
 
 def test_coinv_weight_bounded_before_reading_the_file(monkeypatch):
@@ -579,7 +579,7 @@ def test_unmapped_exception_is_internal_error(command, error, monkeypatch, capsy
         "coinv": (["coinv", "--ring", "Q", "--weight", "4"], coinv, "_relation_rows"),
         "identities": (["identities", "--max-n", "1"], freelie, "check_identity"),
         "report": (["report", "--weight", "2"], series, "check_augmentation_iso"),
-        "involution": (["involution", "--trials", "2"], coinv, "involution_exactness_report"),
+        "involution": (["involution"], coinv, "involution_exactness_report"),
     }[command]
 
     def fail(*args, **kwargs):
@@ -679,14 +679,34 @@ def test_report_witness_classes_checked(monkeypatch):
     assert section["rank"] == 4
     assert all(section.values())
 
-    # a theta that sends everything to a fixed nonzero vector breaks the
-    # zero-iff-fixed check, and with it the section
-    monkeypatch.setattr(cli.coinv, "theta", lambda f: (1,) * (f.trunc // 2))
-    code, out = run_cli(["report", "--weight", "6", "--seed", "1"])
+    # a theta that sends everything to a fixed nonzero vector, and one that
+    # loses its last coordinate (it still kills every fixed series, but its
+    # rank drops), each break the zero-iff-fixed check, and with it the
+    # section
+    real = cli.coinv.theta
+    for wrong in (lambda f: (1,) * (f.trunc // 2), lambda f: real(f)[:-1] + (0,)):
+        monkeypatch.setattr(cli.coinv, "theta", wrong)
+        code, out = run_cli(["report", "--weight", "6", "--seed", "1"])
+        assert code == cli.EXIT_CHECK_FAILED
+        section = json.loads(out)["sections"]["witness_classes"]
+        assert not (section["theta_zero_iff_fixed"] or section["ok"])
+        assert section["witnesses_fixed"] and section["pairing_kills_relations"]
+
+
+def test_report_rational_powers_checked(monkeypatch):
+    # f^r with a coefficient r^2 x^7 too many: right at r = 0 only, so the
+    # law f^(r1 + r2) = f^r1 f^r2 fails wherever r1 r2 != 0
+    real = cli.series.rat_pow
+
+    def off_at_the_top(f, r):
+        return real(f, r) + series.TruncatedSeries.monomial(f.ring, f.trunc, f.trunc - 1).scale(r * r)
+
+    monkeypatch.setattr(cli.series, "rat_pow", off_at_the_top)
+    code, out = run_cli(["report", "--weight", "2"])
     assert code == cli.EXIT_CHECK_FAILED
-    section = json.loads(out)["sections"]["witness_classes"]
-    assert not (section["theta_zero_iff_fixed"] or section["ok"])
-    assert section["witnesses_fixed"] and section["pairing_kills_relations"]
+    report = json.loads(out)
+    assert not (report["sections"]["rational_powers"]["ok"] or report["ok"])
+    assert all(s["ok"] for name, s in report["sections"].items() if name != "rational_powers")
 
 
 def readme_cli_commands():

@@ -1,6 +1,7 @@
 """Coinvariant quotients of the truncated exterior square and the
 involutive-field exactness battery."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,17 @@ def rand_series(ring, trunc, rng):
     return sr.TruncatedSeries.from_coeffs(
         ring, trunc, [rng.randint(-4, 4) for _ in range(trunc)]
     )
+
+
+def rand_scalar(rng):
+    return cv.QuadExt.of(
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+    )
+
+
+def rand_vec(F, rng):
+    return tuple(rand_scalar(rng) for _ in range(F.dim))
 
 
 def reduced(ring, K, rows):
@@ -163,8 +175,74 @@ def test_theta_rejects_series_over_Z():
 
 @pytest.mark.parametrize("d,dim", [(-1, 2), (2, 2), (5, 3)])
 def test_exactness_instances(d, dim):
-    report = cv.involution_exactness_report(cv.InvolutiveField(d, dim), trials=20)
+    report = cv.involution_exactness_report(cv.InvolutiveField(d, dim))
     assert report["ok"], report
+
+
+def test_psi_certificate_polarizes_on_the_rational_basis(monkeypatch):
+    # psi is evaluated at b_k + b_l for k <= l over the 2 dim rational basis
+    # vectors: (2 dim)(2 dim + 1) / 2 points, 21 at dim 3, and no others
+    seen = []
+
+    def recording(F, v, u):
+        seen.append(v)
+        return real_psi(F, v, u)
+
+    real_psi = cv.psi_value
+    monkeypatch.setattr(cv, "psi_value", recording)
+    F = cv.InvolutiveField(5, 3)
+    assert cv.involution_exactness_report(F)["psi_kills_D"]
+    basis = F.rational_basis()
+    coords = [[x for c in b for x in (c.u, c.v)] for b in basis]
+    assert coords == [[int(i == j) for j in range(6)] for i in range(6)]
+    assert seen == [F.add_vec(b, c) for b, c in itertools.combinations_with_replacement(basis, 2)]
+    assert len(seen) == 21
+
+
+# wrong versions of the one map that each certified key reads
+REAL_SCALE = cv.InvolutiveField.scale_vec
+REAL_SPAN_ROWS = cv._diagonal_span_rows
+
+
+def skewed_scale(F, alpha, vec):
+    """The rational part of alpha acts as it should, but its sqrt(d) part
+    lands one coordinate over: right at alpha = 1, wrong at sqrt(d)."""
+    rational = REAL_SCALE(F, cv.QuadExt(alpha.u, Fraction(0)), vec)
+    irrational = REAL_SCALE(F, cv.QuadExt(Fraction(0), alpha.v), vec[1:] + vec[:1])
+    return F.add_vec(rational, irrational)
+
+
+def span_rows_with_e2_v0(F):
+    """The spanning rows of D and e_2 (x) v0, which puts e_2 in the kernel."""
+    return REAL_SPAN_ROWS(F) + [cv._tensor_coords(F, F.basis_vec(1), F.v0)]
+
+
+def wedge_without_split(F, v, u):
+    """v ^ u over K, with no plus/minus split.  It vanishes on w (x) sigma(w)
+    at each basis vector w, so only the polarizing sums catch it."""
+    out = []
+    for i, j in itertools.combinations(range(F.dim), 2):
+        c = v[i].mul(u[j], F.d) - v[j].mul(u[i], F.d)
+        out.extend((c.u, c.v))
+    return out
+
+
+MUTATIONS = {
+    "scalar_line_in_D": (cv.InvolutiveField, "scale_vec", skewed_scale),
+    "kernel_is_K_v0": (cv, "_diagonal_span_rows", span_rows_with_e2_v0),
+    "psi_kills_D": (cv, "psi_value", wedge_without_split),
+    # keeps the sqrt(d) part: right on e_i, wrong on sqrt(d) e_i
+    "plus_minus_split": (cv.InvolutiveField, "plus_part", lambda F, vec: vec),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MUTATIONS))
+@pytest.mark.parametrize("d,dim", [(-1, 2), (2, 2), (5, 3)])
+def test_wrong_map_fails_its_certified_key(key, d, dim, monkeypatch):
+    owner, name, wrong = MUTATIONS[key]
+    monkeypatch.setattr(owner, name, wrong)
+    report = cv.involution_exactness_report(cv.InvolutiveField(d, dim))
+    assert report[key] is False and report["ok"] is False
 
 
 def test_scalar_multiples_of_fixed_vector_in_diagonal():
@@ -175,7 +253,7 @@ def test_scalar_multiples_of_fixed_vector_in_diagonal():
 
     _, pivots, red = linalg.rref(rows)
     for _ in range(20):
-        alpha = F.random_scalar(rng)
+        alpha = rand_scalar(rng)
         vec = cv._tensor_coords(F, F.scale_vec(alpha, F.v0), F.v0)
         assert all(c == 0 for c in linalg.reduce_mod_rowspace(vec, red, pivots))
 
@@ -187,7 +265,7 @@ def test_psi_kills_diagonal_samples():
         for _ in range(17):
             total = None
             for _ in range(rng.randint(1, 4)):
-                w = F.random_vec(rng)
+                w = rand_vec(F, rng)
                 c = Fraction(rng.randint(-3, 3))
                 val = [c * x for x in cv.psi_value(F, w, F.sigma_v(w))]
                 total = val if total is None else [a + b for a, b in zip(total, val)]
@@ -205,7 +283,7 @@ def test_plus_minus_decomposition():
     rng = random.Random(4)
     F = cv.InvolutiveField(2, 3)
     for _ in range(20):
-        v = F.random_vec(rng)
+        v = rand_vec(F, rng)
         vp, vm = F.plus_part(v), F.minus_part(v)
         assert F.add_vec(vp, vm) == v
         assert F.sigma_v(vp) == vp
@@ -217,12 +295,12 @@ def test_involution_semilinear_on_random_vectors():
     for d, dim in ((-1, 2), (5, 3)):
         F = cv.InvolutiveField(d, dim)
         for _ in range(20):
-            alpha = F.random_scalar(rng)
-            v = F.random_vec(rng)
+            alpha = rand_scalar(rng)
+            v = rand_vec(F, rng)
             lhs = F.sigma_v(F.scale_vec(alpha, v))
             rhs = F.scale_vec(alpha.conj(), F.sigma_v(v))
             assert lhs == rhs
-        v = F.random_vec(rng)
+        v = rand_vec(F, rng)
         assert F.sigma_v(F.sigma_v(v)) == v
         assert F.sigma_v(F.v0) == F.v0
 

@@ -47,6 +47,29 @@ def test_module_reads_every_name_it_imports(module):
     assert unread_imports(source) == set()
 
 
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that `source` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_modules_are_found():
+    source = "import os.path\nimport random as r\nfrom json import dumps\nfrom . import cli\n"
+    assert imported_modules(source) == {"os", "random", "json"}
+
+
+def test_only_cli_imports_random():
+    # every check in the package is a certificate, not a sample; the one
+    # draw left is the probe q that `report --seed` picks in cli
+    importers = {p.stem for p in PACKAGE.glob("*.py") if "random" in imported_modules(p.read_text())}
+    assert importers == {"cli"}
+
+
 # --- every definition has a reader --------------------------------------------
 
 # definitions that nothing in src reads, each with the reader that keeps it
