@@ -150,6 +150,11 @@ class HallBasis:
     def from_words(self, coeffs: Mapping[str, int]) -> "FreeLieElement":
         return FreeLieElement(self, {w: c for w, c in coeffs.items() if c})
 
+    def from_row(self, row: list[int]) -> "FreeLieElement":
+        """The element whose expansion is the homogeneous row, as certified
+        by lie_coordinates; it keeps the row, which no one may write after."""
+        return FreeLieElement(self, self.lie_coordinates(row), row)
+
     def gen(self, name: str) -> "FreeLieElement":
         if name not in GENERATORS:
             raise ValueError(f"unknown generator {name!r}")
@@ -235,16 +240,18 @@ def hall_basis(max_weight: int) -> HallBasis:
 
 class FreeLieElement:
     """Integer combination of basis brackets, keyed by Lyndon word; no zero
-    coefficients stored.  Immutable by convention."""
+    coefficients stored.  Immutable by convention.  row, no part of the
+    value, is its expansion if it was read off one (HallBasis.from_row)."""
 
-    __slots__ = ("basis", "coeffs")
+    __slots__ = ("basis", "coeffs", "row")
 
-    def __init__(self, basis: HallBasis, coeffs: Mapping[str, int]):
+    def __init__(self, basis: HallBasis, coeffs: Mapping[str, int], row: list[int] | None = None):
         for w, c in coeffs.items():
             if c == 0 or len(w) > basis.max_weight or w not in basis._masks[len(w)]:
                 raise ValueError("invalid coefficient map")
         self.basis = basis
         self.coeffs = coeffs
+        self.row = row
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -389,8 +396,8 @@ def present_with_generators(
     substitution before it is read off (a failure means an internal
     normalization bug, reported as RuntimeError), on rows of Z<a,b>: the
     embedding of the free Lie ring is faithful, so [alpha, a] + [beta, b]
-    and t are equal exactly when their expansions are.
-    """
+    and t are equal exactly when their expansions are (t's is the row it
+    keeps, if any)."""
     basis = t.basis
     if t.is_zero():
         return basis.zero(), basis.zero()
@@ -418,7 +425,7 @@ def present_with_generators(
                 bracket_rows(row(y), E, e, basis.expansion(x), len(x), s)
     alpha, beta = row("a"), row("b")
     # t - [alpha, a] - [beta, b]
-    residual = basis._rows(t.coeffs)[d]
+    residual = list(t.row) if t.row is not None else basis._rows(t.coeffs)[d]
     for x, r in (("a", alpha), ("b", beta)):
         bracket_rows(residual, nonzero(r), d - 1, basis.expansion(x), 1, -1)
     if any(residual):

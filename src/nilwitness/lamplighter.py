@@ -8,24 +8,25 @@ truncation off its series.  Over Q the shift exponent may be rational (the
 divisible group); over Z and Z/p it is an integer.
 
 Elements are pairs (f, e): a series f truncated at x^K and a shift exponent
-e.  The multiplication twists the right-hand series by the inverse shift,
+e.  A product twists each series by the inverse shift of the exponents
+before it: with E_i = e_1 + ... + e_(i-1),
 
-    (f, e) * (g, e') = (f + (1 + x)^-e * g, e + e'),
+    (f_1, e_1) ... (f_n, e_n) = (sum_i (1 + x)^-E_i f_i, E_(n+1)),
 
-the sign of the action chosen so that the iterated commutators
-[a,_k b] of the generators a = (1, 0), b = (0, 1) land on (x^k, 0); that
-anchor is pinned by tests rather than assumed.  phi_word takes a word as
-a WordExpr or as its text, the one form of a word in the package.
+the sign of the action chosen so that the iterated commutators [a,_k b] of
+the generators a = (1, 0), b = (0, 1) land on (x^k, 0); that anchor is
+pinned by tests rather than assumed.  product_of, of which * is the
+two-factor case, sums the nonzero series with equal E first and shifts each
+sum once: one series product per distinct E, none when every e = 0; a ring
+or truncation mismatch raises.  phi_word takes a word as a WordExpr or as
+its text, the one form of a word in the package.
 """
 
 from __future__ import annotations
 
-from .series import (
-    Ring,
-    TruncatedSeries,
-    one_plus_x_power,
-    ring_from_tag,
-)
+from typing import Sequence
+
+from .series import Ring, TruncatedSeries, one_plus_x_power, ring_from_tag
 from .words import WordExpr, evaluate, parse_word_expr, seeded
 
 
@@ -46,8 +47,24 @@ class LampElement:
     def __mul__(self, other: "LampElement") -> "LampElement":
         if not isinstance(other, LampElement):
             return NotImplemented
-        # a ring or truncation mismatch raises in the series arithmetic
-        return LampElement(self.f + _shift(other.f, -self.e), self.e + other.e)
+        return LampElement.product_of((self, other))
+
+    @staticmethod
+    def product_of(values: Sequence["LampElement"]) -> "LampElement":
+        """The product of a nonempty sequence, in order (module docstring)."""
+        sums: dict = {}
+        e = 0
+        for v in values:
+            f = sums.get(e)
+            if f is None:
+                sums[e] = v.f
+            elif any(v.f.coeffs):
+                sums[e] = f + v.f
+            else:  # a zero series adds nothing, but its ring must match
+                f._check(v.f)
+            e += v.e
+        shifted = [_shift(f, -E) for E, f in sums.items()]
+        return LampElement(sum(shifted[1:], shifted[0]), e)
 
     def inverse(self) -> "LampElement":
         return LampElement(-_shift(self.f, self.e), -self.e)

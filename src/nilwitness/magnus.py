@@ -25,44 +25,38 @@ one, and coefficient looks the mask up by bisection.  Only stored values are
 packed: products, commutators and powers build dense rows.
 
 Rows are immutable once an element holds them, so elements share them: a
-truncation holds the rows of its source, and a product holds each row of a
-factor that no partial product reaches.  Only rows being built are written.
+truncation holds the rows of its source.  Only rows being built are written.
 An element is 1 + scale * rows for an integer scale, 1 unless the element is
 a power of a deep element (below); every reader of the rows applies it.
 
-Products need equal truncations; a commutator does not.  [g, h] at T reads
-g only up to T - weight(h) and h up to T - weight(g), so commutator returns
-its result at the larger of the two truncations and asks no more of the
-shorter side: [R, a] at T takes R at T - 1.
+A product of any number of factors is one fold, product_of, of which * is
+the two-factor case and through which words.evaluate takes each product
+expression: acc <- acc + G + acc G for each factor 1 + G, on one set of
+rows, with no element built between factors.  acc G starts at weight(acc) +
+weight(G), so below it a row that one factor holds at scale 1 stays shared
+until a later factor adds to it, and every row that is written is one the
+fold made.  Products need equal truncations; a commutator does not.  [g, h]
+at T reads g only up to T - weight(h) and h up to T - weight(g), so
+commutator returns its result at the larger of the two truncations and asks
+no more of the shorter side: [R, a] at T takes R at T - 1.
 
-Two rows are multiplied by one of two kernels.  mul_rows forms a plain
-product: the monomial m1 of degree i followed by m2 of degree j has index
-m1 << j | m2 in degree i + j, so the block that row i times row j adds is
-their flattened outer product, taken over the nonzero entries only, with
-the side that has more entries in the inner loop.  bracket_rows forms
-PQ - QP the same way, taking each coefficient product once and adding it
-to the PQ block and subtracting it from the QP block; when P has no fewer
-entries than Q it forms -(QP - PQ) instead, so that one loop keeps the
-shorter side outermost.  _convolve runs either over the degrees of two
-series; commutator runs the bracket kernel for PQ - QP into one table when
-neither side is a generator; the free Lie layer runs it for every bracket,
-every Jacobi rewrite and its substitution check.  A deep element,
-2 weight(u) > trunc for u = g - 1, has u^2 = 0, so its powers take the
-closed form (1 + u)^n = 1 + n u: a view that holds the rows of u and the
-scale n, with no row copied.
+Two rows are multiplied by one of two kernels, over their nonzero entries
+with the side that has more of them in the inner loop: mul_rows forms a
+plain product, and bracket_rows forms PQ - QP with each coefficient product
+taken once.  _convolve runs either over the degrees of two series;
+commutator runs the bracket kernel when neither side is a generator, and
+the free Lie layer for every bracket, Jacobi rewrite and substitution
+check.  A deep element, 2 weight(u) > trunc for u = g - 1, has u^2 = 0, so
+its powers take the closed form (1 + u)^n = 1 + n u: a view that holds the
+rows of u and the scale n, with no row copied.
 
-A commutator with a generator x = 1 + X, the shape of [R, a] and [S, b] in
-every witness defect and of each step of an iterated commutator [u,_k b],
-takes a closed form of its own: [g, x] = 1 + g^-1 (YX - XY), where
-Y = x^-1 (g - 1) comes from the recurrence Y_d = G_d - X Y_(d-1).  A letter
-in front of a row fills the low half (a) or the high half (b) of the next degree's row,
-and a letter behind it every other slot, so Y and YX - XY are slice
-assignments, and x^-1 is never formed.  g^-1 has the weight of g, so its
-series has about T / weight(g) terms and is skipped when
-2 weight(g) + 1 > T; [x, g] is [g, x]^-1, a view when [g, x] is deep.  The
-general form inverts hg, of weight 1 when one side is a letter, by a series
-of about T terms; writing that inverse as g^-1 h^-1 saved nothing, because
-the letter's inverse is itself a series of T terms.
+A commutator with a generator x, the shape of [R, a] and [S, b] in every
+witness defect and of each step of an iterated commutator [u,_k b], takes
+the closed form [g, x] = 1 + g^-1 (YX - XY) of _commutator_with_generator,
+built by slice assignments, and [x, g] is [g, x]^-1, a view when [g, x] is
+deep.  The general form inverts hg, of weight 1 when one side is a letter,
+by a series of about T terms; writing that inverse as g^-1 h^-1 saved
+nothing, because the letter's inverse is itself a series of T terms.
 
 A word is evaluated as an expression, text being parsed first, by
 words.evaluate on a cache seeded with 1 + A, 1 + B and 1, which packs the
@@ -70,7 +64,7 @@ rows of the deep values it stores (above); the walk takes
 [g, h] as g.commutator(h), which calls the module function commutator by
 its global name.  mul_letter and conjugate_letter are plain products with
 a generator; they stay because the benchmark's tracer times them as a
-layer of its own.
+layer of its own, as it times *, which evaluate does not call.
 """
 
 from __future__ import annotations
@@ -82,17 +76,8 @@ from itertools import compress
 from typing import Iterator, Sequence
 
 from .series import INFINITE_WEIGHT, binomials
-from .words import (
-    A,
-    B,
-    Comm,
-    WordExpr,
-    alternating_engel_product,
-    engel,
-    evaluate,
-    parse_word_expr,
-    seeded,
-)
+from .words import A, B, Comm, WordExpr, alternating_engel_product, engel, evaluate
+from .words import parse_word_expr, seeded
 
 # a packed row: the masks of its nonzero entries in increasing order, their
 # coefficients in the same order (a list when one needs more than 64 bits),
@@ -148,13 +133,9 @@ def _nonzero_masks(row: list[int]) -> Iterator[int]:
 
 def _dense(row: Row, scale: int = 1) -> list[int]:
     """scale * row as a new dense row."""
-    if type(row) is list:
-        return list(row) if scale == 1 else [scale * c for c in row]
-    masks, coeffs, size = row
-    out = [0] * size
-    for m, c in zip(masks, coeffs):
-        out[m] = scale * c
-    return out
+    if type(row) is list and scale == 1:
+        return list(row)
+    return _add_rows([0] * (len(row) if type(row) is list else row[2]), True, row, scale)
 
 
 def _pack(row: Row | None) -> Row | None:
@@ -259,9 +240,7 @@ class MagnusElement:
         if name not in ("a", "b"):
             raise ValueError(f"unknown generator {name!r}")
         out = MagnusElement.one(trunc)
-        row = [0, 0]
-        row[0 if name == "a" else 1] = 1
-        out._deg[1] = row
+        out._deg[1] = [1, 0] if name == "a" else [0, 1]
         return out
 
     def coefficient(self, monomial: str) -> int:
@@ -287,29 +266,37 @@ class MagnusElement:
         row, s = self._deg[d], self._scale
         return {} if row is None else {mask_word(m, d): s * c for m, c in zip(*nonzero(row))}
 
-    def _check(self, other: "MagnusElement") -> None:
-        if self.trunc != other.trunc:
-            raise ValueError(
-                f"mismatched truncation weights {self.trunc} != {other.trunc}"
-            )
-
     def __mul__(self, other: "MagnusElement") -> "MagnusElement":
-        """(1 + P)(1 + Q) = 1 + (P + Q) + PQ.
-
-        PQ starts at degree weight(self) + weight(other): below it a row that
-        only one factor holds is shared, unless that factor is a view with a
-        scale, and only the rows _convolve writes are fresh.
-        """
+        """(1 + P)(1 + Q) = 1 + (P + Q) + PQ: product_of with two factors."""
         if not isinstance(other, MagnusElement):
             return NotImplemented
-        self._check(other)
-        T, p, q, sp, sq = self.trunc, self._deg, other._deg, self._scale, other._scale
-        wp, wq = self._weight(), other._weight()
-        low = min(wp + wq, T + 1)
-        out = [_add_rows(a, sp, b, sq) for a, b in zip(p[:low], q[:low])]
-        out += [_add_rows(a, sp, b, sq, fresh=True) for a, b in zip(p[low:], q[low:])]
-        _convolve(out, _nonzero_rows(p, T - wq), _nonzero_rows(q, T - wp), sp * sq)
-        return MagnusElement(T, out)
+        return MagnusElement.product_of((self, other))
+
+    @staticmethod
+    def product_of(values: Sequence["MagnusElement"]) -> "MagnusElement":
+        """The product of a nonempty sequence, in order, as one fold (module
+        docstring).  mine[d]: acc[d] is a dense row the fold made and writes."""
+        T = values[0].trunc
+        acc: Rows = [None] * (T + 1)
+        mine = [False] * (T + 1)
+        w = T + 1  # at most the weight of acc
+        for g in values:
+            if g.trunc != T:
+                raise ValueError(f"mismatched truncation weights {T} != {g.trunc}")
+            q, s, wg = g._deg, g._scale, g._weight()
+            low = min(w + wg, T + 1)
+            if low <= T:
+                ps, qs = _nonzero_rows(acc, T - wg), _nonzero_rows(q, T - w)
+            for d in range(wg, T + 1):
+                a, b = acc[d], q[d]
+                if b is not None or (d >= low and a is not None and not mine[d]):
+                    share = a is None and s == 1 and d < low
+                    acc[d], mine[d] = (b, False) if share else (_add_rows(a, mine[d], b, s), True)
+            if low <= T:
+                _convolve(acc, ps, qs, s)
+                mine[low:] = [True] * (T + 1 - low)
+            w = min(w, wg)
+        return MagnusElement(T, acc)
 
     def _weight(self) -> int:
         """Lowest degree with a nonzero row; trunc + 1 when trivial."""
@@ -363,7 +350,7 @@ class MagnusElement:
         """x^-1 * self * x for the generator or inverse generator x of a
         signed letter."""
         x = self._letter(letter)
-        return x.inverse() * self * x
+        return MagnusElement.product_of((x.inverse(), self, x))
 
     def _letter(self, letter: int) -> "MagnusElement":
         x = MagnusElement.generator("a" if abs(letter) == 1 else "b", self.trunc)
@@ -394,38 +381,28 @@ class MagnusElement:
         return f"MagnusElement(trunc={self.trunc}, degrees={nz})"
 
 
-def _add_rows(a: Row | None, sa: int, b: Row | None, sb: int, fresh: bool = False) -> Row | None:
-    """sa * a + sb * b, None standing for a zero row.  A lone row at scale 1
-    is returned as it is, or as a dense copy if fresh; any other result is a
-    new dense row.  Two dense rows at scale 1 are added slot by slot.
-    Otherwise one row is copied, a dense one at scale 1 rather than a packed
-    one and a packed one rather than a scaled dense one, and the other is
-    added by its nonzero entries, stored in a packed row and found by a scan
-    in a dense one: for a 1024-slot row at 18% density the scan and the adds
-    cost about what a dense add of two rows costs, and a dense scaled add 1.6
-    times as much."""
-    if a is None or (b is not None and _copy_cost(b, sb) < _copy_cost(a, sa)):
-        a, sa, b, sb = b, sb, a, sa
+def _add_rows(a: Row | None, mine: bool, b: Row | None, sb: int) -> list[int]:
+    """a + sb * b, None standing for a zero row (not both), as a dense row
+    the caller may write: a itself if mine.  Else two dense rows at scale 1
+    are added slot by slot, or one side is copied, b if it is dense at scale
+    1.  Then b is added by its nonzero entries, stored in a packed row and
+    found by a scan in a dense one: for a 1024-slot row at 18% density that
+    costs about what a dense add of two rows costs."""
     if a is None:
-        return None
-    if b is None and sa == 1:
-        return _dense(a) if fresh else a
-    if sa == sb == 1 and type(a) is list and type(b) is list:
-        return list(map(operator.add, a, b))
-    acc = _dense(a, sa)
+        return _dense(b, sb)
+    if not mine:
+        if sb == 1 and type(b) is list:
+            if type(a) is list:
+                return list(map(operator.add, a, b))
+            a, b = b, a
+        a = _dense(a)
     if type(b) is list:
         for m in _nonzero_masks(b):
-            acc[m] += sb * b[m]
+            a[m] += sb * b[m]
     elif b is not None:
         for m, c in zip(b[0], b[1]):
-            acc[m] += sb * c
-    return acc
-
-
-def _copy_cost(row: Row, scale: int) -> int:
-    """Rank of a row as the copied side of a sum: 0 dense at scale 1, 1
-    packed, 2 dense and scaled."""
-    return 1 if type(row) is tuple else 0 if scale == 1 else 2
+            a[m] += sb * c
+    return a
 
 
 def _nonzero_rows(rows: Rows, top: int) -> list[Entries | None]:
@@ -609,16 +586,16 @@ def leading_lie(g: MagnusElement, basis):
 
     The lowest-degree part of the expansion of a group element is always a
     Lie element; a non-Lie leading term means corrupted data and raises.
-    """
+    The result keeps the row it is read off, scaled (HallBasis.from_row)."""
     k = gamma_weight(g)
     if k == INFINITE_WEIGHT:
         raise ValueError("identity element has no leading term")
     if k > basis.max_weight:
         raise ValueError("leading weight exceeds basis truncation")
     row = g._deg[k]
-    if type(row) is tuple:
-        row = _dense(row)
-    return basis.from_words(basis.lie_coordinates(row)).scale(g._scale)
+    if type(row) is tuple or g._scale != 1:
+        row = _dense(row, g._scale)
+    return basis.from_row(row)
 
 
 def check_group_identity(n: int) -> bool:

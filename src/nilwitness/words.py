@@ -8,10 +8,10 @@ instead of expanding commutators into very long letter strings.
 
 evaluate is the one walk over an expression: the Magnus and lamplighter
 evaluators both run it, each with its own cache.  A cache starts as
-seeded(a, b, one), the values of the leaves, and the walk asks each value
-for its products, powers and commutators, so no group object stands beside
-the values.  This module imports no other of the package; the expressions
-of Lyndon basis words are built by freelie.HallBasis.word_expr.
+seeded(a, b, one), the values of the leaves, and the walk asks the values
+for products (of all parts at once), powers and commutators, so no group
+object stands beside them.  This module imports no other of the package;
+freelie.HallBasis.word_expr builds the expressions of Lyndon basis words.
 
 Text syntax: letters a, A (= a^-1), b, B (= b^-1); commutators "[u,v]",
 left-normalized chains "[u,v,w,...]", iterated form "[u,_n v]" with
@@ -27,9 +27,7 @@ witness file, parse an atom that recurs anywhere in their texts once.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 import re
 
 # largest n accepted in "[u,_n v]", and most brackets in one chain
@@ -69,8 +67,9 @@ def evaluate(expr: WordExpr, cache: dict):
     """Value of expr, memoized in `cache` on its canonical text.
 
     The cache must hold the generators (see seeded); a generator missing
-    from it raises TypeError.  Values need only *, ** with an integer
-    exponent and u.commutator(v), the commutator [u, v].
+    from it raises TypeError.  Values need only u.product_of(values), the
+    product of a nonempty sequence in order; ** with an integer exponent;
+    and u.commutator(v), the commutator [u, v].
     """
     key = expr._text
     hit = cache.get(key)
@@ -81,8 +80,8 @@ def evaluate(expr: WordExpr, cache: dict):
     elif isinstance(expr, Comm):
         out = evaluate(expr.left, cache).commutator(evaluate(expr.right, cache))
     elif isinstance(expr, Prod) and expr.parts:
-        # start from the first part: one * x can cost a copy of x
-        out = functools.reduce(operator.mul, [evaluate(p, cache) for p in expr.parts])
+        values = [evaluate(p, cache) for p in expr.parts]
+        out = values[0].product_of(values)
     else:
         raise TypeError(f"cannot evaluate {expr!r}")
     cache[key] = out

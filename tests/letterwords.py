@@ -42,6 +42,10 @@ class GroupWord:
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         return GroupWord.from_letters(self.letters + other.letters)
 
+    @staticmethod
+    def product_of(values) -> "GroupWord":
+        return GroupWord.from_letters(s for v in values for s in v.letters)
+
     def inverse(self) -> "GroupWord":
         return GroupWord(tuple(-s for s in reversed(self.letters)))
 

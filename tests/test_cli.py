@@ -575,7 +575,7 @@ def test_unmapped_exception_is_internal_error(command, error, monkeypatch, capsy
     argv, owner, name = {
         "construct": (["construct", "--q", "1", "--weight", "5"], magnus.MagnusElement, "__mul__"),
         "verify": (["verify", "--in", str(path)], magnus.MagnusElement, "__mul__"),
-        "phi": (["phi", "--word", "[a,b] b a", "--weight", "5"], lamplighter.LampElement, "__mul__"),
+        "phi": (["phi", "--word", "[a,b] b a", "--weight", "5"], lamplighter.LampElement, "product_of"),
         "coinv": (["coinv", "--ring", "Q", "--weight", "4"], coinv, "_relation_rows"),
         "identities": (["identities", "--max-n", "1"], freelie, "check_identity"),
         "report": (["report", "--weight", "2"], series, "check_augmentation_iso"),

@@ -363,11 +363,16 @@ def test_present_check_catches_a_wrong_presentation(monkeypatch):
     # the substitution check compares rows of Z<a,b>: a worklist that splits
     # one word the wrong way round, the seed word or a right factor met
     # inside the pass, presents -t or some other element, and raises
+    # t is checked against its expansion, or against the row it was read
+    # off, which lie_coordinates certified as that expansion
     basis = fl.hall_basis(6)
     t = basis.from_words({"aabab": 3})
+    read = basis.from_row(basis._rows(t.coeffs)[5])
+    assert read == t and t.row is None and read.row == basis._rows(t.coeffs)[5]
     alpha, beta = fl.present_with_generators(t)
     assert alpha == basis.from_words({"aabb": -3})
     assert beta == basis.from_words({"aaab": -3})
+    assert fl.present_with_generators(read) == (alpha, beta)
     split = fl.standard_factorization
     for word in ("aabab", "ab"):
 
@@ -376,11 +381,12 @@ def test_present_check_catches_a_wrong_presentation(monkeypatch):
             return (v, u) if w == word else (u, v)
 
         monkeypatch.setattr(fl, "standard_factorization", reversed_split)
-        with pytest.raises(RuntimeError, match="substitution check"):
-            fl.present_with_generators(t)
+        for form in (t, read):
+            with pytest.raises(RuntimeError, match="substitution check"):
+                fl.present_with_generators(form)
     # and no cached expansion kept a wrong split
     monkeypatch.setattr(fl, "standard_factorization", split)
-    assert fl.present_with_generators(t) == (alpha, beta)
+    assert fl.present_with_generators(t) == fl.present_with_generators(read) == (alpha, beta)
 
 
 def test_present_is_linear():

@@ -2,6 +2,8 @@
 free group, the iterated-commutator anchor that pins the action convention,
 and the weight filtration."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from nilwitness import freelie as fl
 from nilwitness import lamplighter as lp
 from nilwitness import magnus as mg
 from nilwitness import words as wd
-from nilwitness.series import INFINITE_WEIGHT, QQ, TruncatedSeries, ring_from_tag
+from nilwitness.series import INFINITE_WEIGHT, QQ, TruncatedSeries, one_plus_x_power, ring_from_tag
 
 from letterwords import GroupWord, to_group_word
 
@@ -82,6 +84,13 @@ def test_variant_mismatch_rejected():
     rng = random.Random(2)
     with pytest.raises(ValueError):
         rand_lamp(Z, 6, rng) * rand_lamp(Q, 6, rng)
+    # a factor with the zero series adds nothing to a product, and is still
+    # checked against the others, here all in the kernel's one sum
+    u = lp.LampElement(rand_lamp(Z, 6, rng).f, 0)
+    for zero in (lp.lamp_identity(Q, 6), lp.lamp_identity(Z, 5), lp.lamp_b(Z5, 6)):
+        for values in ([u, zero], [u, u, zero, u]):
+            with pytest.raises(ValueError):
+                lp.LampElement.product_of(values)
 
 
 def _lamps(ring, trunc):
@@ -98,6 +107,44 @@ def _lamps(ring, trunc):
         st.lists(coeff, min_size=trunc, max_size=trunc),
         exp,
     )
+
+
+def _pairwise(u, v):
+    """(f, e) * (g, e') = (f + (1 + x)^-e g, e + e'), formed directly."""
+    return lp.LampElement(u.f + one_plus_x_power(u.f.ring, -u.e, u.trunc) * v.f, u.e + v.e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ring=st.sampled_from([Z, Q, Z5]), trunc=st.integers(1, 6))
+def test_product_of_is_the_pairwise_fold(data, ring, trunc):
+    # exponents 0 are drawn often, so cumulative exponents repeat
+    values = data.draw(st.lists(_lamps(ring, trunc), min_size=1, max_size=6))
+    got, want = lp.LampElement.product_of(values), functools.reduce(_pairwise, values)
+    assert got == want and got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize(
+    "ring, exps",
+    [(Z, [1, 0, -1, 2, -2, 1]), (Z5, [0, 0, 0, 0]), (Q, [Fraction(1, 2), 0, Fraction(-1, 2), Fraction(1, 2)])],
+)
+def test_product_of_shifts_once_per_cumulative_exponent(ring, exps, monkeypatch):
+    # over Z the factors come after the exponent sums 0, 1, 1, 0, 2, 0: two
+    # shifts, by 1 and by 2, each one series product
+    rng = random.Random(4)
+    values = [lp.LampElement(rand_lamp(ring, 6, rng).f, e) for e in exps]
+    cumulative = set(itertools.accumulate(exps[:-1], initial=0))
+    products = []
+    mul = TruncatedSeries.__mul__
+
+    def counting(f, g):
+        products.append(1)
+        return mul(f, g)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    got = lp.LampElement.product_of(values)
+    assert len(products) == len(cumulative - {0})
+    monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
+    assert got == functools.reduce(_pairwise, values)
 
 
 @settings(max_examples=150, deadline=None)

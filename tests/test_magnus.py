@@ -186,6 +186,63 @@ def test_kernel_operations_match_oracle(trunc, u, v):
         assert as_dict(g.conjugate_letter(letter)) == poly_mul(poly_mul(inv_x, og, trunc), x, trunc)
 
 
+# --- the n-ary product: one fold, against the pairwise one and the oracle ---
+
+
+def _nonzero_degrees(g):
+    return [d for d in range(1, g.trunc + 1) if g.degree_terms(d)]
+
+
+# weight-6 commutators, whose rows the evaluator cache packs from degree 6
+_packed_operands = st.tuples(st.sampled_from(["[a,_5 b]", "[a,_4 b,a]"]), st.integers(-3, 3).filter(bool))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.lists(_operands | _packed_operands, min_size=1, max_size=5), st.data())
+def test_product_of_matches_the_pairwise_fold_and_oracle(trunc, drawn, data):
+    # plain words are shallow, powers of basis commutators deep views, some
+    # on packed rows; a part next to its inverse cancels down to zero rows
+    parts = [_operand(u, trunc) for u in drawn]
+    if data.draw(st.booleans()):
+        g, og = parts[data.draw(st.integers(0, len(parts) - 1))]
+        parts.insert(data.draw(st.integers(0, len(parts))), (g.inverse(), poly_inverse(og, trunc)))
+    values = [g for g, _ in parts]
+    got = mg.MagnusElement.product_of(values)
+    want = functools.reduce(lambda p, q: poly_mul(p, q, trunc), [o for _, o in parts])
+    assert as_dict(got) == want
+    assert got == functools.reduce(lambda g, h: g * h, values)
+    # a row that cancelled is stored as None, as every element stores it
+    assert [d for d in range(1, trunc + 1) if got._deg[d] is not None] == _nonzero_degrees(got)
+
+
+def test_product_of_one_part_and_of_parts_that_cancel():
+    T = 9
+    ev = mg.MagnusEvaluator(T)
+    g, h = (ev.eval(wd.parse_word_expr(t)) for t in ("[a,_5 b]^7 [a,_6 b]^-2", "a b^-1 [a,b]"))
+    assert 2 * g._weight() > T and any(type(r) is tuple for r in g._deg)
+    # one part: its rows, shared, or scaled for a view
+    one = mg.MagnusElement.product_of([g])
+    assert one == g and all(r is s for r, s in zip(one._deg, g._deg))
+    view = mg.MagnusElement.product_of([g**-3])
+    assert view == g**-3 and view._scale == 1 and view.degree_terms(9) == (g**-3).degree_terms(9)
+    assert mg.MagnusElement.product_of((h, g)) == h * g
+    # every row cancels, deep or shallow, packed or scaled
+    for parts in ([g, g.inverse()], [g**3, g, g**-4], [h, g, g**-1, h.inverse()]):
+        assert mg.MagnusElement.product_of(parts)._deg == [None] * (T + 1)
+    # degree 2 cancels and the rest does not
+    left, right = ev.eval(wd.parse_word_expr("[a,b]")), ev.eval(wd.parse_word_expr("[a,b]^-1 [a,b,b]"))
+    prod = mg.MagnusElement.product_of([left, right, g])
+    assert prod._deg[2] is None and prod == left * right * g
+    assert _nonzero_degrees(prod) == [d for d in range(1, T + 1) if prod._deg[d] is not None]
+
+
+def test_product_of_rejects_mismatched_truncations():
+    g, h = mg.eval_word("a", 4), mg.eval_word("b", 5)
+    for parts in ([g, h], [g, g, h], [h, g.truncate(4), g]):
+        with pytest.raises(ValueError, match="mismatched truncation"):
+            mg.MagnusElement.product_of(parts)
+
+
 # --- a power of a deep element is a view on its rows -------------------------
 
 
@@ -223,7 +280,10 @@ def test_deep_power_reads_as_its_scaled_copy(n):
     for t in range(1, g.trunc + 1):
         assert view.truncate(t) == copy_.truncate(t)
     basis = fl.hall_basis(g.trunc)
-    assert mg.leading_lie(view, basis) == mg.leading_lie(g, basis).scale(n)
+    lie = mg.leading_lie(view, basis)
+    assert lie == mg.leading_lie(g, basis).scale(n)
+    # the row it was read off, with the scale applied
+    assert lie.row == basis._rows(lie.coeffs)[4]
     for letter in (1, -1, 2, -2):
         assert view.mul_letter(letter) == copy_.mul_letter(letter)
         assert view.conjugate_letter(letter) == copy_.conjugate_letter(letter)
@@ -338,7 +398,8 @@ def test_shared_rows_are_never_written():
         for g in operands:
             peers = [h for h in operands if h.trunc == g.trunc]
             for h in rng.sample(peers, min(3, len(peers))):
-                made += [g * h, mg.commutator(g, h)]
+                made += [g * h, mg.commutator(g, h), mg.MagnusElement.product_of([h, g, h, g])]
+            made.append(mg.MagnusElement.product_of(rng.sample(peers, min(5, len(peers)))))
             made += [g**n for n in (2, 3, -1, -3)]
             made += [g.truncate(t) for t in range(1, g.trunc + 1)]
             for letter in (1, -1, 2, -2):
@@ -805,8 +866,8 @@ def test_words_reduce():
 
 
 def test_product_starts_from_its_first_part():
-    # one * x would copy every row of a Magnus view x; a cache with no
-    # identity in it shows that a nonempty product never reads one
+    # a nonempty product is folded from its parts alone: a cache with no
+    # identity in it shows that it never reads one
     letters = {"a": GroupWord.parse("a"), "b": GroupWord.parse("b")}
     assert str(wd.evaluate(wd.parse_word_expr("a b"), letters)) == "ab"
     one = mg.MagnusElement.one(3)

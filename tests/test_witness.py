@@ -500,20 +500,11 @@ def test_p1_matches_the_letter_oracle_on_tampered_witnesses(pair_K6, name):
     assert wt.verify_witness(bad).p1 == _oracle_p1(bad)
 
 
-def test_build_work_counts(monkeypatch):
-    # row slots that nonzero reads (all of a dense row, the stored entries of
-    # a packed one), and multiply-adds in mul_rows, for one build from empty
-    # caches; deterministic, so a bound that moves up means work that is done
-    # twice again.  Before rows were shared and deep powers took the closed
-    # form: 848,698 slots and 336,332 multiply-adds; then 531,070 and 273,131
-    # while words were evaluated at K + 1; then, at K, 375,690 and 171,078;
-    # then, with present_with_generators checking its result on rows, 367,986
-    # and 162,000.  Now that it presents the leading Lie term in one worklist
-    # pass, not one Jacobi recursion and two read-offs per basis word:
-    # 224,814 and 128,562 (the build had come down to 165,136 and 48,624
-    # under those bounds).  Now that the evaluator packs the sparse rows of
-    # the deep values it stores: 162,685 and 48,624, and apart from them the
-    # 63,296 slots of the rows that packing scans once for their entries.
+def _count_work(monkeypatch):
+    """Counters of the row work from here on: the row slots that nonzero
+    reads (all of a dense row, the stored entries of a packed one), apart
+    from those that packing scans once for their entries, and the
+    multiply-adds in mul_rows."""
     counts = {"slots": 0, "packing": 0, "madds": 0}
     nonzero, mul_rows, pack = mg.nonzero, mg.mul_rows, mg._pack
     packing = []
@@ -538,16 +529,49 @@ def test_build_work_counts(monkeypatch):
         monkeypatch.setattr(mod, "nonzero", counting_nonzero)
         monkeypatch.setattr(mod, "mul_rows", counting_mul_rows)
     monkeypatch.setattr(mg, "_pack", counting_pack)
+    return counts
+
+
+def test_build_work_counts(monkeypatch):
+    # for one build from empty caches; deterministic, so a bound that moves
+    # up means work that is done twice again.  Before rows were shared and
+    # deep powers took the closed form: 848,698 slots and 336,332
+    # multiply-adds; then 531,070 and 273,131 while words were evaluated at
+    # K + 1; then, at K, 375,690 and 171,078; then, with
+    # present_with_generators checking its result on rows, 367,986 and
+    # 162,000.  Then, with the leading Lie term presented in one worklist
+    # pass, not one Jacobi recursion and two read-offs per basis word:
+    # 224,814 and 128,562 (the build had come down to 165,136 and 48,624
+    # under those bounds).  Then, with the sparse rows of the deep values
+    # the evaluator stores packed: 162,685 and 48,624, and apart from them
+    # the 63,296 slots that packing scans.  Now that the substitution check
+    # reads the row the leading term was read off instead of expanding the
+    # term again: 39,794 multiply-adds.
+    counts = _count_work(monkeypatch)
     # an empty workspace: its basis holds no expansions, its evaluator no rows
     wt._workspace.cache_clear()
     assert wt.build_witness((1, 0, 1, 1), 9).report.ok
     assert counts["slots"] <= 162_685
     assert counts["packing"] <= 63_296
-    assert counts["madds"] <= 48_624
+    assert counts["madds"] <= 39_794
     # the build and its verify share one workspace and evaluate every word
     # at K, nothing at K + 1
     assert wt._workspace.cache_info().misses == 1
     assert {g.trunc for g in wt._workspace(9).magnus._cache.values()} == {9}
+
+
+def test_verify_work_counts(monkeypatch):
+    # the same counters for a cold verify of a K = 9 file, from an empty
+    # workspace: 32,837 slots, the 63,296 that packing scans, and 15,065
+    # multiply-adds, as many as when each product was folded pairwise
+    text = json.dumps(wt.build_witness((1, 0, 1, 1), 9).to_json())
+    pair = wt.WitnessPair.from_json(json.loads(text))
+    counts = _count_work(monkeypatch)
+    wt._workspace.cache_clear()
+    assert wt.verify_witness(pair).ok
+    assert counts["slots"] <= 32_837
+    assert counts["packing"] <= 63_296
+    assert counts["madds"] <= 15_065
 
 
 def test_build_row_memory():
@@ -557,12 +581,14 @@ def test_build_row_memory():
     # that are copied again or stored dense.  Counted in dense slots while
     # each power of a deep element held a scaled copy of its base's rows:
     # 892,176; as views: 382,224 slots, which hold 3,101,120 bytes.  With the
-    # sparse rows of deep values packed: 1,599,120 bytes.
+    # sparse rows of deep values packed: 1,599,120 bytes.  With each product
+    # one fold, whose scaled and packed rows are added into a row it made
+    # and which keeps its exact length: 1,597,776.
     wt._workspace.cache_clear()
     assert wt.build_witness((1, 0, 1, 1, 0, 1), 10).report.ok
     cached = wt._workspace(10).magnus._cache.values()
     held = {id(r): _row_bytes(r) for g in cached for r in g._deg if r is not None}
-    assert sum(held.values()) <= 1_599_120
+    assert sum(held.values()) <= 1_597_776
 
 
 def _row_bytes(row):
