@@ -148,9 +148,11 @@ def theta(f: TruncatedSeries) -> tuple:
 def coinvariant_rank_oracle(ring: Ring, trunc: int) -> int:
     """Independent re-elimination: same relation set, different pivoting.
 
-    The relations are generated again, in reverse order, and eliminated with
-    the wedge coordinates reversed; the resulting rank must match the primary
-    computation.
+    The relations are generated again and eliminated with both the rows and
+    the wedge coordinates reversed.  The echelon then takes the rows in
+    another order and leads each with another column, so it picks other
+    pivot columns and meets other fill-in than the primary computation in
+    `build_coinvariants`; the resulting rank must match it.
     """
     pairs, rows = _relation_rows(ring, trunc)
     p = ring.p if isinstance(ring, PrimeField) else None

@@ -1,15 +1,18 @@
 """Exact linear algebra helpers: integer Hermite forms and field elimination.
 
 Everything here is exact; ranks and lattice comparisons are certificates,
-never floating-point estimates.  Field elimination runs over the rationals
-(fractions) or over Z/p when a prime is supplied.  It takes and returns dense
-rows, but holds each row by its nonzeros while it eliminates, so its work
-follows the nonzero entries and their fill-in, not the full matrix.
+never floating-point estimates.  Lattices go through the Hermite normal form
+with its unimodular transform.  Field elimination runs over the rationals
+(fractions) or over Z/p when a prime is supplied, as one forward row echelon
+pass: a rank is its number of pivots, and `rref` clears above the pivots by
+back-substitution.  It takes and returns dense rows, but holds each row by
+its nonzeros, so its work follows the nonzero entries and their fill-in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 
 def hnf_with_transform(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int]:
@@ -86,10 +89,10 @@ def lattices_equal(a: list[list[int]], b: list[list[int]]) -> bool:
 
 # --- field elimination
 #
-# Entries are Fractions over Q (p=None) or ints in [0, p) over Z/p.
-# Elimination holds each row by its nonzeros; the helpers below act on whole
-# dense rows, reducing mod p only when a prime is set, and the Hermite form
-# above subtracts integer rows with _sub_multiple and p=None.
+# Entries are Fractions over Q (p=None) or ints in [0, p) over Z/p, reduced
+# mod p only when a prime is set.  _sub_multiple subtracts dense rows (the
+# Hermite form above uses it with p=None); the echelon and back-substitution
+# hold rows by their nonzeros and subtract them with _subtract.
 
 
 def coerce_entry(v, p: int | None):
@@ -112,48 +115,44 @@ def _sub_multiple(row: list, c, src: list, p: int | None) -> list:
     return [(a - c * b) % p if b else a for a, b in zip(row, src)]
 
 
-def _eliminate(rows: list[list], p: int | None) -> tuple[list[int], list[dict]]:
-    """Gauss-Jordan elimination on the nonzeros of `rows` over Q or Z/p.
-
-    Each row is held as a dict {column: nonzero entry}.  The pivot of column c
-    is the first row at or below r that holds c; it is scaled to 1 and
-    subtracted from every other row that holds c, over the pivot row's
-    support only, and entries that cancel are deleted.  Returns the pivot
-    columns and the reduced nonzero rows.
-    """
-    work = [
-        {c: x for c, x in ((c, coerce_entry(v, p)) for c, v in enumerate(row) if v) if x}
-        for row in rows
-    ]
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if c in work[i]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        lead = work[r][c]
-        if p is None:
-            src = work[r] = {k: v / lead for k, v in work[r].items()}
+def _subtract(row: dict, f, src: dict, p: int | None) -> None:
+    """row -= f * src in place, over src's support, deleting what cancels."""
+    get = row.get
+    for k, v in src.items():
+        x = get(k, 0) - f * v
+        if p is not None:
+            x %= p
+        if x:
+            row[k] = x
         else:
-            inv = pow(lead, p - 2, p)
-            src = work[r] = {k: v * inv % p for k, v in work[r].items()}
-        for i, row in enumerate(work):
-            f = row.get(c)
-            if f is None or i == r:
-                continue
-            for k, v in src.items():
-                x = row.get(k, 0) - f * v
-                if p is not None:
-                    x %= p
-                if x:
-                    row[k] = x
+            del row[k]
+
+
+def _echelon(rows: list[list], p: int | None) -> dict[int, dict]:
+    """Forward row echelon form of `rows` over Q or Z/p, on their nonzeros.
+
+    Each row is taken in turn and held as a dict {column: nonzero entry}.
+    While it leads with a column that has a pivot, that pivot row is
+    subtracted from it; a row that vanishes adds nothing, and any other row
+    becomes, scaled to 1, the pivot of the column it leads with.  Returns the
+    pivot rows by pivot column; no row is cleared above its pivot.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        held = {c: x for c in compress(range(len(row)), row) if (x := coerce_entry(row[c], p))}
+        while held:
+            lead = min(held)
+            src = pivots.get(lead)
+            if src is None:
+                f = held[lead]
+                if p is None:
+                    pivots[lead] = {k: v / f for k, v in held.items()}
                 else:
-                    del row[k]
-        pivots.append(c)
-        r += 1
-    return pivots, work[:r]
+                    inv = pow(f, p - 2, p)
+                    pivots[lead] = {k: v * inv % p for k, v in held.items()}
+                break
+            _subtract(held, held[lead], src, p)
+    return pivots
 
 
 def rref(rows: list[list], p: int | None = None) -> tuple[int, list[int], list[list]]:
@@ -161,16 +160,22 @@ def rref(rows: list[list], p: int | None = None) -> tuple[int, list[int], list[l
 
     Returns (rank, pivot_columns, reduced_nonzero_rows); rows are normalized
     to leading 1 with zeros above and below each pivot, so the output is a
-    canonical form of the row space.
+    canonical form of the row space.  The echelon's rows are cleared above
+    their pivots by back-substitution, from the last pivot to the first.
     """
-    pivots, reduced = _eliminate(rows, p)
+    pivots = _echelon(rows, p)
+    order = sorted(pivots)
+    for c in reversed(order):
+        row = pivots[c]
+        for k in [k for k in row if k > c and k in pivots]:
+            _subtract(row, row[k], pivots[k], p)
     ncols = len(rows[0]) if rows else 0
     zero = Fraction(0) if p is None else 0
-    return len(pivots), pivots, [[row.get(c, zero) for c in range(ncols)] for row in reduced]
+    return len(order), order, [[pivots[c].get(k, zero) for k in range(ncols)] for c in order]
 
 
 def field_rank(rows: list[list], p: int | None = None) -> int:
-    return len(_eliminate(rows, p)[0])
+    return len(_echelon(rows, p))
 
 
 def reduce_mod_rowspace(vec: list, rref_rows: list[list], pivots: list[int], p: int | None = None) -> list:

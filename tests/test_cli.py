@@ -432,7 +432,7 @@ def test_coinv_weight_bounded_before_reading_the_file(monkeypatch):
 
 
 def test_coinv_weight_has_its_own_bound(monkeypatch):
-    # coinv grows about as K^5 over Q (0.5 s at K = 24, 1 s at 28), so it
+    # coinv grows about as K^4 over Q (0.07 s a process at K = 24), so it
     # stops well below the phi bound; the bench's Z/3 at K = 20 stays legal
     code, _ = run_cli(["coinv", "--ring", "Zp:3", "--weight", "20"])
     assert code == cli.EXIT_OK

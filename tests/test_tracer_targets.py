@@ -78,3 +78,17 @@ def test_traced_witness_run_sees_every_layer(tmp_path, capsys):
     capsys.readouterr()
     metrics = tracer.layer_metrics()
     assert [name for name in WITNESS_LAYERS if not metrics[f"{name}.calls"]] == []
+
+
+def test_traced_coinv_run_enters_both_eliminations(capsys):
+    # field_rank does not pass through linalg.rref, so a coinv run reads 0
+    # calls there; the build and the oracle are the layers it must enter
+    tracer = _load("nilwitness_bench_tracer", BENCH / "tracer.py").Tracer()
+    tracer.install()
+    try:
+        assert nilwitness.cli.main(["coinv", "--ring", "Zp:3", "--weight", "8"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.layer_metrics()
+    assert [name for name in ("coinv.build", "coinv.oracle") if not metrics[f"{name}.calls"]] == []
