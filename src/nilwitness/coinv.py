@@ -59,26 +59,26 @@ class CoinvariantSpace(NamedTuple):
         }
 
 
-def _relation_rows(ring: Ring, trunc: int) -> tuple[tuple, list]:
+def _relation_rows(trunc: int) -> tuple[tuple, list]:
     """Wedge pairs and the rows t x^i ^ t x^j - x^i ^ x^j of the shift
     t = 1 + x, one per pair i < j, in the lex-ordered x^i ^ x^j basis.
 
     Since t x^i = x^i + x^(i+1), the row of (i, j) is
     x^i ^ x^(j+1) + x^(i+1) ^ x^j + x^(i+1) ^ x^(j+1): every entry is 0 or
     1, a term past x^(K-1) drops out, and x^(i+1) ^ x^j vanishes when
-    i + 1 = j.
+    i + 1 = j.  The entries are plain ints in every ring: the elimination
+    reads each nonzero one into its ring, and scans the zeros at C speed.
     """
     if trunc < 2:
         raise ValueError("need truncation >= 2 for a nonzero exterior square")
     pairs = tuple((i, j) for i in range(trunc) for j in range(i + 1, trunc))
     column = {pair: idx for idx, pair in enumerate(pairs)}
-    one, zero = ring.coerce(1), ring.coerce(0)
     rows = []
     for i, j in pairs:
-        row = [zero] * len(pairs)
+        row = [0] * len(pairs)
         for pair in ((i, j + 1), (i + 1, j), (i + 1, j + 1)):
             if pair in column:
-                row[column[pair]] = one
+                row[column[pair]] = 1
         rows.append(row)
     return pairs, rows
 
@@ -119,7 +119,7 @@ def build_coinvariants(ring: Ring, trunc: int) -> CoinvariantSpace:
        odd lowest degree.  The odd-degree coefficients are therefore
        coordinates on A-.
     """
-    pairs, rows = _relation_rows(ring, trunc)
+    pairs, rows = _relation_rows(trunc)
     p = ring.p if isinstance(ring, PrimeField) else None
     rel_rank = linalg.field_rank(rows, p)
     return CoinvariantSpace(
@@ -154,7 +154,7 @@ def coinvariant_rank_oracle(ring: Ring, trunc: int) -> int:
     pivot columns and meets other fill-in than the primary computation in
     `build_coinvariants`; the resulting rank must match it.
     """
-    pairs, rows = _relation_rows(ring, trunc)
+    pairs, rows = _relation_rows(trunc)
     p = ring.p if isinstance(ring, PrimeField) else None
     return len(pairs) - linalg.field_rank([row[::-1] for row in reversed(rows)], p)
 

@@ -68,25 +68,6 @@ def hermite_rows(mat: list[list[int]]) -> list[list[int]]:
     return H[:rank]
 
 
-def row_lattice_is_full(mat: list[list[int]], n: int) -> bool:
-    """True iff the rows span all of Z^n (rank n, all pivots 1)."""
-    H, _, rank = hnf_with_transform(mat)
-    if rank != n or (mat and len(mat[0]) != n):
-        return False
-    return all(H[i][i] == 1 for i in range(n))
-
-
-def integer_row_nullspace(mat: list[list[int]]) -> list[list[int]]:
-    """Basis of the lattice of integer relations c with c * mat = 0."""
-    H, U, rank = hnf_with_transform(mat)
-    return U[rank:]
-
-
-def lattices_equal(a: list[list[int]], b: list[list[int]]) -> bool:
-    """Whether two integer row sets span the same lattice (HNF comparison)."""
-    return hermite_rows(a) == hermite_rows(b)
-
-
 # --- field elimination
 #
 # Entries are Fractions over Q (p=None) or ints in [0, p) over Z/p, reduced

@@ -118,16 +118,23 @@ def nonzero(row: Row) -> Entries:
     return masks, list(map(row.__getitem__, masks))
 
 
-# 0, 1, 2, ... up to the longest dense row scanned: a scan selects its masks
-# from here rather than making an int object for every slot, which halves
-# its cost.  It only grows, and index i always holds i.
+# 0, 1, 2, ... up to the longest dense row scanned, but never past
+# _MASKS_CAP: a scan selects its masks from here rather than making an int
+# object for every slot, which halves its cost.  Index i always holds i.  The
+# cap, 2^16 slots, is the longest row of a witness at witness.MAX_K + 1; a
+# longer row (the identity suites reach 2^20) makes its masks as it goes, so
+# the list holds at most 2^16 ints, about 2.4 MB.
+_MASKS_CAP = 1 << 16
 _MASKS: list[int] = []
 
 
 def _nonzero_masks(row: list[int]) -> Iterator[int]:
     """The masks of the nonzero slots of a dense row, in increasing order."""
-    if len(row) > len(_MASKS):
-        _MASKS.extend(range(len(_MASKS), len(row)))
+    n = len(row)
+    if n > _MASKS_CAP:
+        return compress(range(n), row)
+    if n > len(_MASKS):
+        _MASKS.extend(range(len(_MASKS), n))
     return compress(_MASKS, row)
 
 

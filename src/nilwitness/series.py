@@ -334,9 +334,12 @@ def augmentation_iso_report(ring: Ring, n: int) -> dict:
                 vec[j + k + N] = ring.coerce(binom[k])
             ideal_rows.append(vec)
         if isinstance(ring, IntegerRing):
-            surj = linalg.row_lattice_is_full(rows, n)
-            kernel_rows = linalg.integer_row_nullspace(rows)
-            exact = linalg.lattices_equal(kernel_rows, ideal_rows)
+            # one Hermite form H = U rows: the rows span Z^n when H has n
+            # pivots, all 1, and the relation lattice is spanned by the rows
+            # of U below the rank
+            H, U, rank = linalg.hnf_with_transform(rows)
+            surj = rank == n and all(H[i][i] == 1 for i in range(n))
+            exact = linalg.hermite_rows(U[rank:]) == linalg.hermite_rows(ideal_rows)
         else:
             p = ring.p if isinstance(ring, PrimeField) else None
             rank = linalg.field_rank(rows, p)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import shlex
@@ -126,7 +127,7 @@ def test_involution_suite():
 
 
 def test_reports_byte_identical():
-    argv = ["report", "--weight", "6", "--seed", "42"]
+    argv = ["report", "--weight", "6"]
     code1, out1 = run_cli(argv)
     code2, out2 = run_cli(argv)
     assert code1 == code2 == 0
@@ -505,6 +506,62 @@ def test_report_weight_limit_checked_before_any_work(monkeypatch):
         assert code == cli.EXIT_USAGE
 
 
+def test_report_takes_no_seed(monkeypatch):
+    # the report checks every probe sequence, so there is nothing to seed
+    monkeypatch.setattr(cli.freelie, "hall_basis", _refuse)
+    monkeypatch.setattr(cli.witness, "build_witness", _refuse)
+    code, out = run_cli(["report", "--seed", "0"])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+
+
+def test_report_checks_every_probe_witness(monkeypatch):
+    code, out = run_cli(["report", "--weight", "2"])
+    assert code == cli.EXIT_OK
+    section = json.loads(out)["sections"]["witness"]
+    assert section["K"] == 8 and section["ok"]
+    assert [r["q"] for r in section["results"]] == [list(q) for q in itertools.product((0, 1), repeat=3)]
+    assert all(all(r["report"].values()) for r in section["results"])
+
+    # a witness whose report fails for the last probe alone fails the
+    # section, and nothing else
+    real = cli.witness.build_witness
+
+    def failing_last(q, K):
+        pair = real(q, K)
+        if tuple(q) != (1, 1, 1):
+            return pair
+        return pair._replace(report=pair.report._replace(p3=witness.PropertyResult(False, "broken")))
+
+    monkeypatch.setattr(cli.witness, "build_witness", failing_last)
+    code, out = run_cli(["report", "--weight", "2"])
+    assert code == cli.EXIT_CHECK_FAILED
+    report = json.loads(out)
+    section = report["sections"]["witness"]
+    assert not (section["ok"] or report["ok"])
+    assert [r["report"]["p3"] for r in section["results"]] == [True] * 7 + [False]
+    assert all(s["ok"] for name, s in report["sections"].items() if name != "witness")
+
+
+def test_report_witness_series_checked_for_every_probe(monkeypatch):
+    # a witness series that gains x^1 for one probe alone is no longer
+    # sigma-fixed, whichever probe it is
+    real = cli.witness.witness_series
+    for bad in itertools.product((0, 1), repeat=3):
+
+        def wrong_for_one(pair, bad=bad):
+            f = real(pair)
+            if pair.q != bad:
+                return f
+            return f + series.TruncatedSeries.monomial(f.ring, f.trunc, 1)
+
+        monkeypatch.setattr(cli.witness, "witness_series", wrong_for_one)
+        code, out = run_cli(["report", "--weight", "2"])
+        assert code == cli.EXIT_CHECK_FAILED, bad
+        section = json.loads(out)["sections"]["witness_classes"]
+        assert not (section["witnesses_fixed"] or section["ok"]), bad
+        assert section["theta_zero_iff_fixed"] and section["pairing_kills_relations"], bad
+
+
 def test_identities_limit_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(cli.freelie, "check_identity", _refuse)
     monkeypatch.setattr(cli.magnus, "check_group_identity", _refuse)
@@ -670,7 +727,7 @@ def test_json_flag_removed():
 
 
 def test_report_witness_classes_checked(monkeypatch):
-    code, out = run_cli(["report", "--weight", "6", "--seed", "1"])
+    code, out = run_cli(["report", "--weight", "6"])
     assert code == 0
     section = json.loads(out)["sections"]["witness_classes"]
     assert set(section) == {
@@ -686,7 +743,7 @@ def test_report_witness_classes_checked(monkeypatch):
     real = cli.coinv.theta
     for wrong in (lambda f: (1,) * (f.trunc // 2), lambda f: real(f)[:-1] + (0,)):
         monkeypatch.setattr(cli.coinv, "theta", wrong)
-        code, out = run_cli(["report", "--weight", "6", "--seed", "1"])
+        code, out = run_cli(["report", "--weight", "6"])
         assert code == cli.EXIT_CHECK_FAILED
         section = json.loads(out)["sections"]["witness_classes"]
         assert not (section["theta_zero_iff_fixed"] or section["ok"])

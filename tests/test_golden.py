@@ -26,7 +26,11 @@ ranks past K = 12. ``coinv_Q_K24`` (the CLI's weight limit) and
 to their closed form. ``involution`` (``involution_t5`` before, with
 ``--trials 5``) lost its ``config`` entry, and the probe q of ``report_w8``
 changed from 0,0,0 to 1,1,0, when the sampled checks of both commands became
-finite certificates and the seed stopped feeding them. When a change is meant
+finite certificates and the seed stopped feeding them. ``report_w8`` was
+re-recorded, without ``--seed 0``, when ``report`` lost its seed: its
+``witness`` section now holds the reports of all eight probes q in {0,1}^3
+at K = 8, where it held one drawn probe at K = 7, and ``config`` no longer
+names a seed. When a change is meant
 to alter an output, re-run the command by hand, write its stdout over the
 file and say so in the change.
 """
@@ -67,7 +71,7 @@ CASES = {
     ],
     "identities_n2": ["identities", "--max-n", "2"],
     "involution": ["involution"],
-    "report_w8": ["report", "--weight", "8", "--seed", "0"],
+    "report_w8": ["report", "--weight", "8"],
 }
 
 

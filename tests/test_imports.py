@@ -63,11 +63,11 @@ def test_imported_modules_are_found():
     assert imported_modules(source) == {"os", "random", "json"}
 
 
-def test_only_cli_imports_random():
-    # every check in the package is a certificate, not a sample; the one
-    # draw left is the probe q that `report --seed` picks in cli
+def test_no_module_imports_random():
+    # every check in the package is a certificate over its whole finite
+    # domain, not a sample, so the package draws nothing
     importers = {p.stem for p in PACKAGE.glob("*.py") if "random" in imported_modules(p.read_text())}
-    assert importers == {"cli"}
+    assert importers == set()
 
 
 # --- every definition has a reader --------------------------------------------

@@ -54,18 +54,30 @@ def test_hnf_transform_is_unimodular_and_consistent():
             last = lead
 
 
+def _spans_full_lattice(mat, n):
+    """Whether the rows span Z^n, read off the Hermite form as
+    `series.augmentation_iso_report` reads it: rank n and every pivot 1."""
+    H, _, rank = linalg.hnf_with_transform(mat)
+    return rank == n and all(H[i][i] == 1 for i in range(n))
+
+
 def test_row_lattice_full_detects_index():
-    assert linalg.row_lattice_is_full([[1, 0], [0, 1]], 2)
-    assert linalg.row_lattice_is_full([[2, 1], [1, 1]], 2)
-    assert not linalg.row_lattice_is_full([[2, 0], [0, 1]], 2)  # index 2
-    assert not linalg.row_lattice_is_full([[1, 0]], 2)  # rank deficient
+    assert _spans_full_lattice([[1, 0], [0, 1]], 2)
+    assert _spans_full_lattice([[2, 1], [1, 1]], 2)
+    assert not _spans_full_lattice([[2, 0], [0, 1]], 2)  # index 2
+    assert not _spans_full_lattice([[1, 0]], 2)  # rank deficient
 
 
 def test_integer_nullspace_annihilates():
+    # the rows of U below the rank are relations of the rows, one for each
+    # dimension of the relation space; U is unimodular, so they span every
+    # integer relation
     rng = random.Random(1)
     for _ in range(20):
         mat = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(5)]
-        for cvec in linalg.integer_row_nullspace(mat):
+        _, U, rank = linalg.hnf_with_transform(mat)
+        assert rank == linalg.field_rank(mat)
+        for cvec in U[rank:]:
             combo = [
                 sum(c * mat[i][j] for i, c in enumerate(cvec)) for j in range(3)
             ]
@@ -75,8 +87,8 @@ def test_integer_nullspace_annihilates():
 def test_lattices_equal_up_to_row_operations():
     a = [[2, 0], [0, 3]]
     b = [[2, 3], [2, -3], [2, 0]]
-    assert linalg.lattices_equal(a, b)
-    assert not linalg.lattices_equal(a, [[1, 0], [0, 3]])
+    assert linalg.hermite_rows(a) == linalg.hermite_rows(b) == [[2, 0], [0, 3]]
+    assert linalg.hermite_rows(a) != linalg.hermite_rows([[1, 0], [0, 3]])
 
 
 def test_rref_and_reduction_canonical():
@@ -190,7 +202,7 @@ def test_relation_ranks_agree_in_both_orders(tag):
     ring = series.ring_from_tag(tag)
     p = getattr(ring, "p", None)
     for K in range(2, 25):
-        rows = coinv._relation_rows(ring, K)[1]
+        rows = coinv._relation_rows(K)[1]
         expected = K * (K - 1) // 2 - K // 2
         assert linalg.field_rank(rows, p) == expected
         assert linalg.field_rank(_oracle_order(rows), p) == expected
@@ -211,7 +223,7 @@ def test_rank_work_is_a_forward_echelon(monkeypatch):
         subtract(row, f, src, p)
 
     monkeypatch.setattr(linalg, "_subtract", counted)
-    rows = coinv._relation_rows(series.PrimeField(3), 20)[1]
+    rows = coinv._relation_rows(20)[1]
     counts = []
     for order in (rows, _oracle_order(rows)):
         work[:] = [0, 0]

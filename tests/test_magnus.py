@@ -486,6 +486,27 @@ def test_pack_threshold():
     assert kinds == {(True, True), (False, True), (False, False)}
 
 
+def test_mask_list_covers_every_witness_row():
+    # a witness at the largest K reads rows up to degree K + 1: their scans
+    # all select from the shared mask list
+    assert mg._MASKS_CAP >= 1 << (wt.MAX_K + 1)
+
+
+def test_mask_list_stays_within_its_cap(monkeypatch):
+    # a row longer than the cap is scanned without the process-global list:
+    # it finds the same masks, and the list never grows past the cap
+    monkeypatch.setattr(mg, "_MASKS", [])
+    cap = mg._MASKS_CAP
+    row = [0] * (2 * cap)
+    row[3] = row[cap] = row[-1] = -2
+    assert mg.nonzero(row) == ([3, cap, 2 * cap - 1], [-2, -2, -2])
+    assert mg._MASKS == []
+    assert list(mg._nonzero_masks(row[:cap])) == [3]
+    assert mg._MASKS == list(range(cap))
+    assert list(mg._nonzero_masks(row)) == [3, cap, 2 * cap - 1]
+    assert len(mg._MASKS) == cap
+
+
 def test_packed_rows_keep_coefficients_beyond_64_bits():
     # a product of deep powers with exponents near 2^70 has coefficients
     # that array('q') cannot hold: its packed rows keep them in a list

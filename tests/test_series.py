@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilwitness import linalg
 from nilwitness import series as sr
 
 
@@ -210,6 +211,28 @@ def test_corrupted_row_breaks_containment(tag, monkeypatch):
         for cert in report["certificates"].values():
             assert not cert["kernel_contained"], (n, cert)
             assert cert["kernel_exact"] or tag == "Z", (n, cert)
+
+
+def test_doubled_x_coefficient_breaks_integral_surjectivity(monkeypatch):
+    # (1 + x)^e with its x coefficient 2e: over Z the rows span the
+    # index-2 lattice of vectors with an even x coordinate, while the
+    # relations among them, and so containment and exactness, stay as they
+    # were
+    power = sr.one_plus_x_power
+
+    def doubled(ring, r, trunc):
+        f = power(ring, r, trunc)
+        return f + sr.TruncatedSeries.x(ring, trunc).scale(f.coeffs[1]) if trunc > 1 else f
+
+    monkeypatch.setattr(sr, "one_plus_x_power", doubled)
+    for n in range(2, 7):
+        rows = [list(doubled(sr.ZZ, e, n).coeffs) for e in range(-n - 2, n + 3)]
+        H, _, rank = linalg.hnf_with_transform(rows)
+        assert rank == n and math.prod(H[i][i] for i in range(n)) == 2
+        report = sr.augmentation_iso_report(sr.ZZ, n)
+        assert not report["ok"]
+        for cert in report["certificates"].values():
+            assert cert == {"surjective": False, "kernel_contained": True, "kernel_exact": True}, (n, cert)
 
 
 def test_filtration_iso_n1_is_augmentation():
