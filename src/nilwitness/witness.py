@@ -53,11 +53,21 @@ failing step.
 
 Builds and verifies at one K share a workspace: the Magnus and ZZ
 lamplighter evaluators at K, with the value of every subexpression they
-evaluated, and the Hall basis to K + 1, with the expansions and expressions
-of its words.  The basis is built on first use, so a verify, which reads no
-Lie term, never builds it.  The workspace is kept in one slot, so a build's
-own verify and builds in a row at one K run warm, and a call at another K
-releases it.
+evaluated, the Hall basis to K + 1, with the expansions and expressions
+of its words, and the memo `lifts` of the Lie half of each step.  The basis
+is built on first use, so a verify, which reads no Lie term, never builds
+it.  The workspace is kept in one slot, so a build's own verify and builds
+in a row at one K run warm, and a call at another K releases it.
+
+The Lie half of step k (the defect, its leading Lie term, the presentation
+[alpha, a] + [beta, b], the inverse lifts and alpha_{a b^k}) reads only the
+factors of steps 2..k - 1, and those read q only through the exponent
+q_{j/2} of each even step j.  So it is fixed by k and q_1..q_{(k-1)//2},
+read with _q_at so that a sequence and its extension by zeros agree, and
+`lifts` keeps it under that key: builds at one K whose sequences share a
+prefix make the shared steps once.  The even-step power reads q_{k/2} and is
+made per build.  Every returned pair is still certified by its own verify,
+which reads no memo.
 
 A WitnessPair, its Report and each PropertyResult are NamedTuples: equal by
 their fields, refusing assignment, and copied with a change by _replace.
@@ -103,8 +113,10 @@ __all__ = [
 # largest truncation weight accepted by build_witness and in a witness file:
 # degree-K tables hold 2^K coefficients, and memory grows about 2.9 times per
 # step of K; a construct peaks at about 275 MB of RSS at K = 14 and 0.8 GB at
-# K = 15, the largest K measured to finish under 3 GiB (K = 16 is not
-# measured since deep rows are packed; it needed 8 GB before)
+# K = 15.  K = 16 took 147.6 s and 3040 MB to construct and 79.3 s and
+# 1897 MB to verify cold (2-core host, Python 3.11.7); its construct finished
+# under an address-space cap of 3 GiB with 33 MB to spare, too little margin
+# to raise the limit
 MAX_K = 15
 
 
@@ -199,12 +211,15 @@ def _typed(value, kind: type, key: str):
 
 
 class _Workspace:
-    """The evaluators at K and the basis to K + 1 (module docstring)."""
+    """The evaluators at K, the basis to K + 1 and the lifts of each step
+    (module docstring)."""
 
     def __init__(self, K: int):
         self.K = K
         self.magnus = MagnusEvaluator(K)
         self.lamp = LampEvaluator(ZZ, K)
+        # (k, (q_1, ..., q_{(k-1)//2})) -> the lifts and alpha_{a b^k} of step k
+        self.lifts: dict[tuple, tuple[WordExpr, WordExpr, int]] = {}
 
     @functools.cached_property
     def basis(self) -> HallBasis:
@@ -236,6 +251,22 @@ def _lift_inverse(elt: FreeLieElement) -> WordExpr:
     return product(*reversed(parts))
 
 
+def _lie_step(
+    ws: _Workspace, k: int, R: MagnusElement, S: MagnusElement
+) -> tuple[WordExpr, WordExpr, int]:
+    """The Lie half of step k: the inverse lifts of alpha and beta, read off
+    the defect of the products R and S of the earlier factors, and the
+    coefficient alpha_{a b^k}."""
+    D = _defect(R.truncate(k + 1), S.truncate(k + 1))
+    gw = gamma_weight(D)
+    if gw < k + 2:
+        raise RuntimeError(f"defect after step {k} has weight {gw} < {k + 2}")
+    if gw == INFINITE_WEIGHT:
+        return IDENTITY, IDENTITY, 0
+    alpha, beta = present_with_generators(leading_lie(D, ws.basis))
+    return _lift_inverse(alpha), _lift_inverse(beta), alpha.coeffs.get("a" + "b" * k, 0)
+
+
 def build_witness(q, K: int) -> WitnessPair:
     """Run the inductive construction; the returned pair carries a report
     from the independent verifier.
@@ -251,6 +282,8 @@ def build_witness(q, K: int) -> WitnessPair:
     on an odd step n_{k+1} = -alpha_{a b^k}.  The loop starts at k = 2,
     where R = S = 1 and the defect is trivial, so alpha = 0 and the even
     step gives r^(3) = [a,_2 b]^q_1, s^(3) = [[a,b],a]^-q_1 and n_3 = q_1.
+    The Lie half of a step is taken from the workspace's memo when a build
+    at this K with the same q-prefix made it (module docstring).
     """
     if not 3 <= K <= MAX_K:
         raise ValueError(f"K must be in 3..{MAX_K}")
@@ -262,19 +295,11 @@ def build_witness(q, K: int) -> WitnessPair:
     R = S = MagnusElement.one(K)
 
     for k in range(2, K):
-        D = _defect(R.truncate(k + 1), S.truncate(k + 1))
-        gw = gamma_weight(D)
-        if gw < k + 2:
-            raise RuntimeError(f"defect after step {k} has weight {gw} < {k + 2}")
-        if gw == INFINITE_WEIGHT:
-            a_inv = b_inv = IDENTITY
-            lead = 0
-        else:
-            t = leading_lie(D, ws.basis)
-            alpha, beta = present_with_generators(t)
-            a_inv = _lift_inverse(alpha)
-            b_inv = _lift_inverse(beta)
-            lead = alpha.coeffs.get("a" + "b" * k, 0)
+        key = (k, tuple(_q_at(q, i) for i in range(1, (k - 1) // 2 + 1)))
+        lifts = ws.lifts.get(key)
+        if lifts is None:
+            lifts = ws.lifts[key] = _lie_step(ws, k, R, S)
+        a_inv, b_inv, lead = lifts
         if k % 2 == 1:
             r_new, s_new = a_inv, b_inv
             n.append(-lead)

@@ -5,6 +5,8 @@ import functools
 import gc
 import itertools
 import json
+import math
+import random
 import sys
 import weakref
 from pathlib import Path
@@ -129,6 +131,28 @@ def test_distinct_prefixes_forced_apart():
                 assert any(
                     diff.coeffs[2 * i] != 0 for i in (1, 2) if 2 * i < 7
                 )
+
+
+def _closed_form_holds(n):
+    # f_k = n_(k+1), the coefficient of x^k in the witness series; n starts at
+    # n_3, so f_0 = f_1 = 0, and each odd coefficient is forced by the ones
+    # below it: f_(2i+1) = -1/2 sum_(k=1..2i) C(2i, k-1) f_k
+    f = [0, 0, *n]
+    return all(
+        2 * f[2 * i + 1] == -sum(math.comb(2 * i, k - 1) * f[k] for k in range(1, 2 * i + 1))
+        for i in range(1, (len(f) - 2) // 2 + 1)
+    )
+
+
+def test_witness_series_closed_form():
+    # every odd-step exponent n_(2i+2) is fixed by the controlled ones below it
+    for q in itertools.product((-1, 0, 1), repeat=3):
+        assert _closed_form_holds(wt.build_witness(q, 8).n), q
+    for name in ("construct_K8.json", "construct_K10.json"):
+        assert _closed_form_holds(json.loads((GOLDEN / name).read_text())["n"]), name
+    # the check is not vacuous: a changed n_6 = f_5 breaks it
+    n = wt.build_witness((1, 0, 1), 8).n
+    assert not _closed_form_holds(n[:3] + (n[3] + 1,) + n[4:])
 
 
 def test_json_roundtrip():
@@ -653,3 +677,68 @@ def test_verify_builds_no_basis(monkeypatch):
     wt._workspace.cache_clear()
     assert wt.build_witness((1, 0, 1), 6) == pair
     assert calls == [7]
+
+
+# --- the memo of each step's lifts --------------------------------------------
+
+
+def _count_presentations(monkeypatch):
+    calls = []
+
+    def counting_present(t):
+        calls.append(t)
+        return fl.present_with_generators(t)
+
+    monkeypatch.setattr(wt, "present_with_generators", counting_present)
+    return calls
+
+
+def test_builds_on_one_workspace_match_cold_builds():
+    # in any order, a build that takes steps from the memo writes the bytes
+    # of the same build from an empty workspace
+    qs = list(itertools.product((0, 1), repeat=4))
+    random.Random(5).shuffle(qs)
+    wt._workspace.cache_clear()
+    warm = [json.dumps(wt.build_witness(q, 9).to_json()) for q in qs]
+    for q, text in zip(qs, warm):
+        wt._workspace.cache_clear()
+        assert json.dumps(wt.build_witness(q, 9).to_json()) == text, q
+
+
+@pytest.mark.parametrize("K,length,presented", [(9, 4, 22), (8, 3, 15)])
+def test_sweep_presents_each_prefix_once(monkeypatch, K, length, presented):
+    # every 0/1 sequence of the length, from an empty workspace: without the
+    # memo the builds made 68 and 27 presentations
+    calls = _count_presentations(monkeypatch)
+    wt._workspace.cache_clear()
+    for q in itertools.product((0, 1), repeat=length):
+        assert wt.build_witness(q, K).report.ok
+    assert len(calls) == presented
+
+
+def test_trailing_zeros_share_every_step(monkeypatch):
+    calls = _count_presentations(monkeypatch)
+    wt._workspace.cache_clear()
+    short = wt.build_witness((1,), 9)
+    made, steps = len(calls), len(wt._workspace(9).lifts)
+    assert made > 0 and steps == 7
+    long = wt.build_witness((1, 0, 0, 0), 9)
+    assert (len(calls), len(wt._workspace(9).lifts)) == (made, steps)
+    assert long._replace(q=short.q) == short
+
+
+def test_memo_starts_empty_at_another_K(monkeypatch):
+    # a build at K = 8 presents as many terms after a build at K = 9 as from
+    # an empty workspace, and the memo at 8 holds only its own steps
+    calls = _count_presentations(monkeypatch)
+    wt._workspace.cache_clear()
+    assert wt.build_witness((1, 0, 1), 8).report.ok
+    cold = len(calls)
+    assert wt.build_witness((1, 0, 1), 9).report.ok
+    calls.clear()
+    assert wt.build_witness((1, 0, 1), 8).report.ok
+    assert len(calls) == cold > 0
+    assert sorted(wt._workspace(8).lifts) == [
+        (k, tuple(wt._q_at((1, 0, 1), i) for i in range(1, (k - 1) // 2 + 1)))
+        for k in range(2, 8)
+    ]
