@@ -11,14 +11,18 @@ Normalization works through the faithful embedding into the free associative
 ring Z<a,b>, whose homogeneous polynomials are Magnus rows (see magnus.py),
 bracketed by magnus.bracket_rows: every basis bracket expands to a row, and the
 expansion of the word w is w plus lexicographically larger words, i.e. larger
-masks, of the same length (Reutenauer, Free Lie Algebras, 1993).  That
-unitriangularity makes `HallBasis.lie_coordinates` one exact elimination pass
-over Z; it is the only way back from rows to coordinates, and it raises when
-the residual does not vanish, so every normalization is certified.
+masks, of the same length (Reutenauer, Free Lie Algebras, 1993), so a Lie
+row has integer coordinates, read on the Lyndon masks.  Two readers go back
+from rows to coordinates, each exact and raising on a row that is not Lie.
+lie_coordinates subtracts each word's expansion and certifies by a zero
+residual; brackets, alpha and beta go through it.  from_row, the reader of
+leading terms, certifies by the Dynkin-Specht-Wever test theta(t) = d t,
+theta the right-normed bracketing, exact over Q and so over Z, and then
+solves on the Lyndon masks: it expands no word of the row's degree.
 
 A HallBasis owns everything keyed by a Lyndon word: the mask table of each
-weight, built with it, and two memos filled on first use, the expansion row
-and the bracket expression of each basis word.  They live as long as it does.
+weight, built with it, and three memos filled on first use (the expansion
+row, bracket expression and factors of each basis word), freed with it.
 
 `present_with_generators` writes t as [alpha, a] + [beta, b] in one
 worklist pass: pending right factors are rewritten by Jacobi longest first,
@@ -34,9 +38,12 @@ elements by basis words and coefficients.
 
 from __future__ import annotations
 
+from itertools import compress, cycle
+from operator import sub
 from typing import Iterator, Mapping
 
-from .magnus import UNIT, Entries, _convolve, bracket_rows, mask_word, mul_rows, nonzero, word_mask
+from .magnus import UNIT, Entries, _convolve, bracket_rows, entry, mask_word, mul_rows, nonzero
+from .magnus import word_mask
 from .words import Comm, Gen, WordExpr
 
 GENERATORS = ("a", "b")
@@ -122,7 +129,7 @@ class HallBasis:
     can see its memos freed with it.
     """
 
-    __slots__ = ("max_weight", "words", "_masks", "_expansions", "_exprs", "__weakref__")
+    __slots__ = ("max_weight", "words", "_masks", "_expansions", "_exprs", "_factors", "__weakref__")
 
     def __init__(self, max_weight: int, words: tuple[str, ...], masks: tuple[dict[str, int], ...]):
         self.max_weight = max_weight
@@ -130,6 +137,7 @@ class HallBasis:
         self._masks = masks
         self._expansions: dict[str, Entries] = {}
         self._exprs: dict[str, WordExpr] = {}
+        self._factors: dict[str, tuple[str, str]] = {}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -151,9 +159,28 @@ class HallBasis:
         return FreeLieElement(self, {w: c for w, c in coeffs.items() if c})
 
     def from_row(self, row: list[int]) -> "FreeLieElement":
-        """The element whose expansion is the homogeneous row, as certified
-        by lie_coordinates; it keeps the row, which no one may write after."""
-        return FreeLieElement(self, self.lie_coordinates(row), row)
+        """The element whose expansion is the homogeneous row, which it
+        keeps and no one may write after (module docstring): c_w is t[w] less
+        c' P'[w] for each w' read before w with as many b's."""
+        d = len(row).bit_length() - 1
+        if _dynkin(row) != [d * c for c in row]:
+            raise ValueError(f"not a Lie element (Dynkin test fails in degree {d})")
+        coords: dict[str, int] = {}
+        read: dict[int, list] = {}  # count of b's -> the words w' read with c' != 0
+        for w, m in self._masks[d].items():
+            c, same = row[m], read.setdefault(m.bit_count(), [])
+            for pu, pv, i, j, bu, bv, c1 in same:  # P' = P_u P_v - P_v P_u
+                if (m >> j).bit_count() == bu:  # P_u is zero off its count of b's
+                    c -= c1 * entry(pu, m >> j) * entry(pv, m & ~(-1 << j))
+                if (m >> i).bit_count() == bv:
+                    c += c1 * entry(pv, m >> i) * entry(pu, m & ~(-1 << i))
+            if c:
+                coords[w] = c
+                if d > 1:
+                    u, v = self.factors(w)
+                    pu, pv = self.expansion(u), self.expansion(v)
+                    same.append((pu, pv, len(u), len(v), u.count("b"), v.count("b"), c))
+        return FreeLieElement(self, coords, row)
 
     def gen(self, name: str) -> "FreeLieElement":
         if name not in GENERATORS:
@@ -177,12 +204,17 @@ class HallBasis:
             if len(word) == 1:
                 hit = (word_mask(word),), (1,)
             else:
-                left, right = standard_factorization(word)
+                left, right = self.factors(word)
                 row = [0] * (1 << len(word))
                 bracket_rows(row, self.expansion(left), len(left), self.expansion(right), len(right), 1)
                 hit = tuple(map(tuple, nonzero(row)))
             self._expansions[word] = hit
         return hit
+
+    def factors(self, word: str) -> tuple[str, str]:
+        """The standard factorization of a basis word, memoized."""
+        hit = self._factors.get(word)
+        return hit or self._factors.setdefault(word, standard_factorization(word))
 
     def word_expr(self, word: str) -> WordExpr:
         """Bracket expression of a basis word via its standard factorization,
@@ -193,7 +225,7 @@ class HallBasis:
             if len(word) == 1:
                 hit = Gen(word)
             else:
-                left, right = standard_factorization(word)
+                left, right = self.factors(word)
                 hit = Comm(self.word_expr(left), self.word_expr(right))
             self._exprs[word] = hit
         return hit
@@ -227,6 +259,20 @@ class HallBasis:
         for w, c in coords.items():
             mul_rows(rows[len(w)], UNIT, self.expansion(w), len(w), c)
         return rows
+
+
+def _dynkin(row: list[int]) -> list[int]:
+    """theta(x1...xd) = [x1, [x2, ..., xd]] on a row, by theta(P) = sum_x
+    (x theta(P^x) - theta(P^x) x), P^x the half of P after the letter x, on
+    each block of 2h slots at once: x theta(P^x) is the level below in place,
+    and theta(P^x) x moves the half x of each block to every other slot."""
+    t, n, h = row, len(row), 2
+    while h < n:
+        s = [0] * n
+        for x in (0, 1):
+            s[x::2] = compress(t, cycle([1 - x] * h + [x] * h))
+        t, h = list(map(sub, t, s)), 2 * h
+    return t
 
 
 def hall_basis(max_weight: int) -> HallBasis:
@@ -412,7 +458,7 @@ def present_with_generators(
         return pending[v]
 
     for w, c in t.coeffs.items():
-        u, v = standard_factorization(w)
+        u, v = basis.factors(w)
         if u == "a":
             mul_rows(row("a"), UNIT, basis.expansion(v), d - 1, -c)
         else:
@@ -420,7 +466,7 @@ def present_with_generators(
     for n in range(d - 1, 1, -1):
         for v in [v for v in pending if len(v) == n]:
             E, e = nonzero(pending.pop(v)), d - n
-            v1, v2 = standard_factorization(v)
+            v1, v2 = basis.factors(v)
             for x, y, s in ((v1, v2, 1), (v2, v1, -1)):
                 bracket_rows(row(y), E, e, basis.expansion(x), len(x), s)
     alpha, beta = row("a"), row("b")

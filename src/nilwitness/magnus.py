@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import operator
 from array import array
-from bisect import bisect_left
+from bisect import bisect
 from itertools import compress
 from typing import Iterator, Sequence
 
@@ -136,6 +136,14 @@ def _nonzero_masks(row: list[int]) -> Iterator[int]:
     if n > len(_MASKS):
         _MASKS.extend(range(len(_MASKS), n))
     return compress(_MASKS, row)
+
+
+def entry(entries: Entries | Packed, mask: int) -> int:
+    """The coefficient at mask of a row given by its nonzero entries, or
+    packed, found by bisection."""
+    masks, coeffs = entries[0], entries[1]
+    k = bisect(masks, mask)
+    return coeffs[k - 1] if k and masks[k - 1] == mask else 0
 
 
 def _dense(row: Row, scale: int = 1) -> list[int]:
@@ -260,11 +268,7 @@ class MagnusElement:
         row, m = self._deg[d], word_mask(monomial)
         if row is None:
             return 0
-        if type(row) is list:
-            return self._scale * row[m]
-        masks, coeffs, _ = row
-        i = bisect_left(masks, m)
-        return self._scale * coeffs[i] if i < len(masks) and masks[i] == m else 0
+        return self._scale * (row[m] if type(row) is list else entry(row, m))
 
     def degree_terms(self, d: int) -> dict[str, int]:
         """Degree-d homogeneous part as a dict over words in a, b.  No
@@ -592,8 +596,9 @@ def leading_lie(g: MagnusElement, basis):
     """Leading homogeneous part of g - 1 as a free Lie element.
 
     The lowest-degree part of the expansion of a group element is always a
-    Lie element; a non-Lie leading term means corrupted data and raises.
-    The result keeps the row it is read off, scaled (HallBasis.from_row)."""
+    Lie element.  HallBasis.from_row certifies it by the Dynkin test, reads
+    it on the Lyndon masks and keeps the row, scaled; a non-Lie leading term
+    means corrupted data and raises ValueError."""
     k = gamma_weight(g)
     if k == INFINITE_WEIGHT:
         raise ValueError("identity element has no leading term")

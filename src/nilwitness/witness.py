@@ -51,13 +51,13 @@ makes every earlier one trivial.  When (0) fails or the last defect is not
 trivial, the defect after every step is checked, so the report names each
 failing step.
 
-Builds and verifies at one K share a workspace: the Magnus and ZZ
-lamplighter evaluators at K, with the value of every subexpression they
-evaluated, the Hall basis to K + 1, with the expansions and expressions
-of its words, and the memo `lifts` of the Lie half of each step.  The basis
-is built on first use, so a verify, which reads no Lie term, never builds
-it.  The workspace is kept in one slot, so a build's own verify and builds
-in a row at one K run warm, and a call at another K releases it.
+Builds and verifies at one K share a workspace: the Magnus and ZZ lamplighter
+evaluators at K, with the value of every subexpression they evaluated, the
+Hall basis to K + 1, with the expansions and expressions of its words, the
+memo `lifts` of each step's Lie half, and the last build's R and S.  The
+basis is built on first use, so a verify, which reads no Lie term, never
+builds it.  The workspace is kept in one slot, so a build's own verify and
+builds in a row at one K run warm, and a call at another K releases it.
 
 The Lie half of step k (the defect, its leading Lie term, the presentation
 [alpha, a] + [beta, b], the inverse lifts and alpha_{a b^k}) reads only the
@@ -67,7 +67,8 @@ read with _q_at so that a sequence and its extension by zeros agree, and
 `lifts` keeps it under that key: builds at one K whose sequences share a
 prefix make the shared steps once.  The even-step power reads q_{k/2} and is
 made per build.  Every returned pair is still certified by its own verify,
-which reads no memo.
+which reads no Lie memo, and takes R and S from the build only for the same
+texts of the r- and s-products, which fix their values.
 
 A WitnessPair, its Report and each PropertyResult are NamedTuples: equal by
 their fields, refusing assignment, and copied with a change by _replace.
@@ -211,8 +212,8 @@ def _typed(value, kind: type, key: str):
 
 
 class _Workspace:
-    """The evaluators at K, the basis to K + 1 and the lifts of each step
-    (module docstring)."""
+    """The evaluators at K, the basis to K + 1, the lifts of each step and
+    the last build's products (module docstring)."""
 
     def __init__(self, K: int):
         self.K = K
@@ -220,6 +221,8 @@ class _Workspace:
         self.lamp = LampEvaluator(ZZ, K)
         # (k, (q_1, ..., q_{(k-1)//2})) -> the lifts and alpha_{a b^k} of step k
         self.lifts: dict[tuple, tuple[WordExpr, WordExpr, int]] = {}
+        # (r-product text, s-product text) -> R and S, of the last build only
+        self.products: dict[tuple[str, str], tuple[MagnusElement, MagnusElement]] = {}
 
     @functools.cached_property
     def basis(self) -> HallBasis:
@@ -321,6 +324,7 @@ def build_witness(q, K: int) -> WitnessPair:
         s_factors=tuple(s_factors),
         n=tuple(n),
     )
+    ws.products = {(str(pair.r_word()), str(pair.s_word())): (R, S)}
     return pair._replace(report=verify_witness(pair))
 
 
@@ -336,8 +340,9 @@ def verify_witness(pair: WitnessPair) -> Report:
     evaluates each factor in the Magnus ring once; that pass stops at the
     shorter factor list, so (3) evaluates the whole r-product on its own.
     When (0) passes, a trivial defect after the last step certifies (1)
-    for every step (module docstring); otherwise the defect after each step
-    is computed, so the report lists every failing step.
+    for every step (module docstring), with the full products taken from
+    the build that made the same words; otherwise the defect after each
+    step is computed, so the report lists every failing step.
 
     Failures are recorded with the first failing weight or factor index;
     they are data, not exceptions.
@@ -355,7 +360,6 @@ def verify_witness(pair: WitnessPair) -> Report:
         fails["p0"].append(
             f"K = {K} needs {K - 2} factors and exponents, got r {n_r}, s {n_s}, n {n_n}"
         )
-    R = S = MagnusElement.one(ws.K)
     steps = []
     for k, r, s in zip(pair.factor_indices(), pair.r_factors, pair.s_factors):
         r_val, s_val = ws.magnus.eval(r), ws.magnus.eval(s)
@@ -363,18 +367,23 @@ def verify_witness(pair: WitnessPair) -> Report:
             gw = gamma_weight(val)
             if gw < k:
                 fails["p0"].append(f"{name}^({k}) has weight {gw} < {k}")
-        R, S = R * r_val, S * s_val
-        Tk = min(k, top)
-        steps.append((k, R.truncate(Tk), S.truncate(Tk)))
+        steps.append((k, r_val, s_val))
         img = ws.lamp.eval(s)
         if not img.is_identity():
             fails["p2"].append(f"s^({k}) maps to {img}")
 
-    # with (0) passed, a trivial last defect makes every earlier one trivial
-    if steps and not fails["p0"] and _defect(*steps[-1][1:]).is_one():
-        steps = []
-    for k, Rk, Sk in steps:
-        defect = _defect(Rk, Sk)
+    # with (0) passed, a trivial last defect makes every earlier one trivial;
+    # the full products are the build's own if it made the same words
+    if steps and not fails["p0"]:
+        _, rs, ss = zip(*steps)
+        held = ws.products.get((str(pair.r_word()), str(pair.s_word())))
+        if _defect(*held or map(MagnusElement.product_of, (rs, ss))).is_one():
+            steps = []
+    R = S = MagnusElement.one(ws.K)
+    for k, r_val, s_val in steps:
+        R, S = R * r_val, S * s_val
+        Tk = min(k, top)
+        defect = _defect(R.truncate(Tk), S.truncate(Tk))
         if not defect.is_one():
             fails["p1"].append(f"step {k}: defect has weight {gamma_weight(defect)}")
 

@@ -2,6 +2,7 @@
 oracle, a brute-force rank oracle over spanning sets, bracket axioms on
 random elements, and the generator presentation."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -299,6 +300,66 @@ def test_lie_coordinates_rejects_non_lie_polynomials():
     assert coordinates_by_weight(basis, {"ab": 2, "ba": -2}) == {"ab": 2}
 
 
+def _verdicts(basis, row):
+    """What the Dynkin reader from_row and the residual of lie_coordinates
+    find on a row: its coordinates, or None where one raises."""
+    out = []
+    for read in (lambda r: basis.from_row(r).coeffs, basis.lie_coordinates):
+        try:
+            out.append(dict(read(row)))
+        except ValueError:
+            out.append(None)
+    return out
+
+
+def test_dynkin_operator_matches_the_right_normed_oracle():
+    # theta(x1...xd) = [x1, [x2, ..., xd]], expanded word by word
+    def theta(word):
+        if len(word) == 1:
+            return {word: 1}
+        x, inner = word[0], theta(word[1:])
+        return poly_add({x + v: c for v, c in inner.items()}, {v + x: c for v, c in inner.items()}, -1)
+
+    rng = random.Random(3)
+    for d in range(1, 8):
+        poly = {"".join(w): rng.randint(-3, 3) for w in itertools.product("ab", repeat=d)}
+        want = {}
+        for w, c in poly.items():
+            want = poly_add(want, theta(w), c)
+        assert fl._dynkin(poly_rows(poly)[d]) == poly_rows(want).get(d, [0] * (1 << d))
+
+
+def test_dynkin_verdict_matches_the_residual_on_every_expansion():
+    basis = fl.hall_basis(10)
+    for w in basis.words:
+        (row,) = poly_rows(lyndon_bracket_expansion(w)).values()
+        assert _verdicts(basis, row) == [{w: 1}, {w: 1}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(-4, 4)), max_size=4),
+    st.integers(0, 10**6),
+    st.integers(-2, 2),
+)
+def test_dynkin_verdict_matches_the_residual_on_perturbations(d, terms, slot, delta):
+    # a Lie row, then one slot moved by delta: a Lie row again only if delta = 0
+    basis = _VERDICT_BASIS
+    words = basis.words_of_weight(d)
+    coeffs = {}
+    for i, c in terms:
+        coeffs[words[i % len(words)]] = coeffs.get(words[i % len(words)], 0) + c
+    row = basis._rows(coeffs)[d] if coeffs else [0] * (1 << d)
+    row[slot % len(row)] += delta
+    dynkin, residual = _verdicts(basis, row)
+    assert dynkin == residual
+    assert (dynkin is None) == (delta != 0)
+
+
+_VERDICT_BASIS = fl.hall_basis(8)
+
+
 def test_word_expansion_rows_match_the_oracle():
     basis = fl.hall_basis(10)
     for w in basis.words:
@@ -364,7 +425,8 @@ def test_present_check_catches_a_wrong_presentation(monkeypatch):
     # one word the wrong way round, the seed word or a right factor met
     # inside the pass, presents -t or some other element, and raises
     # t is checked against its expansion, or against the row it was read
-    # off, which lie_coordinates certified as that expansion
+    # off, which from_row certified Lie by the Dynkin test and read on the
+    # Lyndon masks; the worklist takes its splits from the basis's memo
     basis = fl.hall_basis(6)
     t = basis.from_words({"aabab": 3})
     read = basis.from_row(basis._rows(t.coeffs)[5])
@@ -373,19 +435,13 @@ def test_present_check_catches_a_wrong_presentation(monkeypatch):
     assert alpha == basis.from_words({"aabb": -3})
     assert beta == basis.from_words({"aaab": -3})
     assert fl.present_with_generators(read) == (alpha, beta)
-    split = fl.standard_factorization
     for word in ("aabab", "ab"):
-
-        def reversed_split(w, word=word):
-            u, v = split(w)
-            return (v, u) if w == word else (u, v)
-
-        monkeypatch.setattr(fl, "standard_factorization", reversed_split)
-        for form in (t, read):
-            with pytest.raises(RuntimeError, match="substitution check"):
-                fl.present_with_generators(form)
+        with monkeypatch.context() as patch:
+            patch.setitem(basis._factors, word, basis.factors(word)[::-1])
+            for form in (t, read):
+                with pytest.raises(RuntimeError, match="substitution check"):
+                    fl.present_with_generators(form)
     # and no cached expansion kept a wrong split
-    monkeypatch.setattr(fl, "standard_factorization", split)
     assert fl.present_with_generators(t) == fl.present_with_generators(read) == (alpha, beta)
 
 

@@ -81,7 +81,6 @@ UNREAD_IN_SRC = {
     "magnus.eval_word": "public constructor of a word's image (__init__ exports it); the tests",
     "series.TruncatedSeries.monomial": "public constructor; tests/test_acceptance.py and the series tests",
     "series.TruncatedSeries.x": "public constructor; tests/test_series.py and tests/test_coinv.py",
-    "witness.WitnessPair.s_word": "bench/child.py max_coeff_bits",
 }
 
 

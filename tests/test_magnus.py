@@ -657,6 +657,26 @@ def test_leading_lie_rejects_lone_AB():
     assert mg.leading_lie(lie, basis) == basis.from_words({"ab": 1})
 
 
+def test_leading_lie_rejects_a_row_off_at_a_non_lyndon_mask():
+    # the Lyndon masks alone cannot tell these rows from a Lie row: only the
+    # Dynkin test can, at a mask that is a rotation of a Lyndon word
+    rng = random.Random(7)
+    basis = fl.hall_basis(11)
+    for d in range(3, 12):
+        words = basis.words_of_weight(d)
+        coeffs = {w: rng.randint(-3, 3) or 1 for w in rng.sample(words, min(3, len(words)))}
+        row = basis._rows(coeffs)[d]
+        g = mg.MagnusElement(d, [None] * d + [row])
+        assert mg.leading_lie(g, basis) == basis.from_words(coeffs)
+        w = next(iter(coeffs))
+        off = mg.word_mask(w[1:] + w[0])
+        assert off not in basis._masks[d].values()
+        bad = list(row)
+        bad[off] += 1
+        with pytest.raises(ValueError, match="not a Lie element"):
+            mg.leading_lie(mg.MagnusElement(d, [None] * d + [bad]), basis)
+
+
 # --- the group-level alternating identity -----------------------------------
 
 

@@ -570,18 +570,46 @@ def test_build_work_counts(monkeypatch):
     # the evaluator stores packed: 162,685 and 48,624, and apart from them
     # the 63,296 slots that packing scans.  Now that the substitution check
     # reads the row the leading term was read off instead of expanding the
-    # term again: 39,794 multiply-adds.
+    # term again: 39,794 multiply-adds.  Now that each leading term is
+    # certified by the Dynkin test and read on the Lyndon masks, so that no
+    # word of weight K + 1 is expanded, and the build's own verify takes the
+    # products R and S from the build: 76,973 slots and 29,244 multiply-adds.
     counts = _count_work(monkeypatch)
     # an empty workspace: its basis holds no expansions, its evaluator no rows
     wt._workspace.cache_clear()
     assert wt.build_witness((1, 0, 1, 1), 9).report.ok
-    assert counts["slots"] <= 162_685
+    assert counts["slots"] <= 76_973
     assert counts["packing"] <= 63_296
-    assert counts["madds"] <= 39_794
+    assert counts["madds"] <= 29_244
     # the build and its verify share one workspace and evaluate every word
     # at K, nothing at K + 1
     assert wt._workspace.cache_info().misses == 1
     assert {g.trunc for g in wt._workspace(9).magnus._cache.values()} == {9}
+
+
+def test_build_expands_no_word_of_the_top_weight():
+    # the leading terms of weight K + 1 are read on the Lyndon masks, and
+    # only alpha, beta and the factors of the presented words are expanded
+    wt._workspace.cache_clear()
+    assert wt.build_witness((1, 0, 1, 1), 9).report.ok
+    expanded = wt._workspace(9).basis._expansions
+    assert expanded and max(map(len, expanded)) == 9
+
+
+def test_verify_of_a_tampered_copy_matches_a_cold_verify():
+    # a build hands its products R and S to its own verify, keyed by the
+    # texts of the r- and s-products: a copy with other words recomputes
+    # them, and one with the same words (n changed) may read them
+    wt._workspace.cache_clear()
+    pair = wt.build_witness((1, 0, 1, 1), 9)
+    last = len(pair.r_factors) - 1
+    copies = [_tamper_factor(pair, which, index) for which in ("r_factors", "s_factors") for index in (0, last)]
+    copies.append(pair._replace(n=pair.n[:-1] + (pair.n[-1] + 1,), report=None))
+    for bad in copies:
+        assert wt.build_witness(pair.q, 9) == pair
+        warm = wt.verify_witness(bad)
+        wt._workspace.cache_clear()
+        assert wt.verify_witness(bad) == warm and not warm.ok
 
 
 def test_verify_work_counts(monkeypatch):
