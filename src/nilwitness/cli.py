@@ -40,10 +40,10 @@ EXIT_RESOURCE = 3
 # largest phi --weight K: phi takes time ~K^2
 MAX_SERIES_WEIGHT = 64
 # largest coinv --weight K: coinv eliminates K(K-1)/2 rows of as many columns
-# twice, each as one forward echelon; the rows hold at most 3 nonzeros, but
-# each dense row is scanned and the oracle's reversed order fills them in, so
-# over Q, the slowest ring, the time grows ~K^4: both eliminations take about
-# 0.035 s at K = 24 and 0.06 s at 28 (2-core Intel Xeon, Python 3.11.7)
+# twice, each as one forward echelon on the rows' at most 3 nonzeros, in
+# integers over Q; the oracle's reversed order fills them in, so over Q, the
+# slowest ring, the time grows ~K^3: both eliminations take about 0.005 s at
+# K = 24 and 0.01 s at 28 (2-core Intel Xeon, Python 3.11.7)
 MAX_COINV_WEIGHT = 24
 # largest report --weight K, and largest weight 2n + 2 of identities --max-n:
 # at the limit each takes about 5-9 s (2-core Intel Xeon, Python 3.11.7);
@@ -322,54 +322,57 @@ def cmd_report(args) -> tuple[dict, bool]:
     return payload, payload["ok"]
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (help, handler, arguments as (flags, options) pairs); every
+# subcommand also takes --out
+COMMANDS = {
+    "identities": ("bracket identity suites", cmd_identities, [(("--max-n",), dict(type=int, default=2))]),
+    "construct": ("build and verify a witness pair", cmd_construct, [
+        (("--q",), dict(required=True, help='sequence, e.g. "1,0,1,1"')),
+        (("--weight", "-K"), dict(type=int, default=9)),
+    ]),
+    "verify": ("re-verify a witness JSON file", cmd_verify, [(("--in",), dict(dest="infile", required=True))]),
+    "phi": ("lamplighter image of a word", cmd_phi, [
+        (("--word",), dict(required=True)),
+        (("--ring",), dict(default="Z", help="Z, Q, or Zp:<p>")),
+        (("--weight", "-K"), dict(type=int, default=8)),
+    ]),
+    "coinv": ("exterior-square coinvariant ranks", cmd_coinv, [
+        (("--ring",), dict(default="Q", help="Q or Zp:<p>")),
+        (("--weight", "-K"), dict(type=int, default=6)),
+        (("--in",), dict(dest="infile", default=None, help="JSON with series to classify")),
+    ]),
+    "involution": ("involutive-field exactness suite", cmd_involution, []),
+    "report": ("aggregate verification report", cmd_report, [(("--weight", "-K"), dict(type=int, default=8))]),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of the command line argv: when argv[0] names a subcommand,
+    with that subparser alone, as building the other six takes argparse
+    longer than a small job runs.  Otherwise (no argument, -h or an unknown
+    name) it has all seven, and argparse's own metavar, which its errors
+    name "command"; the usage line lists all seven either way."""
     parser = argparse.ArgumentParser(
         prog="nilwitness",
         description="exact checks for free nilpotent quotients, completed "
         "lamplighter groups, and truncated coinvariants",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("identities", help="bracket identity suites")
-    p.add_argument("--max-n", type=int, default=2)
-    p.set_defaults(func=cmd_identities)
-
-    p = sub.add_parser("construct", help="build and verify a witness pair")
-    p.add_argument("--q", required=True, help='sequence, e.g. "1,0,1,1"')
-    p.add_argument("--weight", "-K", type=int, default=9)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("verify", help="re-verify a witness JSON file")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("phi", help="lamplighter image of a word")
-    p.add_argument("--word", required=True)
-    p.add_argument("--ring", default="Z", help="Z, Q, or Zp:<p>")
-    p.add_argument("--weight", "-K", type=int, default=8)
-    p.set_defaults(func=cmd_phi)
-
-    p = sub.add_parser("coinv", help="exterior-square coinvariant ranks")
-    p.add_argument("--ring", default="Q", help="Q or Zp:<p>")
-    p.add_argument("--weight", "-K", type=int, default=6)
-    p.add_argument("--in", dest="infile", default=None, help="JSON with series to classify")
-    p.set_defaults(func=cmd_coinv)
-
-    p = sub.add_parser("involution", help="involutive-field exactness suite")
-    p.set_defaults(func=cmd_involution)
-
-    p = sub.add_parser("report", help="aggregate verification report")
-    p.add_argument("--weight", "-K", type=int, default=8)
-    p.set_defaults(func=cmd_report)
-
-    for p in sub.choices.values():
+    names = argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS)
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, func, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.add_argument("--out", default=None, help="write the JSON report here")
-
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

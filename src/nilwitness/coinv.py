@@ -59,27 +59,24 @@ class CoinvariantSpace(NamedTuple):
         }
 
 
-def _relation_rows(trunc: int) -> tuple[tuple, list]:
+def _relation_rows(trunc: int) -> tuple[tuple, list[dict]]:
     """Wedge pairs and the rows t x^i ^ t x^j - x^i ^ x^j of the shift
     t = 1 + x, one per pair i < j, in the lex-ordered x^i ^ x^j basis.
 
     Since t x^i = x^i + x^(i+1), the row of (i, j) is
     x^i ^ x^(j+1) + x^(i+1) ^ x^j + x^(i+1) ^ x^(j+1): every entry is 0 or
     1, a term past x^(K-1) drops out, and x^(i+1) ^ x^j vanishes when
-    i + 1 = j.  The entries are plain ints in every ring: the elimination
-    reads each nonzero one into its ring, and scans the zeros at C speed.
+    i + 1 = j.  Each row is a dict {column: 1} of its at most 3 nonzeros,
+    plain ints in every ring: the elimination reads each one into its ring.
     """
     if trunc < 2:
         raise ValueError("need truncation >= 2 for a nonzero exterior square")
     pairs = tuple((i, j) for i in range(trunc) for j in range(i + 1, trunc))
     column = {pair: idx for idx, pair in enumerate(pairs)}
-    rows = []
-    for i, j in pairs:
-        row = [0] * len(pairs)
-        for pair in ((i, j + 1), (i + 1, j), (i + 1, j + 1)):
-            if pair in column:
-                row[column[pair]] = 1
-        rows.append(row)
+    rows = [
+        {column[pair]: 1 for pair in ((i, j + 1), (i + 1, j), (i + 1, j + 1)) if pair in column}
+        for i, j in pairs
+    ]
     return pairs, rows
 
 
@@ -156,7 +153,8 @@ def coinvariant_rank_oracle(ring: Ring, trunc: int) -> int:
     """
     pairs, rows = _relation_rows(trunc)
     p = ring.p if isinstance(ring, PrimeField) else None
-    return len(pairs) - linalg.field_rank([row[::-1] for row in reversed(rows)], p)
+    n = len(pairs)
+    return n - linalg.field_rank([{n - 1 - c: v for c, v in row.items()} for row in reversed(rows)], p)
 
 
 # --- quadratic extension fields with conjugation

@@ -3,14 +3,16 @@
 Everything here is exact; ranks and lattice comparisons are certificates,
 never floating-point estimates.  Lattices go through the Hermite normal form
 with its unimodular transform.  Field elimination runs over the rationals
-(fractions) or over Z/p when a prime is supplied, as one forward row echelon
-pass: a rank is its number of pivots, and `rref` clears above the pivots by
-back-substitution.  It takes and returns dense rows, but holds each row by
-its nonzeros, so its work follows the nonzero entries and their fill-in.
+or over Z/p when a prime is supplied, as one forward row echelon pass: a
+rank is its number of pivots, and `rref` clears above the pivots by
+back-substitution.  It takes rows dense or as dicts of their nonzeros, and
+holds each by its nonzeros, in integers over Q, so its work follows the
+nonzero entries and their fill-in.  `rref` returns dense rows.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import compress
 
@@ -70,10 +72,10 @@ def hermite_rows(mat: list[list[int]]) -> list[list[int]]:
 
 # --- field elimination
 #
-# Entries are Fractions over Q (p=None) or ints in [0, p) over Z/p, reduced
-# mod p only when a prime is set.  _sub_multiple subtracts dense rows (the
-# Hermite form above uses it with p=None); the echelon and back-substitution
-# hold rows by their nonzeros and subtract them with _subtract.
+# Entries are ints in [0, p) over Z/p; over Q (p=None) the echelon holds
+# integer rows, and only `rref` makes Fractions.  _sub_multiple subtracts
+# dense rows (the Hermite form above uses it with p=None); the echelon and
+# back-substitution hold rows by their nonzeros and clear with _subtract.
 
 
 def coerce_entry(v, p: int | None):
@@ -96,43 +98,64 @@ def _sub_multiple(row: list, c, src: list, p: int | None) -> list:
     return [(a - c * b) % p if b else a for a, b in zip(row, src)]
 
 
-def _subtract(row: dict, f, src: dict, p: int | None) -> None:
-    """row -= f * src in place, over src's support, deleting what cancels."""
+def _subtract(row: dict, k: int, src: dict, p: int | None) -> None:
+    """Clear column k of row in place by src, the pivot row of column k:
+    row -= row[k] * src over Z/p, where src[k] = 1, and over Q, in integers,
+    row <- (s/g) row - (h/g) src for s = src[k], h = row[k], g = gcd(s, h)."""
+    f = row[k]
+    if p is None:
+        g = math.gcd(src[k], f)
+        if (s := src[k] // g) != 1:
+            for c in row:
+                row[c] *= s
+        f //= g
     get = row.get
-    for k, v in src.items():
-        x = get(k, 0) - f * v
+    for c, v in src.items():
+        x = get(c, 0) - f * v
         if p is not None:
             x %= p
         if x:
-            row[k] = x
+            row[c] = x
         else:
-            del row[k]
+            del row[c]
 
 
-def _echelon(rows: list[list], p: int | None) -> dict[int, dict]:
+def _held(row, p: int | None) -> dict:
+    """A dense row, or a dict {column: nonzero entry}, as a new dict of its
+    nonzeros: residues over Z/p; over Q integers, scaled by the lcm of the
+    denominators."""
+    if type(row) is not dict:
+        row = {c: row[c] for c in compress(range(len(row)), row)}
+    if p is not None:
+        return {c: x for c, v in row.items() if (x := coerce_entry(v, p))}
+    den = math.lcm(*[v.denominator for v in row.values()])
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+
+
+def _echelon(rows: list[list] | list[dict], p: int | None) -> dict[int, dict]:
     """Forward row echelon form of `rows` over Q or Z/p, on their nonzeros.
 
-    Each row is taken in turn and held as a dict {column: nonzero entry}.
-    While it leads with a column that has a pivot, that pivot row is
-    subtracted from it; a row that vanishes adds nothing, and any other row
-    becomes, scaled to 1, the pivot of the column it leads with.  Returns the
-    pivot rows by pivot column; no row is cleared above its pivot.
+    Each row is taken in turn and held by its nonzeros (`_held`).  While it
+    leads with a column that has a pivot, that pivot row clears its lead; a
+    row that vanishes adds nothing, and any other row becomes the pivot of
+    the column it leads with, scaled to 1 over Z/p and primitive over Q.
+    Returns the pivot rows by pivot column, none cleared above its pivot.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
-        held = {c: x for c in compress(range(len(row)), row) if (x := coerce_entry(row[c], p))}
+        held = _held(row, p)
         while held:
             lead = min(held)
             src = pivots.get(lead)
             if src is None:
-                f = held[lead]
                 if p is None:
-                    pivots[lead] = {k: v / f for k, v in held.items()}
+                    g = math.gcd(*held.values())
+                    pivots[lead] = {k: v // g for k, v in held.items()}
                 else:
-                    inv = pow(f, p - 2, p)
+                    inv = pow(held[lead], p - 2, p)
                     pivots[lead] = {k: v * inv % p for k, v in held.items()}
                 break
-            _subtract(held, held[lead], src, p)
+            _subtract(held, lead, src, p)
     return pivots
 
 
@@ -142,20 +165,23 @@ def rref(rows: list[list], p: int | None = None) -> tuple[int, list[int], list[l
     Returns (rank, pivot_columns, reduced_nonzero_rows); rows are normalized
     to leading 1 with zeros above and below each pivot, so the output is a
     canonical form of the row space.  The echelon's rows are cleared above
-    their pivots by back-substitution, from the last pivot to the first.
+    their pivots by back-substitution, from the last pivot to the first;
+    over Q each stays an integer row, divided by its pivot at the end.
     """
     pivots = _echelon(rows, p)
     order = sorted(pivots)
     for c in reversed(order):
         row = pivots[c]
         for k in [k for k in row if k > c and k in pivots]:
-            _subtract(row, row[k], pivots[k], p)
+            _subtract(row, k, pivots[k], p)
+    if p is None:
+        pivots = {c: {k: Fraction(v, row[c]) for k, v in row.items()} for c, row in pivots.items()}
     ncols = len(rows[0]) if rows else 0
     zero = Fraction(0) if p is None else 0
     return len(order), order, [[pivots[c].get(k, zero) for k in range(ncols)] for c in order]
 
 
-def field_rank(rows: list[list], p: int | None = None) -> int:
+def field_rank(rows: list[list] | list[dict], p: int | None = None) -> int:
     return len(_echelon(rows, p))
 
 

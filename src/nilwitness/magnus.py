@@ -72,7 +72,7 @@ from __future__ import annotations
 import operator
 from array import array
 from bisect import bisect
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterator, Sequence
 
 from .series import INFINITE_WEIGHT, binomials
@@ -122,8 +122,8 @@ def nonzero(row: Row) -> Entries:
 # _MASKS_CAP: a scan selects its masks from here rather than making an int
 # object for every slot, which halves its cost.  Index i always holds i.  The
 # cap, 2^16 slots, is the longest row of a witness at witness.MAX_K + 1; a
-# longer row (the identity suites reach 2^20) makes its masks as it goes, so
-# the list holds at most 2^16 ints, about 2.4 MB.
+# longer row (the identity suites reach 2^20) is scanned in chunks of 2^16
+# slots, so the list holds at most 2^16 ints, about 2.4 MB.
 _MASKS_CAP = 1 << 16
 _MASKS: list[int] = []
 
@@ -131,11 +131,12 @@ _MASKS: list[int] = []
 def _nonzero_masks(row: list[int]) -> Iterator[int]:
     """The masks of the nonzero slots of a dense row, in increasing order."""
     n = len(row)
-    if n > _MASKS_CAP:
-        return compress(range(n), row)
-    if n > len(_MASKS):
-        _MASKS.extend(range(len(_MASKS), n))
-    return compress(_MASKS, row)
+    if n > len(_MASKS) < _MASKS_CAP:
+        _MASKS.extend(range(len(_MASKS), min(n, _MASKS_CAP)))
+    if n <= _MASKS_CAP:
+        return compress(_MASKS, row)
+    chunks = range(0, n, _MASKS_CAP)
+    return chain.from_iterable(map(c.__add__, compress(_MASKS, row[c : c + _MASKS_CAP])) for c in chunks)
 
 
 def entry(entries: Entries | Packed, mask: int) -> int:

@@ -1,5 +1,6 @@
 """CLI contract: deterministic byte-identical reports, exit codes, file I/O."""
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -781,3 +782,52 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         argv = [str(tmp_path / arg) if arg == "witness.json" else arg for arg in argv]
         code, _ = run_cli(argv)
         assert code == cli.EXIT_OK, argv
+
+
+def _parse(parser, argv):
+    """What parse_args writes to stdout and stderr and how it exits, or
+    the namespace it returns."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([name, "--help"] for name in cli.COMMANDS),
+        [],
+        ["frobnicate"],
+        ["coinv", "--weight", "x"],
+        ["coinv", "--weight", "9", "extra"],
+        ["construct", "--weight", "5"],
+        ["-K", "5", "coinv"],
+        ["coinv", "--ring", "Zp:3", "-K", "20"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_parser_for_one_command_parses_as_the_full_parser(argv):
+    # the usage line, help, errors and exit codes, byte for byte
+    assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(), argv)
+
+
+def test_cold_command_builds_only_its_own_parser(monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert cli.main(["coinv", "--weight", "4", "--out", str(tmp_path / "out.json")]) == cli.EXIT_OK
+    assert built == ["nilwitness", "nilwitness coinv"]
+    built.clear()
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main([]) == cli.EXIT_USAGE
+    assert len(built) == 1 + len(cli.COMMANDS)

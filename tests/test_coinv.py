@@ -48,19 +48,26 @@ def eliminate(ring, K, exponents):
     return reduced(ring, K, dense_relation_rows(ring, K, exponents))
 
 
+def dense_rows(K):
+    """The rows that `build_coinvariants` eliminates for its rank, as dense
+    lists of K(K - 1)/2 entries: `linalg.rref` reads its row width off
+    them."""
+    n = K * (K - 1) // 2
+    return [[row.get(c, 0) for c in range(n)] for row in cv._relation_rows(K)[1]]
+
+
 def eliminated(ring, K):
     """The single-shift quotient on the rows that `build_coinvariants`
     eliminates for its rank."""
-    return reduced(ring, K, cv._relation_rows(K)[1])
+    return reduced(ring, K, dense_rows(K))
 
 
 def elimination_class_map(ring, K):
     """The class map by elimination, kept here as an oracle for the closed
     form: wedge coordinates of f ^ 1 reduced modulo the rref of the relation
     rows."""
-    _, rows = cv._relation_rows(K)
     p = ring.p if isinstance(ring, sr.PrimeField) else None
-    _, pivots, red = linalg.rref(rows, p)
+    _, pivots, red = linalg.rref(dense_rows(K), p)
     one = sr.TruncatedSeries.one(ring, K)
 
     def reduce(vec):
@@ -431,20 +438,18 @@ def dense_relation_rows(ring, K, exponents):
     return rows
 
 
-def _entry_types(rows):
-    return {type(v) for row in rows for v in row}
-
-
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 def test_relation_rows_match_the_dense_wedge(ring):
-    # the rows hold plain ints 0 and 1 whatever the ring: the elimination
-    # reads each nonzero entry into the ring, and equal values compare equal
+    # each row is a dict of at most 3 nonzeros, plain ints 1 whatever the
+    # ring: the elimination reads each entry into the ring, and equal values
+    # compare equal
     for K in range(2, 13):
         pairs, rows = cv._relation_rows(K)
         assert pairs == tuple((i, j) for i in range(K) for j in range(i + 1, K))
-        assert rows == dense_relation_rows(ring, K, (1,))
-        assert _entry_types(rows) == {int}
-        assert max(sum(1 for v in row if v) for row in rows) <= 3
+        assert all(type(row) is dict for row in rows)
+        assert dense_rows(K) == dense_relation_rows(ring, K, (1,))
+        assert {type(v) for row in rows for v in row.values()} <= {int}
+        assert max(len(row) for row in rows) <= 3
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)

@@ -1,5 +1,6 @@
 """Direct checks of the exact elimination helpers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import pytest
 
 from nilwitness import coinv, linalg, series
+from test_coinv import dense_rows
 
 
 def _matmul(a, b):
@@ -191,10 +193,10 @@ def test_rref_matches_reference_and_ignores_row_order(case, rng):
     assert linalg.rref(shuffled, p) == expected
 
 
-def _oracle_order(rows):
-    """The rows as `coinv.coinvariant_rank_oracle` eliminates them: in
-    reverse order, each with its coordinates reversed."""
-    return [row[::-1] for row in reversed(rows)]
+def _oracle_order(rows, n):
+    """The dict rows of width n as `coinv.coinvariant_rank_oracle`
+    eliminates them: in reverse order, each with its coordinates reversed."""
+    return [{n - 1 - c: v for c, v in row.items()} for row in reversed(rows)]
 
 
 @pytest.mark.parametrize("tag", ["Q", "Zp:3", "Zp:101"])
@@ -203,10 +205,12 @@ def test_relation_ranks_agree_in_both_orders(tag):
     p = getattr(ring, "p", None)
     for K in range(2, 25):
         rows = coinv._relation_rows(K)[1]
-        expected = K * (K - 1) // 2 - K // 2
+        n = K * (K - 1) // 2
+        expected = n - K // 2
         assert linalg.field_rank(rows, p) == expected
-        assert linalg.field_rank(_oracle_order(rows), p) == expected
-        assert linalg.rref(rows, p)[0] == expected
+        assert linalg.field_rank(dense_rows(K), p) == expected
+        assert linalg.field_rank(_oracle_order(rows, n), p) == expected
+        assert linalg.rref(dense_rows(K), p)[0] == expected
 
 
 def test_rank_work_is_a_forward_echelon(monkeypatch):
@@ -225,8 +229,44 @@ def test_rank_work_is_a_forward_echelon(monkeypatch):
     monkeypatch.setattr(linalg, "_subtract", counted)
     rows = coinv._relation_rows(20)[1]
     counts = []
-    for order in (rows, _oracle_order(rows)):
+    for order in (rows, _oracle_order(rows, 190)):
         work[:] = [0, 0]
         assert linalg.field_rank(order, 3) == 180
         counts.append(tuple(work))
     assert counts == [(246, 366), (568, 2053)]
+
+
+def _sparse(rows):
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def test_field_rank_reads_dict_rows_as_the_dense_rows():
+    # random mostly-zero matrices, over Q with int and with Fraction entries
+    # and over Z/3 and Z/101, where some nonzero entries vanish mod p; no
+    # denominator is divisible by 3
+    rng = random.Random(34)
+    entries = {
+        "int": lambda: rng.choice([0, 0, 0, rng.randint(-9, 9), 101, -3]),
+        "fraction": lambda: rng.choice([0, 0, Fraction(rng.randint(-9, 9), rng.choice([1, 2, 4, 5, 10]))]),
+    }
+    for p, kind in ((None, "int"), (None, "fraction"), (3, "int"), (3, "fraction"), (101, "int")):
+        for _ in range(60):
+            ncols = rng.randint(1, 9)
+            rows = [[entries[kind]() for _ in range(ncols)] for _ in range(rng.randint(1, 9))]
+            assert linalg.field_rank(_sparse(rows), p) == linalg.field_rank(rows, p)
+            residues = [[linalg.coerce_entry(v, p) for v in row] for row in rows]
+            assert linalg.field_rank(rows, p) == _reference_rref(residues, p)[0]
+
+
+def test_rational_echelon_keeps_primitive_integer_rows():
+    # Hilbert-like rows 1/(i + j + 1), and one row that depends on two
+    # others: over Q the echelon holds integer rows and `rref` divides them
+    # out at the end; each pivot row is kept primitive, so that it does not
+    # carry the scalings of the reductions that made it
+    rows = [[Fraction(1, i + j + 1) for j in range(7)] for i in range(6)]
+    rows.append([a - 3 * b for a, b in zip(rows[1], rows[4])])
+    assert linalg.rref(rows) == _reference_rref(rows, None)
+    assert linalg.rref(rows)[0] == 6
+    for row in linalg._echelon(rows, None).values():
+        assert {type(v) for v in row.values()} == {int}
+        assert math.gcd(*row.values()) == 1

@@ -493,17 +493,20 @@ def test_mask_list_covers_every_witness_row():
 
 
 def test_mask_list_stays_within_its_cap(monkeypatch):
-    # a row longer than the cap is scanned without the process-global list:
-    # it finds the same masks, and the list never grows past the cap
+    # a row longer than the cap is scanned through the list in chunks of
+    # cap slots: it finds the same masks, and the list never grows past the
+    # cap
     monkeypatch.setattr(mg, "_MASKS", [])
     cap = mg._MASKS_CAP
-    row = [0] * (2 * cap)
-    row[3] = row[cap] = row[-1] = -2
-    assert mg.nonzero(row) == ([3, cap, 2 * cap - 1], [-2, -2, -2])
-    assert mg._MASKS == []
+    row = [0] * (2 * cap + 5)
+    row[3] = row[cap] = row[2 * cap - 1] = row[-1] = -2
+    masks = [3, cap, 2 * cap - 1, 2 * cap + 4]
+    assert mg.nonzero(row) == (masks, [-2] * 4)
+    assert mg._MASKS == list(range(cap))
+    monkeypatch.setattr(mg, "_MASKS", [])
     assert list(mg._nonzero_masks(row[:cap])) == [3]
     assert mg._MASKS == list(range(cap))
-    assert list(mg._nonzero_masks(row)) == [3, cap, 2 * cap - 1]
+    assert list(mg._nonzero_masks(row)) == masks
     assert len(mg._MASKS) == cap
 
 
