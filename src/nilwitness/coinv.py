@@ -14,11 +14,13 @@ v (x) conj(v), and checks exactness of
     0 -> K --(. v0)--> V --(- (x) v0)--> (V (x)_K V) / D
 
 over the rationals: the kernel by one rank, and every other part, which is
-Q-linear or quadratic, on a rational basis.  The tensor product is
-the conjugate-balanced one (scalars move across the tensor sign through the
-involution), which is the reading under which D is an honest K-subspace; in
-coordinates v (x) u is the matrix (v_j * conj(u)_k) and D becomes the
-symmetric matrices.
+Q-linear or quadratic, on a rational basis.  A scalar u + v sqrt(d) is the
+rational pair (u, v) and a vector its 2 dim rational coordinates, so a
+vector, a tensor and a value of psi are all rows that `linalg` reads.  The
+tensor product is the conjugate-balanced one (scalars move across the tensor
+sign through the involution), which is the reading under which D is an
+honest K-subspace; in coordinates v (x) u is the matrix (v_j * conj(u)_k)
+and D becomes the symmetric matrices.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def theta(f: TruncatedSeries) -> tuple:
     """Coordinates of the class of f ^ 1 in the coinvariant quotient: the
     floor(K/2) odd-degree coefficients of (f - sigma(f)) / 2, which vanish
     exactly when sigma(f) = f."""
-    return pairing(f, TruncatedSeries.one(f.ring, f.trunc)).coeffs[1::2]
+    return (f - sigma_tilde(f)).scale(Fraction(1, 2)).coeffs[1::2]
 
 
 def coinvariant_rank_oracle(ring: Ring, trunc: int) -> int:
@@ -157,56 +159,29 @@ def coinvariant_rank_oracle(ring: Ring, trunc: int) -> int:
     return n - linalg.field_rank([{n - 1 - c: v for c, v in row.items()} for row in reversed(rows)], p)
 
 
-# --- quadratic extension fields with conjugation
+# --- a quadratic field with conjugation, in rational coordinates
 
 
-class QuadExt:
-    """Element u + v * sqrt(d) of the quadratic field Q(sqrt(d)).  Immutable
-    by convention; equal by (u, v)."""
+def _mul(d: int, x, y) -> tuple:
+    """The rational pair of (x0 + x1 sqrt(d)) (y0 + y1 sqrt(d)) for the
+    pairs x = (x0, x1) and y = (y0, y1)."""
+    (x0, x1), (y0, y1) = x, y
+    return x0 * y0 + d * x1 * y1, x0 * y1 + x1 * y0
 
-    __slots__ = ("u", "v")
 
-    def __init__(self, u: Fraction, v: Fraction):
-        self.u = u
-        self.v = v
-
-    def __add__(self, o: "QuadExt") -> "QuadExt":
-        return QuadExt(self.u + o.u, self.v + o.v)
-
-    def __sub__(self, o: "QuadExt") -> "QuadExt":
-        return QuadExt(self.u - o.u, self.v - o.v)
-
-    def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.u, -self.v)
-
-    def mul(self, o: "QuadExt", d: int) -> "QuadExt":
-        return QuadExt(self.u * o.u + d * self.v * o.v, self.u * o.v + self.v * o.u)
-
-    def conj(self) -> "QuadExt":
-        return QuadExt(self.u, -self.v)
-
-    def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
-
-    @staticmethod
-    def of(u, v=0) -> "QuadExt":
-        return QuadExt(Fraction(u), Fraction(v))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.u, self.v) == (other.u, other.v)
-
-    def __hash__(self):
-        return hash((self.u, self.v))
-
-    def __repr__(self) -> str:
-        return f"QuadExt(u={self.u!r}, v={self.v!r})"
+def _entries(vec) -> list:
+    """The dim entries of a vector of V as rational pairs."""
+    return list(zip(vec[::2], vec[1::2]))
 
 
 class InvolutiveField:
     """Q(sqrt(d)) with conjugation, acting coordinatewise on V = K^dim, with
-    the fixed vector v0 = e_1.  Immutable by convention; equal by (d, dim)."""
+    the fixed vector v0 = e_1.  Immutable by convention; equal by (d, dim).
+
+    A scalar u + v sqrt(d) is the pair (u, v).  A vector is the tuple of its
+    2 dim rational coordinates over e_1, sqrt(d) e_1, e_2, sqrt(d) e_2, ...,
+    so conjugation negates the odd coordinates.
+    """
 
     __slots__ = ("d", "dim")
 
@@ -230,98 +205,83 @@ class InvolutiveField:
     def __repr__(self) -> str:
         return f"InvolutiveField(d={self.d!r}, dim={self.dim!r})"
 
-    # vectors are tuples of QuadExt of length dim
-    def basis_vec(self, i: int):
-        return tuple(QuadExt.of(int(j == i)) for j in range(self.dim))
+    def rational_basis(self) -> list[tuple]:
+        """The Q-basis e_1, sqrt(d) e_1, e_2, sqrt(d) e_2, ... of V: the
+        unit coordinate vectors."""
+        n = 2 * self.dim
+        return [tuple(int(k == i) for k in range(n)) for i in range(n)]
+
+    def basis_vec(self, i: int) -> tuple:
+        return self.rational_basis()[2 * i]
 
     @property
-    def v0(self):
+    def v0(self) -> tuple:
         return self.basis_vec(0)
 
-    def sigma_v(self, vec):
-        return tuple(c.conj() for c in vec)
+    def sigma_v(self, vec) -> tuple:
+        return tuple(-c if k % 2 else c for k, c in enumerate(vec))
 
-    def scale_vec(self, alpha: QuadExt, vec):
-        return tuple(alpha.mul(c, self.d) for c in vec)
+    def scale_vec(self, alpha, vec) -> tuple:
+        return tuple(c for x in _entries(vec) for c in _mul(self.d, alpha, x))
 
-    def add_vec(self, a, b):
+    def add_vec(self, a, b) -> tuple:
         return tuple(x + y for x, y in zip(a, b))
 
-    def plus_part(self, vec):
-        return tuple(QuadExt(c.u, Fraction(0)) for c in vec)
+    def plus_part(self, vec) -> tuple:
+        return tuple(0 if k % 2 else c for k, c in enumerate(vec))
 
-    def minus_part(self, vec):
-        return tuple(QuadExt(Fraction(0), c.v) for c in vec)
-
-    def rational_basis(self) -> list:
-        """The Q-basis e_1, sqrt(d) e_1, e_2, sqrt(d) e_2, ... of V."""
-        zero = QuadExt.of(0)
-        return [
-            tuple(unit if j == i else zero for j in range(self.dim))
-            for i in range(self.dim)
-            for unit in (QuadExt.of(1), QuadExt.of(0, 1))
-        ]
+    def minus_part(self, vec) -> tuple:
+        return tuple(c if k % 2 else 0 for k, c in enumerate(vec))
 
 
-def _tensor_coords(F: InvolutiveField, v, u) -> list[Fraction]:
+def _tensor_coords(F: InvolutiveField, v, u) -> list:
     """Rational coordinates of v (x) u in the conjugate-balanced tensor:
-    the dim x dim matrix of entries v_j * conj(u_k), flattened over the
-    rational basis (1, sqrt(d)) of each entry."""
-    out: list[Fraction] = []
-    for vj in v:
-        for uk in u:
-            e = vj.mul(uk.conj(), F.d)
-            out.extend((e.u, e.v))
-    return out
+    the dim x dim matrix of entries v_j * conj(u_k), each entry a rational
+    pair."""
+    conj = _entries(F.sigma_v(u))
+    return [c for x in _entries(v) for y in conj for c in _mul(F.d, x, y)]
 
 
-def _pure_tensor(F: InvolutiveField, w) -> list[Fraction]:
-    return _tensor_coords(F, w, F.sigma_v(w))
-
-
-def _diagonal_span_rows(F: InvolutiveField) -> list[list[Fraction]]:
+def _diagonal_span_rows(F: InvolutiveField) -> list[list]:
     """Rational spanning set of D = span_K { w (x) sigma(w) }.
 
     Pure tensors at enough vectors w rationally span the whole K-line of each
     generator (scaling by sqrt(d) is recovered through polarization with
     (1 + sqrt(d)) w), so no explicit scalar closure is needed.
     """
-    sd = QuadExt.of(0, 1)
-    one_plus_sd = QuadExt.of(1, 1)
+    one_plus_sd = (1, 1)
     vecs = []
     for i in range(F.dim):
         e = F.basis_vec(i)
-        vecs.append(e)
-        vecs.append(F.scale_vec(one_plus_sd, e))
+        vecs += [e, F.scale_vec(one_plus_sd, e)]
     for i, j in itertools.combinations(range(F.dim), 2):
         ei, ej = F.basis_vec(i), F.basis_vec(j)
-        for coef in (QuadExt.of(1), QuadExt.of(-1), sd, one_plus_sd):
+        for coef in ((1, 0), (-1, 0), (0, 1), one_plus_sd):
             vecs.append(F.add_vec(ei, F.scale_vec(coef, ej)))
-            vecs.append(
-                F.add_vec(F.scale_vec(one_plus_sd, ei), F.scale_vec(coef, ej))
-            )
-    return [_pure_tensor(F, w) for w in vecs]
+            vecs.append(F.add_vec(F.scale_vec(one_plus_sd, ei), F.scale_vec(coef, ej)))
+    return [_tensor_coords(F, w, F.sigma_v(w)) for w in vecs]
 
 
-def psi_value(F: InvolutiveField, v, u) -> list[Fraction]:
+def _wedge(F: InvolutiveField, v, u) -> list:
+    """v ^ u in the K-exterior square of V: the rational pairs of
+    v_i u_j - v_j u_i over the wedge basis e_i ^ e_j, i < j."""
+    v, u = _entries(v), _entries(u)
+    out = []
+    for i, j in itertools.combinations(range(F.dim), 2):
+        (a, b), (c, e) = _mul(F.d, v[i], u[j]), _mul(F.d, v[j], u[i])
+        out += [a - c, b - e]
+    return out
+
+
+def psi_value(F: InvolutiveField, v, u) -> list:
     """The half-exterior pairing psi(v (x) u) = v+ ^ u+ + v- ^ u-.
 
-    Values live in the K-exterior square of V; coordinates are rational pairs
-    over the wedge basis e_i ^ e_j, i < j.  psi kills additive combinations
-    of the tensors w (x) sigma(w), which is its well-definedness certificate.
+    psi kills additive combinations of the tensors w (x) sigma(w), which is
+    its well-definedness certificate.
     """
-    out: list[Fraction] = []
-    vp, vm = F.plus_part(v), F.minus_part(v)
-    up, um = F.plus_part(u), F.minus_part(u)
-    for i, j in itertools.combinations(range(F.dim), 2):
-        coeff = (
-            vp[i].mul(up[j], F.d)
-            - vp[j].mul(up[i], F.d)
-            + vm[i].mul(um[j], F.d)
-            - vm[j].mul(um[i], F.d)
-        )
-        out.extend((coeff.u, coeff.v))
-    return out
+    plus = _wedge(F, F.plus_part(v), F.plus_part(u))
+    minus = _wedge(F, F.minus_part(v), F.minus_part(u))
+    return [x + y for x, y in zip(plus, minus)]
 
 
 def involution_exactness_report(F: InvolutiveField) -> dict:
@@ -350,7 +310,7 @@ def involution_exactness_report(F: InvolutiveField) -> dict:
 
     scalar_ok = not any(
         c
-        for alpha in (QuadExt.of(1), QuadExt.of(0, 1))
+        for alpha in ((1, 0), (0, 1))
         for c in mod_d(_tensor_coords(F, F.scale_vec(alpha, F.v0), F.v0))
     )
 

@@ -5,9 +5,10 @@ never floating-point estimates.  Lattices go through the Hermite normal form
 with its unimodular transform.  Field elimination runs over the rationals
 or over Z/p when a prime is supplied, as one forward row echelon pass: a
 rank is its number of pivots, and `rref` clears above the pivots by
-back-substitution.  It takes rows dense or as dicts of their nonzeros, and
-holds each by its nonzeros, in integers over Q, so its work follows the
-nonzero entries and their fill-in.  `rref` returns dense rows.
+back-substitution.  The echelon holds each row by its nonzeros, in integers
+over Q, so its work follows the nonzero entries and their fill-in.  Only
+`field_rank` takes a row as a dict of its nonzeros; `rref` takes and returns
+dense lists, whose width it reads off the first row.
 """
 
 from __future__ import annotations
@@ -167,7 +168,10 @@ def rref(rows: list[list], p: int | None = None) -> tuple[int, list[int], list[l
     canonical form of the row space.  The echelon's rows are cleared above
     their pivots by back-substitution, from the last pivot to the first;
     over Q each stays an integer row, divided by its pivot at the end.
+    A row that is not a list raises TypeError: the width is len(rows[0]).
     """
+    if not all(isinstance(row, list) for row in rows):
+        raise TypeError("rref takes dense rows as lists")
     pivots = _echelon(rows, p)
     order = sorted(pivots)
     for c in reversed(order):

@@ -528,8 +528,6 @@ def _commutator_with_generator(g: MagnusElement, w: int, bit: int, T: int) -> Ma
             row[lo:hi] = map(operator.sub, row[lo:hi], y)
         elif type(row) is tuple:
             row = _dense(row)
-        if row is None:
-            continue
         c = [0] * (2 << d)
         c[bit::2] = row
         lo, hi = bit << d, (bit + 1) << d

@@ -24,14 +24,13 @@ def rand_series(ring, trunc, rng):
 
 
 def rand_scalar(rng):
-    return cv.QuadExt.of(
-        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-    )
+    """A scalar u + v sqrt(d) as its rational pair (u, v)."""
+    return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
 
 
 def rand_vec(F, rng):
-    return tuple(rand_scalar(rng) for _ in range(F.dim))
+    """A vector of V as its 2 dim rational coordinates."""
+    return tuple(c for _ in range(F.dim) for c in rand_scalar(rng))
 
 
 def reduced(ring, K, rows):
@@ -171,6 +170,19 @@ def test_theta_classes_of_built_witnesses_reported():
         assert not any(vec) and not any(by_elimination(fq))
 
 
+def test_theta_makes_no_series_product(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("theta must make no series product")
+
+    rng = random.Random(9)
+    for ring in (sr.QQ, sr.PrimeField(5)):
+        f = rand_series(ring, 9, rng)
+        want = cv.pairing(f, sr.TruncatedSeries.one(ring, 9)).coeffs[1::2]
+        with monkeypatch.context() as patch:
+            patch.setattr(sr.TruncatedSeries, "__mul__", no_product)
+            assert cv.theta(f) == want
+
+
 def test_theta_rejects_series_over_Z():
     f = sr.TruncatedSeries.x(sr.ZZ, 6)
     with pytest.raises(ValueError):
@@ -200,8 +212,7 @@ def test_psi_certificate_polarizes_on_the_rational_basis(monkeypatch):
     F = cv.InvolutiveField(5, 3)
     assert cv.involution_exactness_report(F)["psi_kills_D"]
     basis = F.rational_basis()
-    coords = [[x for c in b for x in (c.u, c.v)] for b in basis]
-    assert coords == [[int(i == j) for j in range(6)] for i in range(6)]
+    assert basis == [tuple(int(i == j) for j in range(6)) for i in range(6)]
     assert seen == [F.add_vec(b, c) for b, c in itertools.combinations_with_replacement(basis, 2)]
     assert len(seen) == 21
 
@@ -214,8 +225,8 @@ REAL_SPAN_ROWS = cv._diagonal_span_rows
 def skewed_scale(F, alpha, vec):
     """The rational part of alpha acts as it should, but its sqrt(d) part
     lands one coordinate over: right at alpha = 1, wrong at sqrt(d)."""
-    rational = REAL_SCALE(F, cv.QuadExt(alpha.u, Fraction(0)), vec)
-    irrational = REAL_SCALE(F, cv.QuadExt(Fraction(0), alpha.v), vec[1:] + vec[:1])
+    rational = REAL_SCALE(F, (alpha[0], 0), vec)
+    irrational = REAL_SCALE(F, (0, alpha[1]), vec[2:] + vec[:2])
     return F.add_vec(rational, irrational)
 
 
@@ -224,20 +235,12 @@ def span_rows_with_e2_v0(F):
     return REAL_SPAN_ROWS(F) + [cv._tensor_coords(F, F.basis_vec(1), F.v0)]
 
 
-def wedge_without_split(F, v, u):
-    """v ^ u over K, with no plus/minus split.  It vanishes on w (x) sigma(w)
-    at each basis vector w, so only the polarizing sums catch it."""
-    out = []
-    for i, j in itertools.combinations(range(F.dim), 2):
-        c = v[i].mul(u[j], F.d) - v[j].mul(u[i], F.d)
-        out.extend((c.u, c.v))
-    return out
-
-
 MUTATIONS = {
     "scalar_line_in_D": (cv.InvolutiveField, "scale_vec", skewed_scale),
     "kernel_is_K_v0": (cv, "_diagonal_span_rows", span_rows_with_e2_v0),
-    "psi_kills_D": (cv, "psi_value", wedge_without_split),
+    # v ^ u with no plus/minus split: it vanishes on w (x) sigma(w) at each
+    # basis vector w, so only the polarizing sums catch it
+    "psi_kills_D": (cv, "psi_value", cv._wedge),
     # keeps the sqrt(d) part: right on e_i, wrong on sqrt(d) e_i
     "plus_minus_split": (cv.InvolutiveField, "plus_part", lambda F, vec: vec),
 }
@@ -305,7 +308,7 @@ def test_involution_semilinear_on_random_vectors():
             alpha = rand_scalar(rng)
             v = rand_vec(F, rng)
             lhs = F.sigma_v(F.scale_vec(alpha, v))
-            rhs = F.scale_vec(alpha.conj(), F.sigma_v(v))
+            rhs = F.scale_vec((alpha[0], -alpha[1]), F.sigma_v(v))
             assert lhs == rhs
         v = rand_vec(F, rng)
         assert F.sigma_v(F.sigma_v(v)) == v

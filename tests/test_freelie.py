@@ -488,6 +488,22 @@ def test_present_rejects_inhomogeneous():
         fl.present_with_generators(t)
 
 
+def test_present_zero_and_weight_one():
+    basis = fl.hall_basis(4)
+    assert fl.present_with_generators(basis.zero()) == (basis.zero(), basis.zero())
+    with pytest.raises(ValueError, match="weight >= 2"):
+        fl.present_with_generators(basis.gen("a"))
+
+
+def test_negation_and_difference_agree_with_scale_and_sum():
+    basis = fl.hall_basis(5)
+    u = basis.from_words({"ab": 2, "aab": -1, "abb": 3})
+    v = basis.from_words({"aab": 4, "aabb": -2})
+    assert -u == u.scale(-1)
+    assert u - v == u + v.scale(-1)
+    assert (u - u).is_zero() and u - basis.zero() == u
+
+
 def test_basis_requires_positive_weight():
     with pytest.raises(ValueError):
         fl.hall_basis(0)

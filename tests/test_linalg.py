@@ -106,6 +106,14 @@ def test_rref_and_reduction_canonical():
     assert vec == again
 
 
+def test_rref_rejects_a_dict_row():
+    # a dict row would give rref the width of its nonzeros and drop column 3
+    for rows in ([{0: 1, 3: 2}, {1: 1}], [[1, 0, 0, 2], {1: 1}], [(1, 0)]):
+        with pytest.raises(TypeError):
+            linalg.rref(rows)
+    assert linalg.field_rank([{0: 1, 3: 2}, {1: 1}]) == 2
+
+
 def test_rref_mod_p():
     rows = [[1, 2], [2, 4]]
     rank, pivots, _ = linalg.rref(rows, p=5)

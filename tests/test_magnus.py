@@ -640,6 +640,20 @@ def test_leading_lie_of_commutator_is_bracket_of_leading_terms():
         assert mg.leading_lie(mg.commutator(g, h), basis) == expected
 
 
+def test_leading_lie_needs_a_leading_weight_within_the_basis():
+    with pytest.raises(ValueError, match="identity"):
+        mg.leading_lie(mg.MagnusElement.one(6), fl.hall_basis(6))
+    with pytest.raises(ValueError, match="exceeds basis truncation"):
+        mg.leading_lie(mg.eval_word("[a,b,b,b]", 6), fl.hall_basis(3))
+
+
+def test_truncate_cannot_extend():
+    g = mg.eval_word("[a,b]", 5)
+    with pytest.raises(ValueError, match="cannot extend truncation"):
+        g.truncate(6)
+    assert g.truncate(5) == g
+
+
 def test_leading_lie_rejects_non_lie_data():
     basis = fl.hall_basis(4)
     g = mg.eval_word("a", 4)

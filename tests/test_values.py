@@ -28,7 +28,6 @@ def _equal_pairs():
         ),
         (lp.phi_word("[a,b,b]", "Z", 5), lp.LampElement(sr.TruncatedSeries.monomial(sr.ZZ, 5, 2), 0)),
         (basis.from_words({"aab": 2, "ab": -1}), fl.hall_basis(6).from_words({"ab": -1, "aab": 2})),
-        (cv.QuadExt.of(1, 2), cv.QuadExt(Fraction(1), Fraction(2))),
         (cv.InvolutiveField(-1, 2), cv.InvolutiveField(-1, 2)),
         (wt.PropertyResult(True), wt.PropertyResult(True, "")),
     ]
@@ -53,7 +52,6 @@ def test_values_differ_by_their_fields_and_class():
     assert one != sr.TruncatedSeries.one(sr.ZZ, 4)
     assert one != sr.TruncatedSeries.one(sr.PrimeField(3), 3)
     assert lp.LampElement(one, 0) != lp.LampElement(one, 1)
-    assert cv.QuadExt.of(1) != cv.QuadExt.of(1, 1)
     assert cv.InvolutiveField(-1, 2) != cv.InvolutiveField(-1, 3)
 
 
