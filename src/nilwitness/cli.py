@@ -26,9 +26,10 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from . import coinv, freelie, linalg, magnus, series, witness
-from .lamplighter import gamma_weight_lamp, phi_word
-from .words import parse_word_expr
+# coinv and involution run on these alone, and they load no Magnus or Lie
+# code; every other handler imports the modules it runs, so that a command
+# loads no module it does not run
+from . import coinv, linalg, series
 
 SCHEMA = "1"
 
@@ -46,8 +47,9 @@ MAX_SERIES_WEIGHT = 64
 # K = 24 and 0.01 s at 28 (2-core Intel Xeon, Python 3.11.7)
 MAX_COINV_WEIGHT = 24
 # largest report --weight K, and largest weight 2n + 2 of identities --max-n:
-# at the limit each takes about 5-9 s (2-core Intel Xeon, Python 3.11.7);
-# report builds its eight witnesses at K = 8 whatever its weight
+# at the limit identities takes about 5-8 s and report about 0.4 s, as it
+# builds one basis and its eight witnesses at K = 8 whatever its weight
+# (2-core Intel Xeon, Python 3.11.7)
 MAX_REPORT_WEIGHT = 20
 
 
@@ -96,6 +98,8 @@ def _from_argv(parse, text: str):
 
 
 def cmd_identities(args) -> tuple[dict, bool]:
+    from . import freelie, magnus
+
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
     if 2 * args.max_n + 2 > MAX_REPORT_WEIGHT:
@@ -116,6 +120,8 @@ def cmd_identities(args) -> tuple[dict, bool]:
 
 
 def cmd_construct(args) -> tuple[dict, bool]:
+    from . import witness
+
     q = _parse_q(args.q)
     if not 3 <= args.weight <= witness.MAX_K:
         raise UsageError(f"K must be in 3..{witness.MAX_K}")
@@ -124,6 +130,8 @@ def cmd_construct(args) -> tuple[dict, bool]:
 
 
 def cmd_verify(args) -> tuple[dict, bool]:
+    from . import witness
+
     data = _load_json(args.infile, "witness")
     try:
         pair = witness.WitnessPair.from_json(data)
@@ -145,6 +153,9 @@ def cmd_verify(args) -> tuple[dict, bool]:
 
 
 def cmd_phi(args) -> tuple[dict, bool]:
+    from .lamplighter import gamma_weight_lamp, phi_word
+    from .words import parse_word_expr
+
     if args.weight > MAX_SERIES_WEIGHT:
         raise UsageError(f"--weight must be at most {MAX_SERIES_WEIGHT}")
     if args.weight < 1:
@@ -228,12 +239,16 @@ def cmd_involution(args) -> tuple[dict, bool]:
 
 
 def cmd_report(args) -> tuple[dict, bool]:
+    from . import freelie, magnus, witness
+    from .lamplighter import phi_word
+
     if not 1 <= args.weight <= MAX_REPORT_WEIGHT:
         raise UsageError(f"--weight must be in 1..{MAX_REPORT_WEIGHT}")
     t0 = time.monotonic()
     sections = {}
 
-    counts = [len(freelie.hall_basis(args.weight).words_of_weight(w)) for w in range(1, args.weight + 1)]
+    basis = freelie.hall_basis(args.weight)
+    counts = [len(basis.words_of_weight(w)) for w in range(1, args.weight + 1)]
     witt = [freelie.witt_number(w) for w in range(1, args.weight + 1)]
     sections["basis_counts"] = {"counts": counts, "witt": witt, "ok": counts == witt}
 

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import importlib
 import io
 import itertools
 import json
@@ -177,7 +178,7 @@ def test_out_file_holds_the_stdout_bytes(tmp_path):
     ],
 )
 def test_failed_check_exits_one_with_its_report(monkeypatch, argv, module, name, fake):
-    monkeypatch.setattr(getattr(cli, module), name, fake)
+    monkeypatch.setattr(importlib.import_module(f"nilwitness.{module}"), name, fake)
     code, out = run_cli(argv)
     assert code == cli.EXIT_CHECK_FAILED
     assert json.loads(out)["ok"] is False
@@ -382,10 +383,10 @@ def _refuse(*args, **kwargs):
 
 
 def test_weight_limits_checked_before_any_work(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli.witness, "_workspace", _refuse)
-    monkeypatch.setattr(cli.coinv, "_relation_rows", _refuse)
+    monkeypatch.setattr(witness, "_workspace", _refuse)
+    monkeypatch.setattr(coinv, "_relation_rows", _refuse)
     monkeypatch.setattr(lamplighter, "LampEvaluator", _refuse)
-    big = cli.witness.MAX_K + 1
+    big = witness.MAX_K + 1
 
     data = {"q": [1], "K": big, "r_factors": [], "s_factors": [], "n": []}
     bad = tmp_path / "big.json"
@@ -418,7 +419,7 @@ def test_weight_limits_checked_before_any_work(tmp_path, monkeypatch, capsys):
 
 def test_involution_takes_no_sampling_options(monkeypatch):
     # the certificates draw nothing, so there is nothing to count or seed
-    monkeypatch.setattr(cli.coinv, "involution_exactness_report", _refuse)
+    monkeypatch.setattr(coinv, "involution_exactness_report", _refuse)
     for argv in (["involution", "--trials", "5"], ["involution", "--seed", "0"]):
         code, out = run_cli(argv)
         assert (code, out) == (cli.EXIT_USAGE, ""), argv
@@ -426,7 +427,7 @@ def test_involution_takes_no_sampling_options(monkeypatch):
 
 def test_coinv_weight_bounded_before_reading_the_file(monkeypatch):
     monkeypatch.setattr(cli, "_load_json", _refuse)
-    monkeypatch.setattr(cli.coinv, "_relation_rows", _refuse)
+    monkeypatch.setattr(coinv, "_relation_rows", _refuse)
     infile = str(ROOT / "tests" / "golden" / "series_K8.json")
     for weight in (0, 1, cli.MAX_COINV_WEIGHT + 1):
         code, _ = run_cli(["coinv", "--weight", str(weight), "--in", infile])
@@ -440,7 +441,7 @@ def test_coinv_weight_has_its_own_bound(monkeypatch):
     assert code == cli.EXIT_OK
     code, _ = run_cli(["phi", "--word", "b a", "--weight", "64"])
     assert code == cli.EXIT_OK
-    monkeypatch.setattr(cli.coinv, "_relation_rows", _refuse)
+    monkeypatch.setattr(coinv, "_relation_rows", _refuse)
     for ring in ("Q", "Zp:3", "Zp:2147483647"):
         for weight in ("25", "64"):
             code, _ = run_cli(["coinv", "--ring", ring, "--weight", weight])
@@ -501,16 +502,33 @@ def test_result_too_long_to_write_is_resource_error(tmp_path, capsys):
 
 
 def test_report_weight_limit_checked_before_any_work(monkeypatch):
-    monkeypatch.setattr(cli.freelie, "hall_basis", _refuse)
+    monkeypatch.setattr(freelie, "hall_basis", _refuse)
     for weight in (cli.MAX_REPORT_WEIGHT + 1, 0):
         code, _ = run_cli(["report", "--weight", str(weight)])
         assert code == cli.EXIT_USAGE
 
 
+def test_report_builds_its_basis_once(monkeypatch):
+    # the basis_counts section reads every weight off one basis at the
+    # report's weight; check_identity(1) and (2) build theirs at weights 4
+    # and 6, and the witnesses reach hall_basis through witness's own binding
+    calls = []
+    real = freelie.hall_basis
+
+    def counting(max_weight):
+        calls.append(max_weight)
+        return real(max_weight)
+
+    monkeypatch.setattr(freelie, "hall_basis", counting)
+    code, out = run_cli(["report", "--weight", "8"])
+    assert code == cli.EXIT_OK and json.loads(out)["sections"]["basis_counts"]["ok"]
+    assert calls.count(8) == 1, calls
+
+
 def test_report_takes_no_seed(monkeypatch):
     # the report checks every probe sequence, so there is nothing to seed
-    monkeypatch.setattr(cli.freelie, "hall_basis", _refuse)
-    monkeypatch.setattr(cli.witness, "build_witness", _refuse)
+    monkeypatch.setattr(freelie, "hall_basis", _refuse)
+    monkeypatch.setattr(witness, "build_witness", _refuse)
     code, out = run_cli(["report", "--seed", "0"])
     assert (code, out) == (cli.EXIT_USAGE, "")
 
@@ -525,7 +543,7 @@ def test_report_checks_every_probe_witness(monkeypatch):
 
     # a witness whose report fails for the last probe alone fails the
     # section, and nothing else
-    real = cli.witness.build_witness
+    real = witness.build_witness
 
     def failing_last(q, K):
         pair = real(q, K)
@@ -533,7 +551,7 @@ def test_report_checks_every_probe_witness(monkeypatch):
             return pair
         return pair._replace(report=pair.report._replace(p3=witness.PropertyResult(False, "broken")))
 
-    monkeypatch.setattr(cli.witness, "build_witness", failing_last)
+    monkeypatch.setattr(witness, "build_witness", failing_last)
     code, out = run_cli(["report", "--weight", "2"])
     assert code == cli.EXIT_CHECK_FAILED
     report = json.loads(out)
@@ -546,7 +564,7 @@ def test_report_checks_every_probe_witness(monkeypatch):
 def test_report_witness_series_checked_for_every_probe(monkeypatch):
     # a witness series that gains x^1 for one probe alone is no longer
     # sigma-fixed, whichever probe it is
-    real = cli.witness.witness_series
+    real = witness.witness_series
     for bad in itertools.product((0, 1), repeat=3):
 
         def wrong_for_one(pair, bad=bad):
@@ -555,7 +573,7 @@ def test_report_witness_series_checked_for_every_probe(monkeypatch):
                 return f
             return f + series.TruncatedSeries.monomial(f.ring, f.trunc, 1)
 
-        monkeypatch.setattr(cli.witness, "witness_series", wrong_for_one)
+        monkeypatch.setattr(witness, "witness_series", wrong_for_one)
         code, out = run_cli(["report", "--weight", "2"])
         assert code == cli.EXIT_CHECK_FAILED, bad
         section = json.loads(out)["sections"]["witness_classes"]
@@ -564,8 +582,8 @@ def test_report_witness_series_checked_for_every_probe(monkeypatch):
 
 
 def test_identities_limit_checked_before_any_work(monkeypatch):
-    monkeypatch.setattr(cli.freelie, "check_identity", _refuse)
-    monkeypatch.setattr(cli.magnus, "check_group_identity", _refuse)
+    monkeypatch.setattr(freelie, "check_identity", _refuse)
+    monkeypatch.setattr(magnus, "check_group_identity", _refuse)
     max_n = (cli.MAX_REPORT_WEIGHT - 2) // 2
     code, _ = run_cli(["identities", "--max-n", str(max_n + 1)])
     assert code == cli.EXIT_USAGE
@@ -574,8 +592,8 @@ def test_identities_limit_checked_before_any_work(monkeypatch):
 def test_witness_K_has_its_own_bound(tmp_path, monkeypatch):
     # construct needs about 2.4 GB at K = 15 and 8 GB at K = 16, so the
     # witness K stops at 15 while report and identities keep weight 20
-    monkeypatch.setattr(cli.witness, "_workspace", _refuse)
-    monkeypatch.setattr(cli.witness, "parse_word_expr", _refuse)
+    monkeypatch.setattr(witness, "_workspace", _refuse)
+    monkeypatch.setattr(witness, "parse_word_expr", _refuse)
     code, _ = run_cli(["construct", "--q", "1", "--weight", "16"])
     assert code == cli.EXIT_USAGE
     factors = ["[a,b,b]"] * 14
@@ -585,8 +603,8 @@ def test_witness_K_has_its_own_bound(tmp_path, monkeypatch):
     code, _ = run_cli(["verify", "--in", str(bad)])
     assert code == cli.EXIT_RESOURCE
 
-    monkeypatch.setattr(cli.freelie, "check_identity", lambda n: True)
-    monkeypatch.setattr(cli.magnus, "check_group_identity", lambda n: True)
+    monkeypatch.setattr(freelie, "check_identity", lambda n: True)
+    monkeypatch.setattr(magnus, "check_group_identity", lambda n: True)
     code, out = run_cli(["identities", "--max-n", "9"])
     assert code == cli.EXIT_OK and json.loads(out)["config"] == {"max_n": 9}
 
@@ -613,7 +631,7 @@ def test_runtime_error_is_internal_error(monkeypatch, capsys):
     def fail(q, K):
         raise RuntimeError("defect lost weight")
 
-    monkeypatch.setattr(cli.witness, "build_witness", fail)
+    monkeypatch.setattr(witness, "build_witness", fail)
     code, _ = run_cli(["construct", "--q", "1", "--weight", "5"])
     assert code == cli.EXIT_CHECK_FAILED
     assert capsys.readouterr().err == "internal error: RuntimeError: defect lost weight\n"
@@ -741,9 +759,9 @@ def test_report_witness_classes_checked(monkeypatch):
     # loses its last coordinate (it still kills every fixed series, but its
     # rank drops), each break the zero-iff-fixed check, and with it the
     # section
-    real = cli.coinv.theta
+    real = coinv.theta
     for wrong in (lambda f: (1,) * (f.trunc // 2), lambda f: real(f)[:-1] + (0,)):
-        monkeypatch.setattr(cli.coinv, "theta", wrong)
+        monkeypatch.setattr(coinv, "theta", wrong)
         code, out = run_cli(["report", "--weight", "6"])
         assert code == cli.EXIT_CHECK_FAILED
         section = json.loads(out)["sections"]["witness_classes"]
@@ -754,12 +772,12 @@ def test_report_witness_classes_checked(monkeypatch):
 def test_report_rational_powers_checked(monkeypatch):
     # f^r with a coefficient r^2 x^7 too many: right at r = 0 only, so the
     # law f^(r1 + r2) = f^r1 f^r2 fails wherever r1 r2 != 0
-    real = cli.series.rat_pow
+    real = series.rat_pow
 
     def off_at_the_top(f, r):
         return real(f, r) + series.TruncatedSeries.monomial(f.ring, f.trunc, f.trunc - 1).scale(r * r)
 
-    monkeypatch.setattr(cli.series, "rat_pow", off_at_the_top)
+    monkeypatch.setattr(series, "rat_pow", off_at_the_top)
     code, out = run_cli(["report", "--weight", "2"])
     assert code == cli.EXIT_CHECK_FAILED
     report = json.loads(out)

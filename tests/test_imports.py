@@ -163,24 +163,58 @@ def test_readme_lists_the_public_surface():
                 assert value is importlib.import_module(f"nilwitness.{name}"), name
             else:
                 assert value is getattr(importlib.import_module(f"nilwitness.{label}"), name), name
+    # the package resolves its names on first access: an unlisted one is
+    # still an AttributeError, dir lists every name, and a star import binds
+    # __all__ and nothing else
+    with pytest.raises(AttributeError):
+        nilwitness.no_such_name
+    assert set(nilwitness.__all__) <= set(dir(nilwitness))
+    namespace = {}
+    exec("from nilwitness import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(nilwitness.__all__)
 
 
 # --- what an import loads ------------------------------------------------------
 
 
-def test_fresh_import_loads_no_dataclass_machinery():
-    # pytest itself loads dataclasses, so the import runs in a fresh
-    # interpreter; dataclasses pulls in inspect, ast, dis and tokenize
+def fresh_modules(code: str) -> set[str]:
+    """The modules that `code` adds to sys.modules in a fresh interpreter
+    that writes no bytecode; pytest itself loads much of the library."""
     code = (
-        "import json, sys; before = set(sys.modules); "
-        "import nilwitness.cli; from nilwitness import witness; "
-        "print(json.dumps(sorted(set(sys.modules) - before)))"
+        "import json, sys; before = set(sys.modules)\n"
+        + code
+        + "\nprint(json.dumps(sorted(set(sys.modules) - before)))"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), "PYTHONDONTWRITEBYTECODE": "1"}
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    added = set(json.loads(out.stdout))
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+# what bench/child.py imports as its set-up
+BENCH_SETUP = "import nilwitness.cli; from nilwitness import witness"
+
+
+def test_fresh_import_loads_no_dataclass_machinery():
+    # dataclasses pulls in inspect, ast, dis and tokenize
+    added = fresh_modules(BENCH_SETUP)
     assert "nilwitness.witness" in added
     assert added.isdisjoint({"dataclasses", "inspect"}), sorted(added)
+
+
+def test_a_command_loads_only_the_modules_it_runs():
+    def loaded(argv):
+        code = f"from nilwitness.cli import main\nassert main({argv!r}) == 0"
+        return {name.partition(".")[2] for name in fresh_modules(code) if name.startswith("nilwitness.")}
+
+    magnus_stack = {"magnus", "freelie", "witness"}
+    for argv in (["coinv", "--ring", "Q", "--weight", "6"], ["involution"]):
+        assert loaded(argv).isdisjoint(magnus_stack | {"words", "lamplighter"}), argv
+    assert loaded(["phi", "--word", "[a,b]"]).isdisjoint(magnus_stack)
+    # the bench times this set-up against its parent's, and its tracer
+    # rebinds targets in every module, so it must load all eight
+    added = {name.partition(".")[2] for name in fresh_modules(BENCH_SETUP)}
+    assert set(readme_surface()["modules"]) <= added

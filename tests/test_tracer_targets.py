@@ -10,10 +10,17 @@ import importlib.util
 import json
 from pathlib import Path
 
-import nilwitness.cli  # noqa: F401  (loads every module the tracer targets)
+import nilwitness
+import nilwitness.cli  # noqa: F401
 from nilwitness import magnus, witness
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# the tracer rebinds a target in every loaded module that holds it, and the
+# package loads a module when it is first read: reading each name that
+# __all__ lists, the eight modules among them, loads every one
+for _name in nilwitness.__all__:
+    getattr(nilwitness, _name)
 
 
 def _load(name: str, path: Path):
