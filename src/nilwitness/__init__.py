@@ -1,13 +1,19 @@
 """Exact symbolic computation in free nilpotent quotients, completed
 lamplighter groups, and truncated exterior-square coinvariants.
 
-Each submodule, and each public name, is imported on first access (PEP 562),
-so a program loads only the modules it uses.  A resolved name is not stored
+coinv, with linalg and series beneath it, loads with the package: the CLI
+loads the three for every command, and with them a program that reads witness
+(which loads the other five) holds all eight modules, whose functions the
+bench tracer rebinds.  Every other submodule, and each public name, is
+imported on first access (PEP 562), so no Magnus or Lie code loads until it
+is read.  A resolved name is not stored
 here: each access reads the defining module's binding, so a function that is
 rebound there (by a test's monkeypatch, or the bench tracer's wrapper) is
 rebound here too, and restored with it."""
 
 import importlib
+
+from . import coinv  # noqa: F401
 
 # the README's "Public surface", module by module: a name that a submodule
 # defines or imports is not public unless it is listed here

@@ -6,21 +6,21 @@ directly; running both here turns a deleted name into a tier-1 failure
 instead of a failed benchmark run.
 """
 
+import importlib
 import importlib.util
 import json
+import pkgutil
 from pathlib import Path
 
 import nilwitness
-import nilwitness.cli  # noqa: F401
-from nilwitness import magnus, witness
+from nilwitness import cli, magnus, witness
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # the tracer rebinds a target in every loaded module that holds it, and the
-# package loads a module when it is first read: reading each name that
-# __all__ lists, the eight modules among them, loads every one
-for _name in nilwitness.__all__:
-    getattr(nilwitness, _name)
+# package loads most of its modules on first use: import every one
+for _info in pkgutil.iter_modules(nilwitness.__path__):
+    importlib.import_module(f"nilwitness.{_info.name}")
 
 
 def _load(name: str, path: Path):
@@ -78,8 +78,8 @@ def test_traced_witness_run_sees_every_layer(tmp_path, capsys):
     tracer.install()
     try:
         argv = ["construct", "--q", "1,0,1", "--weight", "7", "--out", path]
-        assert nilwitness.cli.main(argv) == 0
-        assert nilwitness.cli.main(["verify", "--in", path]) == 0
+        assert cli.main(argv) == 0
+        assert cli.main(["verify", "--in", path]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -93,7 +93,7 @@ def test_traced_coinv_run_enters_both_eliminations(capsys):
     tracer = _load("nilwitness_bench_tracer", BENCH / "tracer.py").Tracer()
     tracer.install()
     try:
-        assert nilwitness.cli.main(["coinv", "--ring", "Zp:3", "--weight", "8"]) == 0
+        assert cli.main(["coinv", "--ring", "Zp:3", "--weight", "8"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()

@@ -3,9 +3,11 @@ tamper detection, and the two-path computation of the exponent series."""
 
 import functools
 import gc
+import importlib
 import itertools
 import json
 import math
+import pkgutil
 import random
 import sys
 import weakref
@@ -657,12 +659,11 @@ def _row_bytes(row):
 def test_no_unbounded_cache_in_the_package():
     # the Lyndon-word memos live on their HallBasis and the evaluators in the
     # one-slot workspace, so no functools cache may grow without bound
-    # the package loads a module when it is first read, and __all__ lists
-    # all eight, so reading each listed name loads every one
-    import nilwitness.cli  # noqa: F401
+    # the package loads most of its modules on first use: import every one
+    import nilwitness
 
-    for name in nilwitness.__all__:
-        getattr(nilwitness, name)
+    for info in pkgutil.iter_modules(nilwitness.__path__):
+        importlib.import_module(f"nilwitness.{info.name}")
 
     found = {}
     for name, module in list(sys.modules.items()):
