@@ -8,23 +8,23 @@ exit code: 0 when the verdict holds, 1 when a mathematical check failed.  The
 verdict is the report's "ok" field; construct, whose report has none, returns
 the witness report's.  An exception becomes exit code 2 for usage errors, 1
 for internal errors and 3 for resource or I/O errors, and then no report is
-written.  Only argv gives exit 2: each handler checks what it reads from
-argv before any work and raises UsageError.  Any other exception that main
-does not name, a ValueError too, is an internal error, printed as "internal
-error: <type>: <message>" with no traceback; Python's refusal to write a
-computed integer as text is a resource limit.  Reports are deterministic
-byte-for-byte for a fixed configuration (timings go to stderr, never into
-the JSON).
+written.  Only argv gives exit 2: read_argv checks the command line against
+the COMMANDS table, and each handler what it reads from it, before any work,
+and both raise UsageError.  Any other exception that main does not name, a
+ValueError too, is an internal error, printed as "internal error: <type>:
+<message>" with no traceback; Python's refusal to write a computed integer as
+text is a resource limit.  Reports are deterministic byte-for-byte for a
+fixed configuration (timings go to stderr, never into the JSON).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 # coinv and involution run on these alone, and they load no Magnus or Lie
 # code; every other handler imports the modules it runs, so that a command
@@ -38,14 +38,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# largest phi --weight K: phi takes time ~K^2
+# largest phi and coinv --weight K: phi takes time ~K^2; coinv eliminates
+# K(K-1)/2 sparse rows twice, and at K = 64 the build and the oracle take
+# about 0.011 s and 0.15 s over Q, the slowest ring (2-core Intel Xeon,
+# Python 3.11.7)
 MAX_SERIES_WEIGHT = 64
-# largest coinv --weight K: coinv eliminates K(K-1)/2 rows of as many columns
-# twice, each as one forward echelon on the rows' at most 3 nonzeros, in
-# integers over Q; the oracle's reversed order fills them in, so over Q, the
-# slowest ring, the time grows ~K^3: both eliminations take about 0.005 s at
-# K = 24 and 0.01 s at 28 (2-core Intel Xeon, Python 3.11.7)
-MAX_COINV_WEIGHT = 24
 # largest report --weight K, and largest weight 2n + 2 of identities --max-n:
 # at the limit identities takes about 5-8 s and report about 0.4 s, as it
 # builds one basis and its eight witnesses at K = 8 whatever its weight
@@ -54,7 +51,7 @@ MAX_REPORT_WEIGHT = 20
 
 
 class UsageError(Exception):
-    """Bad argv, found by a handler before any work (exit 2)."""
+    """Bad argv, found before any work (exit 2)."""
 
 
 class InputError(Exception):
@@ -202,8 +199,8 @@ def cmd_coinv(args) -> tuple[dict, bool]:
     ring = _from_argv(series.ring_from_tag, args.ring)
     if isinstance(ring, series.IntegerRing):
         raise UsageError("coinvariants are computed over Q or Z/p")
-    if not 2 <= args.weight <= MAX_COINV_WEIGHT:
-        raise UsageError(f"--weight must be in 2..{MAX_COINV_WEIGHT}")
+    if not 2 <= args.weight <= MAX_SERIES_WEIGHT:
+        raise UsageError(f"--weight must be in 2..{MAX_SERIES_WEIGHT}")
     inputs = {}
     if args.infile:
         data = _load_json(args.infile, "series")
@@ -338,7 +335,9 @@ def cmd_report(args) -> tuple[dict, bool]:
 
 
 # name -> (help, handler, arguments as (flags, options) pairs); every
-# subcommand also takes --out
+# subcommand also takes OUT.  An argument's options are its "dest" (else its
+# first flag without dashes), "type" (int, else the text), "default" (else
+# None), "required" and "help".
 COMMANDS = {
     "identities": ("bracket identity suites", cmd_identities, [(("--max-n",), dict(type=int, default=2))]),
     "construct": ("build and verify a witness pair", cmd_construct, [
@@ -354,46 +353,92 @@ COMMANDS = {
     "coinv": ("exterior-square coinvariant ranks", cmd_coinv, [
         (("--ring",), dict(default="Q", help="Q or Zp:<p>")),
         (("--weight", "-K"), dict(type=int, default=6)),
-        (("--in",), dict(dest="infile", default=None, help="JSON with series to classify")),
+        (("--in",), dict(dest="infile", help="JSON with series to classify")),
     ]),
     "involution": ("involutive-field exactness suite", cmd_involution, []),
     "report": ("aggregate verification report", cmd_report, [(("--weight", "-K"), dict(type=int, default=8))]),
 }
+OUT = (("--out",), dict(help="write the JSON report here"))
+HELP = ("-h", "--help")
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of the command line argv: when argv[0] names a subcommand,
-    with that subparser alone, as building the other six takes argparse
-    longer than a small job runs.  Otherwise (no argument, -h or an unknown
-    name) it has all seven, and argparse's own metavar, which its errors
-    name "command"; the usage line lists all seven either way."""
-    parser = argparse.ArgumentParser(
-        prog="nilwitness",
-        description="exact checks for free nilpotent quotients, completed "
-        "lamplighter groups, and truncated coinvariants",
-    )
-    names = argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS)
-    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+def _dest(flags, options) -> str:
+    return options.get("dest", flags[0].lstrip("-").replace("-", "_"))
+
+
+def usage(names=COMMANDS) -> str:
+    """The help text of the named commands: each one's help and options."""
+    lines = [
+        "usage: nilwitness <command> [--flag value | --flag=value] ...",
+        "",
+        "exact checks for free nilpotent quotients, completed lamplighter "
+        "groups, and truncated coinvariants",
+    ]
     for name in names:
-        help_text, func, arguments = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-        p.add_argument("--out", default=None, help="write the JSON report here")
-        p.set_defaults(func=func)
-    return parser
+        help_text, _, arguments = COMMANDS[name]
+        lines += ["", f"nilwitness {name}: {help_text}"]
+        for flags, options in [*arguments, OUT]:
+            metavar = "N" if options.get("type") is int else _dest(flags, options).upper()
+            notes = [options["help"]] if "help" in options else []
+            if options.get("required"):
+                notes.append("required")
+            elif options.get("default") is not None:
+                notes.append(f"default {options['default']}")
+            lines.append("  ".join([f"  {', '.join(flags)} {metavar}", *notes]))
+    return "\n".join(lines) + "\n"
+
+
+def read_argv(argv: list[str]) -> SimpleNamespace | str:
+    """The command line read against COMMANDS: the command's name as
+    "command" and its options by dest, or the help text if it asks for
+    help.  After the command each token is a flag, "--flag=value" or a flag
+    followed by its value, which is the next token whatever it starts with,
+    so "--q -1,0,1" gives q "-1,0,1"; a repeated flag keeps its last value.
+    A flag is spelt in full: "--wei" and "-K5" are refused."""
+    if argv and argv[0] in HELP:
+        return usage()
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise UsageError(f"{got}; expected one of {', '.join(COMMANDS)}")
+    name = argv[0]
+    arguments = [*COMMANDS[name][2], OUT]
+    by_flag = {flag: (flags, options) for flags, options in arguments for flag in flags}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in HELP:
+            return usage([name])
+        flag, eq, value = token.partition("=")
+        if flag not in by_flag:
+            raise UsageError(f"{name} takes no argument {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"{flag} needs a value")
+        flags, options = by_flag[flag]
+        if options.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{flag} takes an integer, not {value[:20]!r}") from None
+        values[_dest(flags, options)] = value
+    args = SimpleNamespace(command=name)
+    for flags, options in arguments:
+        dest = _dest(flags, options)
+        if dest not in values and options.get("required"):
+            raise UsageError(f"{name} needs {flags[0]}")
+        setattr(args, dest, values.get(dest, options.get("default")))
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        report, ok = args.func(args)
+        args = read_argv(argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return EXIT_OK
+        report, ok = COMMANDS[args.command][1](args)
         _emit({"schema": SCHEMA, "command": args.command, **report}, args.out)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     except UsageError as exc:

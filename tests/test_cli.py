@@ -1,6 +1,5 @@
 """CLI contract: deterministic byte-identical reports, exit codes, file I/O."""
 
-import argparse
 import contextlib
 import importlib
 import io
@@ -397,10 +396,9 @@ def test_weight_limits_checked_before_any_work(tmp_path, monkeypatch, capsys):
     code, _ = run_cli(["construct", "--q", "1", "--weight", str(big)])
     assert code == cli.EXIT_USAGE
 
-    weight = str(cli.MAX_COINV_WEIGHT + 1)
+    weight = str(cli.MAX_SERIES_WEIGHT + 1)
     code, _ = run_cli(["coinv", "--ring", "Zp:3", "--weight", weight])
     assert code == cli.EXIT_USAGE
-    weight = str(cli.MAX_SERIES_WEIGHT + 1)
     code, _ = run_cli(["phi", "--word", "b a", "--weight", weight])
     assert code == cli.EXIT_USAGE
 
@@ -429,23 +427,23 @@ def test_coinv_weight_bounded_before_reading_the_file(monkeypatch):
     monkeypatch.setattr(cli, "_load_json", _refuse)
     monkeypatch.setattr(coinv, "_relation_rows", _refuse)
     infile = str(ROOT / "tests" / "golden" / "series_K8.json")
-    for weight in (0, 1, cli.MAX_COINV_WEIGHT + 1):
+    for weight in (0, 1, cli.MAX_SERIES_WEIGHT + 1):
         code, _ = run_cli(["coinv", "--weight", str(weight), "--in", infile])
         assert code == cli.EXIT_USAGE, weight
 
 
 def test_coinv_weight_has_its_own_bound(monkeypatch):
-    # coinv grows about as K^4 over Q (0.07 s a process at K = 24), so it
-    # stops well below the phi bound; the bench's Z/3 at K = 20 stays legal
-    code, _ = run_cli(["coinv", "--ring", "Zp:3", "--weight", "20"])
-    assert code == cli.EXIT_OK
+    # coinv shares phi's series bound: at K = 64 its two eliminations take
+    # about 0.16 s over Q, the slowest ring
+    code, out = run_cli(["coinv", "--ring", "Q", "--weight", "64"])
+    report = json.loads(out)
+    assert code == cli.EXIT_OK and report["rank"] == report["oracle_rank"] == 32
     code, _ = run_cli(["phi", "--word", "b a", "--weight", "64"])
     assert code == cli.EXIT_OK
     monkeypatch.setattr(coinv, "_relation_rows", _refuse)
     for ring in ("Q", "Zp:3", "Zp:2147483647"):
-        for weight in ("25", "64"):
-            code, _ = run_cli(["coinv", "--ring", ring, "--weight", weight])
-            assert code == cli.EXIT_USAGE, (ring, weight)
+        code, _ = run_cli(["coinv", "--ring", ring, "--weight", "65"])
+        assert code == cli.EXIT_USAGE, ring
 
 
 def test_huge_shift_exponent_costs_few_series_products(monkeypatch):
@@ -802,50 +800,68 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         assert code == cli.EXIT_OK, argv
 
 
-def _parse(parser, argv):
-    """What parse_args writes to stdout and stderr and how it exits, or
-    the namespace it returns."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            result = vars(parser.parse_args(argv))
-        except SystemExit as exc:
-            result = exc.code
-    return result, out.getvalue(), err.getvalue()
+def _argv_case(argv, code, options=None):
+    return pytest.param(argv, code, options, id=" ".join(argv) or "no-arguments")
+
+
+COINV_DEFAULTS = {"command": "coinv", "ring": "Q", "weight": 6, "infile": None, "out": None}
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code, options",
     [
-        ["--help"],
-        *([name, "--help"] for name in cli.COMMANDS),
-        [],
-        ["frobnicate"],
-        ["coinv", "--weight", "x"],
-        ["coinv", "--weight", "9", "extra"],
-        ["construct", "--weight", "5"],
-        ["-K", "5", "coinv"],
-        ["coinv", "--ring", "Zp:3", "-K", "20"],
+        _argv_case(["--help"], cli.EXIT_OK),
+        *(_argv_case([name, "--help"], cli.EXIT_OK) for name in cli.COMMANDS),
+        _argv_case(["coinv", "--ring", "Zp:3", "-K", "20"], cli.EXIT_OK,
+                   {**COINV_DEFAULTS, "ring": "Zp:3", "weight": 20}),
+        _argv_case(["coinv", "--weight=7", "--in=s.json"], cli.EXIT_OK,
+                   {**COINV_DEFAULTS, "weight": 7, "infile": "s.json"}),
+        # a repeated flag keeps its last value, as with argparse
+        _argv_case(["coinv", "-K", "4", "--weight", "5", "--ring=Zp:5"], cli.EXIT_OK,
+                   {**COINV_DEFAULTS, "ring": "Zp:5", "weight": 5}),
+        # a flag's value is the next token, whatever it starts with
+        _argv_case(["construct", "--q", "-1,0,1", "-K", "-3"], cli.EXIT_OK,
+                   {"command": "construct", "q": "-1,0,1", "weight": -3, "out": None}),
+        _argv_case(["verify", "--in", "--out"], cli.EXIT_OK,
+                   {"command": "verify", "infile": "--out", "out": None}),
+        _argv_case([], cli.EXIT_USAGE),
+        _argv_case(["frobnicate"], cli.EXIT_USAGE),
+        _argv_case(["coinv", "--weight", "x"], cli.EXIT_USAGE),
+        _argv_case(["coinv", "--weight", "9", "extra"], cli.EXIT_USAGE),
+        _argv_case(["construct", "--weight", "5"], cli.EXIT_USAGE),
+        _argv_case(["-K", "5", "coinv"], cli.EXIT_USAGE),
+        _argv_case(["coinv", "--ring"], cli.EXIT_USAGE),
+        _argv_case(["involution", "--out"], cli.EXIT_USAGE),
+        # argparse took a prefix of a flag and a short flag glued to its
+        # value; the table's reader takes every flag as it is spelt
+        _argv_case(["coinv", "--wei", "5"], cli.EXIT_USAGE),
+        _argv_case(["coinv", "-K5"], cli.EXIT_USAGE),
     ],
-    ids=lambda argv: " ".join(argv) or "no-arguments",
 )
-def test_parser_for_one_command_parses_as_the_full_parser(argv):
-    # the usage line, help, errors and exit codes, byte for byte
-    assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(), argv)
+def test_argv_grammar(monkeypatch, argv, code, options):
+    # every handler records the options it is given and does no work
+    seen = []
+    for name, (help_text, _, arguments) in cli.COMMANDS.items():
+        record = lambda args: (seen.append(vars(args)), ({}, True))[1]
+        monkeypatch.setitem(cli.COMMANDS, name, (help_text, record, arguments))
+    got, out, err = run_cli_captured(argv)
+    assert got == code, err
+    if options is not None:
+        assert seen == [options]
+        assert json.loads(out) == {"schema": cli.SCHEMA, "command": options["command"]}
+    elif code == cli.EXIT_OK:
+        # help: each command named on the command line, or all of them
+        named = [name for name in cli.COMMANDS if f"nilwitness {name}:" in out]
+        assert (seen, err) == ([], "") and out.startswith("usage: nilwitness")
+        assert named == [argv[0]] if argv[0] in cli.COMMANDS else list(cli.COMMANDS)
+    else:
+        assert (seen, out) == ([], "")
+        assert err.startswith("usage error:") and err.count("\n") == 1, err
 
 
-def test_cold_command_builds_only_its_own_parser(monkeypatch, tmp_path):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert cli.main(["coinv", "--weight", "4", "--out", str(tmp_path / "out.json")]) == cli.EXIT_OK
-    assert built == ["nilwitness", "nilwitness coinv"]
-    built.clear()
-    with contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main([]) == cli.EXIT_USAGE
-    assert len(built) == 1 + len(cli.COMMANDS)
+def test_construct_reads_a_negative_first_entry():
+    # argparse took "-1,0,1" after --q for a flag
+    spaced = run_cli_captured(["construct", "--q", "-1,0,1", "--weight", "5"])
+    joined = run_cli_captured(["construct", "--q=-1,0,1", "--weight", "5"])
+    assert spaced == joined and spaced[0] == cli.EXIT_OK
+    assert json.loads(spaced[1])["q"] == [-1, 0, 1]

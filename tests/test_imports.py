@@ -220,3 +220,12 @@ def test_a_command_loads_only_the_modules_it_runs():
     for setup in (BENCH_SETUP, "from nilwitness import magnus, witness"):
         added = {name.partition(".")[2] for name in fresh_modules(setup)}
         assert set(readme_surface()["modules"]) <= added, setup
+
+
+def test_no_process_loads_argparse():
+    # cli reads argv against its COMMANDS table: argparse, and the gettext
+    # and locale it pulls in on its first message, cost a cold process more
+    # than a small coinv job
+    argv = ["coinv", "--ring", "Q", "--weight", "6"]
+    for code in (BENCH_SETUP, f"from nilwitness.cli import main\nassert main({argv!r}) == 0"):
+        assert fresh_modules(code).isdisjoint({"argparse", "gettext", "locale"}), code
