@@ -841,8 +841,12 @@ COINV_DEFAULTS = {"command": "coinv", "ring": "Q", "weight": 6, "infile": None, 
 def test_argv_grammar(monkeypatch, argv, code, options):
     # every handler records the options it is given and does no work
     seen = []
+
+    def record(args):
+        seen.append(vars(args))
+        return {}, True
+
     for name, (help_text, _, arguments) in cli.COMMANDS.items():
-        record = lambda args: (seen.append(vars(args)), ({}, True))[1]
         monkeypatch.setitem(cli.COMMANDS, name, (help_text, record, arguments))
     got, out, err = run_cli_captured(argv)
     assert got == code, err
@@ -853,7 +857,7 @@ def test_argv_grammar(monkeypatch, argv, code, options):
         # help: each command named on the command line, or all of them
         named = [name for name in cli.COMMANDS if f"nilwitness {name}:" in out]
         assert (seen, err) == ([], "") and out.startswith("usage: nilwitness")
-        assert named == [argv[0]] if argv[0] in cli.COMMANDS else list(cli.COMMANDS)
+        assert named == ([argv[0]] if argv[0] in cli.COMMANDS else list(cli.COMMANDS))
     else:
         assert (seen, out) == ([], "")
         assert err.startswith("usage error:") and err.count("\n") == 1, err
