@@ -18,15 +18,25 @@ the generators a = (1, 0), b = (0, 1) land on (x^k, 0); that anchor is
 pinned by tests rather than assumed.  product_of, of which * is the
 two-factor case, sums the nonzero series with equal E first and shifts each
 sum once: one series product per distinct E, none when every e = 0; a ring
-or truncation mismatch raises.  phi_word takes a word as a WordExpr or as
-its text, the one form of a word in the package.
+or truncation mismatch raises.
+
+A power sums the same twists: (f, e)^n = (f g, n e), where
+g = 1 + y + ... + y^(n-1) for the shift y = (1 + x)^-e = 1 + z, so
+
+    g = ((1 + z)^n - 1) / z = sum_(j=1..K) C(n, j) z^(j-1)
+
+for every integer n, negative n included.  The sum is finite because z has
+no constant term, and series.power_sum takes it in at most K - 1 series
+products however large n is.  When e = 0 or f = 0, g is not formed: the power is
+(n f, n e).  phi_word takes a word as a WordExpr or as its text, the one
+form of a word in the package.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .series import Ring, TruncatedSeries, one_plus_x_power, ring_from_tag
+from .series import Ring, TruncatedSeries, binomials, one_plus_x_power, power_sum, ring_from_tag
 from .words import WordExpr, evaluate, parse_word_expr, seeded
 
 
@@ -39,10 +49,6 @@ class LampElement:
     def __init__(self, f: TruncatedSeries, e):
         self.f = f
         self.e = e
-
-    @property
-    def trunc(self) -> int:
-        return self.f.trunc
 
     def __mul__(self, other: "LampElement") -> "LampElement":
         if not isinstance(other, LampElement):
@@ -66,9 +72,6 @@ class LampElement:
         shifted = [_shift(f, -E) for E, f in sums.items()]
         return LampElement(sum(shifted[1:], shifted[0]), e)
 
-    def inverse(self) -> "LampElement":
-        return LampElement(-_shift(self.f, self.e), -self.e)
-
     def commutator(self, other: "LampElement") -> "LampElement":
         """u^-1 v^-1 u v in closed form.  For u = (f, e), v = (g, e') and
         t^e the multiplication by (1 + x)^e,
@@ -90,10 +93,13 @@ class LampElement:
         return LampElement(series, 0)
 
     def __pow__(self, n: int) -> "LampElement":
-        if self.e == 0:
-            # the kernel of the shift is abelian: (f, 0)(g, 0) = (f + g, 0)
-            return LampElement(self.f.scale(n), self.e)
-        return square_and_multiply(self, n, lamp_identity(self.f.ring, self.trunc))
+        """(f, e)^n = (f g, n e) for every integer n (module docstring)."""
+        f, e = self.f, self.e
+        if e == 0 or f.is_zero():
+            # the kernel is abelian, and the powers of a pure shift add up
+            return LampElement(f.scale(n), n * e)
+        z = one_plus_x_power(f.ring, -e, f.trunc) - TruncatedSeries.one(f.ring, f.trunc)
+        return LampElement(f * power_sum(z, binomials(n, f.trunc + 1)[1:]), n * e)
 
     def is_identity(self) -> bool:
         return self.f.is_zero() and self.e == 0
@@ -116,24 +122,9 @@ class LampElement:
         return f"LampElement(f={self.f!r}, e={self.e!r})"
 
 
-def square_and_multiply(x, n: int, one):
-    """x^n for an integer n by repeated squaring from the identity `one`;
-    a negative n powers the inverse of x."""
-    if n < 0:
-        x, n = x.inverse(), -n
-    out = one
-    while n:
-        if n & 1:
-            out = out * x
-        n >>= 1
-        if n:
-            x = x * x
-    return out
-
-
 def _shift(f: TruncatedSeries, e) -> TruncatedSeries:
     """Action of t^e on a series: multiplication by (1 + x)^e.  A zero series
-    is returned as it is, so powers of a pure shift build no (1 + x)^e."""
+    is returned as it is, so products of pure shifts build no (1 + x)^e."""
     if e == 0 or f.is_zero():
         return f
     return one_plus_x_power(f.ring, e, f.trunc) * f
@@ -165,9 +156,7 @@ class LampEvaluator:
         return evaluate(expr, self._cache)
 
 
-def phi_word(
-    w: WordExpr | str, ring: Ring | str = "Z", trunc: int = 8
-) -> LampElement:
+def phi_word(w: WordExpr | str, ring: Ring | str, trunc: int) -> LampElement:
     """Image of a free-group word under a -> (1, 0), b -> (0, 1) over
     `ring` (a Ring or its tag).  Text is parsed first and evaluated as an
     expression."""

@@ -5,10 +5,11 @@ the integers modulo an odd prime.  The group ring R[C] of the infinite
 cyclic group C = <t> appears here only through its image under t -> 1 + x:
 an element sum c_e t^e is the series sum c_e (1 + x)^e, each power given in
 closed form by one_plus_x_power.  On top of the arithmetic this module
-provides the involution sigma_tilde that t -> t^-1 induces on series,
-rational powers of one-units, and a certified check that the substitution
-identifies R[C] modulo powers of the augmentation ideal with truncated
-series.
+provides the involution sigma_tilde that t -> t^-1 induces on series, the
+power sum sum_j c_j u^j, rational powers of one-units (a power sum, as are
+the powers of lamplighter elements), and a certified check that the
+substitution identifies R[C] modulo powers of the augmentation ideal with
+truncated series.
 
 The rings and series are plain classes with __slots__, immutable by
 convention: no method writes a field after construction.  A series is equal
@@ -277,6 +278,22 @@ def sigma_tilde(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs(f.ring, f.trunc, out)
 
 
+def power_sum(u: TruncatedSeries, coeffs: Sequence) -> TruncatedSeries:
+    """sum_j coeffs[j] u^j for a nonempty list of scalars, in at most
+    len(coeffs) - 1 series products, stopping at the first u^j that is zero.
+    Each u^j is u^(j-1) u, not a Horner step: when u has no constant term
+    u^j has valuation at least j, so its product skips j leading zeros, and
+    a large coefficient meets one scaling, not every later product."""
+    term = TruncatedSeries.one(u.ring, u.trunc)
+    acc = term.scale(coeffs[0])
+    for c in coeffs[1:]:
+        term = term * u
+        if term.is_zero():
+            break
+        acc = acc + term.scale(c)
+    return acc
+
+
 def rat_pow(f: TruncatedSeries, r) -> TruncatedSeries:
     """f^r for rational r via the binomial series sum_n C(r, n) (f - 1)^n.
 
@@ -287,15 +304,7 @@ def rat_pow(f: TruncatedSeries, r) -> TruncatedSeries:
         raise ValueError("rational powers need the rational coefficient ring")
     if f.coeffs[0] != 1:
         raise ValueError("rational powers need constant term 1")
-    u = f - TruncatedSeries.one(f.ring, f.trunc)
-    acc = TruncatedSeries.one(f.ring, f.trunc)
-    term = TruncatedSeries.one(f.ring, f.trunc)
-    for binom in binomials(r, f.trunc)[1:]:
-        term = term * u
-        if term.is_zero():
-            break
-        acc = acc + term.scale(binom)
-    return acc
+    return power_sum(f - TruncatedSeries.one(f.ring, f.trunc), binomials(r, f.trunc))
 
 
 # --- the augmentation-filtration isomorphism certificate

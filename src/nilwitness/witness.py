@@ -101,23 +101,13 @@ from .words import (
     product,
 )
 
-__all__ = [
-    "WitnessPair",
-    "Report",
-    "PropertyResult",
-    "build_witness",
-    "verify_witness",
-    "witness_series",
-    "alternating_engel_product",
-]
-
 # largest truncation weight accepted by build_witness and in a witness file:
 # degree-K tables hold 2^K coefficients, and memory grows about 2.9 times per
-# step of K; a construct peaks at about 275 MB of RSS at K = 14 and 0.8 GB at
-# K = 15.  K = 16 took 147.6 s and 3040 MB to construct and 79.3 s and
-# 1897 MB to verify cold (2-core host, Python 3.11.7); its construct finished
-# under an address-space cap of 3 GiB with 33 MB to spare, too little margin
-# to raise the limit
+# step of K; a construct peaks at about 229 MB of RSS at K = 14 and 654 MB at
+# K = 15.  K = 16 took 83-94 s and 2095 MB to construct and 67-68 s and
+# 1897 MB to verify cold (2-core host, Python 3.11.7), both within an
+# address-space cap of 2304 MiB; the limit stays 15 until K = 16 is recorded
+# in the benchmark
 MAX_K = 15
 
 

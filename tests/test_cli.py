@@ -6,7 +6,9 @@ import io
 import itertools
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -605,6 +607,30 @@ def test_witness_K_has_its_own_bound(tmp_path, monkeypatch):
     monkeypatch.setattr(magnus, "check_group_identity", lambda n: True)
     code, out = run_cli(["identities", "--max-n", "9"])
     assert code == cli.EXIT_OK and json.loads(out)["config"] == {"max_n": 9}
+
+
+def test_shifted_power_with_a_huge_exponent_ends():
+    # a power with a nonzero shift is one binomial sum of K terms, however
+    # many digits N has: over Z its coefficients C(N, j) pass Python's limit
+    # on writing an int as text, a resource error; over Z/5 they reduce
+    N = "7" * 200
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def phi(word, ring):
+        argv = ["phi", "--ring", ring, "--weight", "64", "--word", word]
+        return subprocess.run(
+            [sys.executable, "-m", "nilwitness.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+
+    for word in (f"(a b)^{N}", f"(a b a)^{N}"):
+        done = phi(word, "Z")
+        assert (done.returncode, done.stdout) == (cli.EXIT_RESOURCE, ""), word
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("resource limit exceeded:"), word
+    done = phi(f"(a b)^{N}", "Zp:5")
+    assert done.returncode == cli.EXIT_OK
+    assert json.loads(done.stdout)["image"]["e"] == N
 
 
 def test_phi_wide_chain_is_usage_error():

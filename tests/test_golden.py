@@ -30,7 +30,10 @@ finite certificates and the seed stopped feeding them. ``report_w8`` was
 re-recorded, without ``--seed 0``, when ``report`` lost its seed: its
 ``witness`` section now holds the reports of all eight probes q in {0,1}^3
 at K = 8, where it held one drawn probe at K = 7, and ``config`` no longer
-names a seed. When a change is meant
+names a seed. ``phi_powers_Z``, ``phi_powers_Q`` and ``phi_powers_Zp5``
+(positive and negative powers of elements with a nonzero shift) were
+recorded before such powers moved from square-and-multiply to their
+binomial closed form. When a change is meant
 to alter an output, re-run the command by hand, write its stdout over the
 file and say so in the change.
 """
@@ -47,12 +50,16 @@ from nilwitness import cli
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PHI_WORD = "[a,_3 b] [a,b,a]^-2 b"
 PHI_SHIFTS = "[a,b^-3] [[a,b^1346],b^-52]^-2 [a,b^286092] b^-5"
+PHI_POWERS = "(a b)^7 (a b a)^-5 (A b^3)^12 (b a^2)^-9 [a,b]^4 (a B)^-1"
 
 CASES = {
     "phi_Z": ["phi", "--word", PHI_WORD, "--weight", "8", "--ring", "Z"],
     "phi_Q": ["phi", "--word", PHI_WORD, "--weight", "8", "--ring", "Q"],
     "phi_Zp5": ["phi", "--word", PHI_WORD, "--weight", "8", "--ring", "Zp:5"],
     "phi_Q_K24": ["phi", "--word", PHI_SHIFTS, "--weight", "24", "--ring", "Q"],
+    "phi_powers_Z": ["phi", "--word", PHI_POWERS, "--weight", "12", "--ring", "Z"],
+    "phi_powers_Q": ["phi", "--word", PHI_POWERS, "--weight", "12", "--ring", "Q"],
+    "phi_powers_Zp5": ["phi", "--word", PHI_POWERS, "--weight", "12", "--ring", "Zp:5"],
     "construct_K8": ["construct", "--q", "1,0,1,1,0,1", "-K", "8"],
     "construct_K10": ["construct", "--q", "1,0,1,1,0,1", "-K", "10"],
     "verify_K8": ["verify", "--in", str(GOLDEN / "construct_K8.json")],

@@ -63,6 +63,20 @@ def test_imported_modules_are_found():
     assert imported_modules(source) == {"os", "random", "json"}
 
 
+def test_only_the_package_lists_its_public_names():
+    # __init__'s _SURFACE is the one list of the public surface; an __all__
+    # in a module would be a second one, read by nothing but a star import
+    definers = {
+        p.stem
+        for p in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id == "__all__"
+    }
+    assert definers == {"__init__"}
+
+
 def test_no_module_imports_random():
     # every check in the package is a certificate over its whole finite
     # domain, not a sample, so the package draws nothing

@@ -57,16 +57,24 @@ def test_kernel_subgroup_is_abelian():
 
 
 @pytest.mark.parametrize("ring", [Z, Q, Z5])
-def test_kernel_powers_match_square_and_multiply(ring):
-    # (f, 0)^n takes the closed form (n f, 0); shifted elements still square
+def test_powers_match_products(ring):
+    # a power is one binomial sum, or (n f, n e) in the kernel and for a pure
+    # shift; each must agree with the n-fold product, of x and of its
+    # inverse (-(1 + x)^e f, -e).  Over Z/5 the shift by 5 is 1 + x^5, so
+    # its binomial sum ends early
     rng = random.Random(2)
-    one = lp.lamp_identity(ring, 6)
-    for _ in range(4):
-        u = rand_lamp(ring, 6, rng)
-        for x in (lp.LampElement(u.f, u.e * 0), u):
-            for n in range(-9, 10):
-                got, want = x**n, lp.square_and_multiply(x, n, one)
-                assert got == want and got.to_json() == want.to_json()
+    for trunc in range(1, 10):
+        for _ in range(4):
+            u = rand_lamp(ring, trunc, rng)
+            kernel, shift = lp.LampElement(u.f, u.e * 0), lp.LampElement(u.f.scale(0), u.e)
+            for x in (u, kernel, shift, lp.LampElement(u.f, 5)):
+                inv = lp.LampElement(-(one_plus_x_power(ring, x.e, trunc) * x.f), -x.e)
+                assert (x**0).is_identity()
+                assert x**-1 == inv and (x**-1).to_json() == inv.to_json()
+                for n in range(1, 10):
+                    for got, factor in ((x**n, x), (x**-n, x**-1)):
+                        want = lp.LampElement.product_of([factor] * n)
+                        assert got == want and got.to_json() == want.to_json()
 
 
 @pytest.mark.parametrize("variant", [Z, Q, Z5])
@@ -76,8 +84,8 @@ def test_group_axioms(variant):
         u, v, w = (rand_lamp(variant, 6, rng) for _ in range(3))
         assert ((u * v) * w).f == (u * (v * w)).f
         assert ((u * v) * w).e == (u * (v * w)).e
-        assert (u * u.inverse()).is_identity()
-        assert (u.inverse() * u).is_identity()
+        assert (u * u**-1).is_identity()
+        assert (u**-1 * u).is_identity()
 
 
 def test_variant_mismatch_rejected():
@@ -111,7 +119,7 @@ def _lamps(ring, trunc):
 
 def _pairwise(u, v):
     """(f, e) * (g, e') = (f + (1 + x)^-e g, e + e'), formed directly."""
-    return lp.LampElement(u.f + one_plus_x_power(u.f.ring, -u.e, u.trunc) * v.f, u.e + v.e)
+    return lp.LampElement(u.f + one_plus_x_power(u.f.ring, -u.e, u.f.trunc) * v.f, u.e + v.e)
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,7 +159,7 @@ def test_product_of_shifts_once_per_cumulative_exponent(ring, exps, monkeypatch)
 @given(data=st.data(), ring=st.sampled_from([Z, Q, Z5]), trunc=st.integers(1, 7))
 def test_closed_form_commutator_is_the_group_commutator(data, ring, trunc):
     u, v = data.draw(_lamps(ring, trunc)), data.draw(_lamps(ring, trunc))
-    want = u.inverse() * v.inverse() * u * v
+    want = u**-1 * v**-1 * u * v
     got = u.commutator(v)
     assert got == want and got.to_json() == want.to_json()
 
@@ -163,7 +171,7 @@ def test_closed_form_commutator_with_a_side_in_the_kernel(ring):
         u, v = rand_lamp(ring, 6, rng), rand_lamp(ring, 6, rng)
         u0, v0 = lp.LampElement(u.f, u.e * 0), lp.LampElement(v.f, v.e * 0)
         for x, y in ((u0, v), (u, v0), (u0, v0)):
-            want = x.inverse() * y.inverse() * x * y
+            want = x**-1 * y**-1 * x * y
             assert x.commutator(y) == want
         assert u0.commutator(v0).is_identity()
     # a ring mismatch raises, even where the closed form forms no product
@@ -178,7 +186,7 @@ def test_rational_exponent_conjugation_uses_rational_powers():
     f = TruncatedSeries.monomial(QQ, 6, 1)
     u = lp.LampElement(f, Fraction(0))
     s = lp.LampElement(TruncatedSeries.zero(QQ, 6), Fraction(1, 2))
-    conj = s.inverse() * u * s
+    conj = s**-1 * u * s
     from nilwitness.series import rat_pow
 
     expected = rat_pow(TruncatedSeries.from_coeffs(QQ, 6, (1, 1)), Fraction(1, 2)) * f
