@@ -40,7 +40,7 @@ EXIT_RESOURCE = 3
 
 # largest phi and coinv --weight K: phi takes time ~K^2; coinv eliminates
 # K(K-1)/2 sparse rows twice, and at K = 64 the build and the oracle take
-# about 0.011 s and 0.15 s over Q, the slowest ring (2-core Intel Xeon,
+# about 0.010 s and 0.009 s over Q, the slowest ring (2-core Intel Xeon,
 # Python 3.11.7)
 MAX_SERIES_WEIGHT = 64
 # largest report --weight K, and largest weight 2n + 2 of identities --max-n:

@@ -147,16 +147,23 @@ def theta(f: TruncatedSeries) -> tuple:
 def coinvariant_rank_oracle(ring: Ring, trunc: int) -> int:
     """Independent re-elimination: same relation set, different pivoting.
 
-    The relations are generated again and eliminated with both the rows and
-    the wedge coordinates reversed.  The echelon then takes the rows in
-    another order and leads each with another column, so it picks other
-    pivot columns and meets other fill-in than the primary computation in
-    `build_coinvariants`; the resulting rank must match it.
+    The relations are generated again and eliminated in reversed colex
+    order: the wedge coordinates x^i ^ x^j are ordered by (j, i),
+    descending, and the row of each pair is taken in the same order.  The
+    echelon then takes the rows in another order and leads each with
+    another column, so from K = 4 on it picks other pivot columns than the
+    primary computation in `build_coinvariants`; the resulting rank must
+    match it.  In this order a row meets little fill-in: at K = 64 the
+    echelon reads fewer pivot entries than the primary one does, and over
+    Q every entry stays 0 or +-1.
     """
     pairs, rows = _relation_rows(trunc)
     p = ring.p if isinstance(ring, PrimeField) else None
     n = len(pairs)
-    return n - linalg.field_rank([{n - 1 - c: v for c, v in row.items()} for row in reversed(rows)], p)
+    # the position of x^i ^ x^j in the reversed colex order
+    pos = [n - 1 - j * (j - 1) // 2 - i for i, j in pairs]
+    order = sorted(range(n), key=pos.__getitem__)
+    return n - linalg.field_rank([{pos[c]: v for c, v in rows[r].items()} for r in order], p)
 
 
 # --- a quadratic field with conjugation, in rational coordinates

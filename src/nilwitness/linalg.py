@@ -84,6 +84,8 @@ def coerce_entry(v, p: int | None):
     times the inverse of its denominator; series.PrimeField.coerce is this."""
     if p is None:
         return Fraction(v)
+    if type(v) is int:
+        return v % p
     if isinstance(v, Fraction):
         den = v.denominator % p
         if den == 0:
@@ -124,7 +126,8 @@ def _subtract(row: dict, k: int, src: dict, p: int | None) -> None:
 def _held(row, p: int | None) -> dict:
     """A dense row, or a dict {column: nonzero entry}, as a new dict of its
     nonzeros: residues over Z/p; over Q integers, scaled by the lcm of the
-    denominators."""
+    denominators.  It is new because the echelon writes it in place, and
+    may keep it as a pivot row that `_subtract` and `rref` write in turn."""
     if type(row) is not dict:
         row = {c: row[c] for c in compress(range(len(row)), row)}
     if p is not None:
@@ -139,8 +142,10 @@ def _echelon(rows: list[list] | list[dict], p: int | None) -> dict[int, dict]:
     Each row is taken in turn and held by its nonzeros (`_held`).  While it
     leads with a column that has a pivot, that pivot row clears its lead; a
     row that vanishes adds nothing, and any other row becomes the pivot of
-    the column it leads with, scaled to 1 over Z/p and primitive over Q.
-    Returns the pivot rows by pivot column, none cleared above its pivot.
+    the column it leads with, scaled to 1 over Z/p and primitive over Q.  A
+    row that is already so, such as a row of ones, is kept as it is, with
+    no copy.  Returns the pivot rows by pivot column, none cleared above its
+    pivot.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
@@ -150,11 +155,12 @@ def _echelon(rows: list[list] | list[dict], p: int | None) -> dict[int, dict]:
             src = pivots.get(lead)
             if src is None:
                 if p is None:
-                    g = math.gcd(*held.values())
-                    pivots[lead] = {k: v // g for k, v in held.items()}
-                else:
+                    if (g := math.gcd(*held.values())) != 1:
+                        held = {k: v // g for k, v in held.items()}
+                elif held[lead] != 1:
                     inv = pow(held[lead], p - 2, p)
-                    pivots[lead] = {k: v * inv % p for k, v in held.items()}
+                    held = {k: v * inv % p for k, v in held.items()}
+                pivots[lead] = held
                 break
             _subtract(held, lead, src, p)
     return pivots

@@ -436,7 +436,7 @@ def test_coinv_weight_bounded_before_reading_the_file(monkeypatch):
 
 def test_coinv_weight_has_its_own_bound(monkeypatch):
     # coinv shares phi's series bound: at K = 64 its two eliminations take
-    # about 0.16 s over Q, the slowest ring
+    # about 0.02 s over Q, the slowest ring
     code, out = run_cli(["coinv", "--ring", "Q", "--weight", "64"])
     report = json.loads(out)
     assert code == cli.EXIT_OK and report["rank"] == report["oracle_rank"] == 32

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilwitness import cli
 from nilwitness import coinv as cv
 from nilwitness import linalg
 from nilwitness import series as sr
@@ -98,10 +99,17 @@ def test_action_classes_collapse():
 
 
 def test_rank_matches_independent_oracle():
-    for ring in (sr.QQ, sr.PrimeField(3)):
-        for K in range(2, 9):
-            S = cv.build_coinvariants(ring, K)
-            assert cv.coinvariant_rank_oracle(ring, K) == S.rank
+    # every weight that coinv accepts over Z/3; over Q and Z/101 every
+    # weight up to 24 and three past it
+    weights = [*range(2, 25), 32, 48, 64]
+    for ring, Ks in (
+        (sr.PrimeField(3), range(2, cli.MAX_SERIES_WEIGHT + 1)),
+        (sr.QQ, weights),
+        (sr.PrimeField(101), weights),
+    ):
+        for K in Ks:
+            rank = cv.build_coinvariants(ring, K).rank
+            assert rank == cv.coinvariant_rank_oracle(ring, K) == K // 2, (ring, K)
 
 
 def test_oracle_builds_only_its_own_rows(monkeypatch):
@@ -116,6 +124,87 @@ def test_oracle_builds_only_its_own_rows(monkeypatch):
     monkeypatch.setattr(cv, "build_coinvariants", no_build)
     for (ring, K), rank in expected.items():
         assert cv.coinvariant_rank_oracle(ring, K) == rank
+
+
+def renumbered(K, key):
+    """The relation rows of truncation K, taken in the order of their wedge
+    pairs sorted by `key`, descending, with the columns renumbered in that
+    order; and the wedge pair of each new column."""
+    pairs, rows = cv._relation_rows(K)
+    order = sorted(range(len(pairs)), key=lambda c: key(pairs[c]), reverse=True)
+    column = {c: k for k, c in enumerate(order)}
+    return [{column[c]: v for c, v in rows[r].items()} for r in order], [pairs[c] for c in order]
+
+
+def lex_reversed(K):
+    """The order that the oracle used before the reversed colex one."""
+    return renumbered(K, lambda pair: pair)
+
+
+def colex_reversed(K):
+    """The order of `coinvariant_rank_oracle`: pairs (i, j) by (j, i),
+    descending."""
+    return renumbered(K, lambda pair: pair[::-1])
+
+
+def captured_echelon(compute, ring, K):
+    """The rows that compute(ring, K) passes to `linalg.field_rank`, and
+    the pivot columns of their echelon; their number is the rank that
+    `field_rank` returns."""
+    seen = []
+
+    def capture(rows, p=None):
+        pivots = linalg._echelon(rows, p)
+        seen.append((rows, pivots.keys()))
+        return len(pivots)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "field_rank", capture)
+        compute(ring, K)
+    [(rows, pivots)] = seen
+    return rows, pivots
+
+
+def test_oracle_pivots_on_other_columns_than_the_build():
+    # the oracle is independent of the build: from K = 4 on its echelon
+    # leads with other wedge pairs; and it picks the pivots that the
+    # lex-reversed order picks, whose fill-in grows fast past K = 24
+    Z3 = sr.PrimeField(3)
+    for ring, Ks in ((Z3, range(4, 65)), (sr.QQ, range(4, 25))):
+        p = getattr(ring, "p", None)
+        for K in Ks:
+            rows, pivots = captured_echelon(cv.coinvariant_rank_oracle, ring, K)
+            order, pairs = colex_reversed(K)
+            assert rows == order
+            chosen = {pairs[c] for c in pivots}
+            if ring is Z3:
+                lex = list(itertools.combinations(range(K), 2))
+                assert chosen != {lex[c] for c in captured_echelon(cv.build_coinvariants, Z3, K)[1]}, K
+            if K <= 24:
+                lex_rows, lex_pairs = lex_reversed(K)
+                assert chosen == {lex_pairs[c] for c in linalg._echelon(lex_rows, p)}, K
+
+
+def test_oracle_meets_no_fill_in(monkeypatch):
+    # at K = 64 over Q the oracle's echelon reads no more pivot entries than
+    # the build's, and each is 0 or +-1; the lex-reversed order read
+    # 511,965 entries of up to 184 bits
+    subtract = linalg._subtract
+    reads = []
+
+    def counted(row, k, src, p):
+        reads.append((len(src), max(abs(v).bit_length() for v in src.values())))
+        subtract(row, k, src, p)
+
+    monkeypatch.setattr(linalg, "_subtract", counted)
+    read = []
+    for compute in (cv.build_coinvariants, cv.coinvariant_rank_oracle):
+        reads.clear()
+        compute(sr.QQ, 64)
+        read.append(sum(n for n, _ in reads))
+        assert max(bits for _, bits in reads) == 1
+    built, oracle = read
+    assert oracle <= built
 
 
 @pytest.mark.parametrize("ring", [sr.QQ, sr.PrimeField(3)], ids=["Q", "Z3"])

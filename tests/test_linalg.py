@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import pytest
 
 from nilwitness import coinv, linalg, series
-from test_coinv import dense_rows
+from test_coinv import colex_reversed, dense_rows
 
 
 def _matmul(a, b):
@@ -133,6 +133,38 @@ def test_fractions_mod_p_read_as_num_times_den_inverse():
             linalg.field_rank(rows, 3)
 
 
+@pytest.mark.parametrize("p", [3, 2147483647])
+def test_mixed_entries_mod_p_read_as_their_residues(p):
+    # bools, negative ints, ints past p and Fractions in one row: each is
+    # read as its residue, an int; the last row of each matrix is the sum of
+    # two others
+    rng = random.Random(p)
+
+    def entry():
+        return rng.choice([
+            0, 0, True, False, rng.randint(-3 * p, -1), rng.randint(p, 3 * p),
+            Fraction(rng.randint(-9, 9), rng.choice([1, 2, 4, 5, 7])),
+        ])
+
+    def residue(v):
+        if isinstance(v, Fraction):
+            return v.numerator * pow(v.denominator, -1, p) % p
+        return int(v) % p
+
+    assert [type(linalg.coerce_entry(v, p)) for v in (True, -1, p, Fraction(1, 2))] == [int] * 4
+    for _ in range(40):
+        ncols = rng.randint(1, 8)
+        rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, 7))]
+        rows.append([a + b for a, b in zip(*rng.sample(rows, 2))] if len(rows) > 1 else rows[0])
+        rank = _reference_rref([[residue(v) for v in row] for row in rows], p)[0]
+        assert linalg.field_rank(_sparse(rows), p) == linalg.rref(rows, p)[0] == rank
+    for rows in ([[Fraction(1, p)]], [[True, -p, Fraction(2, 3 * p)]]):
+        with pytest.raises(ZeroDivisionError):
+            linalg.field_rank(rows, p)
+        with pytest.raises(ZeroDivisionError):
+            linalg.rref(rows, p)
+
+
 def _reference_rref(rows, p):
     """Dense per-entry Gauss-Jordan elimination, kept as the reference for
     the sparse kernel behind ``linalg.rref`` and ``linalg.field_rank``."""
@@ -201,12 +233,6 @@ def test_rref_matches_reference_and_ignores_row_order(case, rng):
     assert linalg.rref(shuffled, p) == expected
 
 
-def _oracle_order(rows, n):
-    """The dict rows of width n as `coinv.coinvariant_rank_oracle`
-    eliminates them: in reverse order, each with its coordinates reversed."""
-    return [{n - 1 - c: v for c, v in row.items()} for row in reversed(rows)]
-
-
 @pytest.mark.parametrize("tag", ["Q", "Zp:3", "Zp:101"])
 def test_relation_ranks_agree_in_both_orders(tag):
     ring = series.ring_from_tag(tag)
@@ -217,15 +243,15 @@ def test_relation_ranks_agree_in_both_orders(tag):
         expected = n - K // 2
         assert linalg.field_rank(rows, p) == expected
         assert linalg.field_rank(dense_rows(K), p) == expected
-        assert linalg.field_rank(_oracle_order(rows, n), p) == expected
+        assert linalg.field_rank(colex_reversed(K)[0], p) == expected
         assert linalg.rref(dense_rows(K), p)[0] == expected
 
 
 def test_rank_work_is_a_forward_echelon(monkeypatch):
     # row subtractions and entry updates of field_rank on the Z/3, K = 20
-    # relation rows; a Gauss-Jordan pass that clears each pivot's column
-    # above and below makes 2,004 / 4,317 in the primary order and
-    # 3,360 / 12,986 in the oracle's
+    # relation rows, in the primary order and in the oracle's; a pass that
+    # also clears each new pivot's column from the earlier pivot rows makes
+    # 1,884 / 4,077 and 2,203 / 6,109
     subtract = linalg._subtract
     work = [0, 0]
 
@@ -237,11 +263,11 @@ def test_rank_work_is_a_forward_echelon(monkeypatch):
     monkeypatch.setattr(linalg, "_subtract", counted)
     rows = coinv._relation_rows(20)[1]
     counts = []
-    for order in (rows, _oracle_order(rows, 190)):
+    for order in (rows, colex_reversed(20)[0]):
         work[:] = [0, 0]
         assert linalg.field_rank(order, 3) == 180
         counts.append(tuple(work))
-    assert counts == [(246, 366), (568, 2053)]
+    assert counts == [(246, 366), (207, 327)]
 
 
 def _sparse(rows):
