@@ -154,8 +154,8 @@ def test_mixed_entries_mod_p_read_as_their_residues(p):
     assert [type(linalg.coerce_entry(v, p)) for v in (True, -1, p, Fraction(1, 2))] == [int] * 4
     for _ in range(40):
         ncols = rng.randint(1, 8)
-        rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, 7))]
-        rows.append([a + b for a, b in zip(*rng.sample(rows, 2))] if len(rows) > 1 else rows[0])
+        rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(2, 7))]
+        rows.append([a + b for a, b in zip(*rng.sample(rows, 2))])
         rank = _reference_rref([[residue(v) for v in row] for row in rows], p)[0]
         assert linalg.field_rank(_sparse(rows), p) == linalg.rref(rows, p)[0] == rank
     for rows in ([[Fraction(1, p)]], [[True, -p, Fraction(2, 3 * p)]]):
