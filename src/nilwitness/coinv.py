@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .series import PrimeField, Ring, TruncatedSeries, sigma_tilde
+from .series import Ring, TruncatedSeries, Value, sigma_tilde
 
 
 # --- exterior-square coinvariants
@@ -119,8 +119,7 @@ def build_coinvariants(ring: Ring, trunc: int) -> CoinvariantSpace:
        coordinates on A-.
     """
     pairs, rows = _relation_rows(trunc)
-    p = ring.p if isinstance(ring, PrimeField) else None
-    rel_rank = linalg.field_rank(rows, p)
+    rel_rank = linalg.field_rank(rows, ring.p)
     return CoinvariantSpace(
         ring=ring,
         trunc=trunc,
@@ -158,12 +157,11 @@ def coinvariant_rank_oracle(ring: Ring, trunc: int) -> int:
     Q every entry stays 0 or +-1.
     """
     pairs, rows = _relation_rows(trunc)
-    p = ring.p if isinstance(ring, PrimeField) else None
     n = len(pairs)
     # the position of x^i ^ x^j in the reversed colex order
     pos = [n - 1 - j * (j - 1) // 2 - i for i, j in pairs]
     order = sorted(range(n), key=pos.__getitem__)
-    return n - linalg.field_rank([{pos[c]: v for c, v in rows[r].items()} for r in order], p)
+    return n - linalg.field_rank([{pos[c]: v for c, v in rows[r].items()} for r in order], ring.p)
 
 
 # --- a quadratic field with conjugation, in rational coordinates
@@ -181,9 +179,9 @@ def _entries(vec) -> list:
     return list(zip(vec[::2], vec[1::2]))
 
 
-class InvolutiveField:
+class InvolutiveField(Value):
     """Q(sqrt(d)) with conjugation, acting coordinatewise on V = K^dim, with
-    the fixed vector v0 = e_1.  Immutable by convention; equal by (d, dim).
+    the fixed vector v0 = e_1.  Immutable by convention.
 
     A scalar u + v sqrt(d) is the pair (u, v).  A vector is the tuple of its
     2 dim rational coordinates over e_1, sqrt(d) e_1, e_2, sqrt(d) e_2, ...,
@@ -200,17 +198,6 @@ class InvolutiveField:
             raise ValueError(f"d = {d} gives a trivial involution (not a field extension)")
         self.d = d
         self.dim = dim
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.d, self.dim) == (other.d, other.dim)
-
-    def __hash__(self):
-        return hash((self.d, self.dim))
-
-    def __repr__(self) -> str:
-        return f"InvolutiveField(d={self.d!r}, dim={self.dim!r})"
 
     def rational_basis(self) -> list[tuple]:
         """The Q-basis e_1, sqrt(d) e_1, e_2, sqrt(d) e_2, ... of V: the

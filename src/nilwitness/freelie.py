@@ -30,10 +30,10 @@ so each is complete when taken, and words [a, v] keep the one-term form
 -[v, a] that the witness words are built from.  No presentation is cached.
 
 Elements and bases are plain classes with __slots__, immutable by convention,
-and operations are pure.  A HallBasis only gains memo entries, each a
-function of its word alone, so threads may share one: two that fill the same
-entry store equal values.  Bases are equal by (max_weight, words), and
-elements by basis words and coefficients.
+and operations are pure; they take their equality, hash and repr from
+series.Value.  A HallBasis only gains memo entries, each a function of its
+word alone, so threads may share one: two that fill the same entry store
+equal values.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from typing import Iterator, Mapping
 
 from .magnus import UNIT, Entries, _convolve, bracket_rows, entry, mask_word, mul_rows, nonzero
 from .magnus import word_mask
+from .series import Value
 from .words import Comm, Gen, WordExpr
 
 GENERATORS = ("a", "b")
@@ -118,7 +119,7 @@ def bracket_string(word: str) -> str:
 # --- the basis and its elements
 
 
-class HallBasis:
+class HallBasis(Value):
     """Ordered Lyndon-word basis of the free Lie ring, graded by weight.
 
     `words` lists the basis words up to `max_weight`, ordered by (weight, lex).
@@ -130,6 +131,7 @@ class HallBasis:
     """
 
     __slots__ = ("max_weight", "words", "_masks", "_expansions", "_exprs", "_factors", "__weakref__")
+    _fields = ("max_weight", "words")
 
     def __init__(self, max_weight: int, words: tuple[str, ...], masks: tuple[dict[str, int], ...]):
         self.max_weight = max_weight
@@ -138,17 +140,6 @@ class HallBasis:
         self._expansions: dict[str, Entries] = {}
         self._exprs: dict[str, WordExpr] = {}
         self._factors: dict[str, tuple[str, str]] = {}
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.max_weight, self.words) == (other.max_weight, other.words)
-
-    def __hash__(self):
-        return hash((self.max_weight, self.words))
-
-    def __repr__(self) -> str:
-        return f"HallBasis(max_weight={self.max_weight!r}, words={self.words!r})"
 
     def words_of_weight(self, w: int) -> tuple[str, ...]:
         if w < 1:
@@ -284,12 +275,13 @@ def hall_basis(max_weight: int) -> HallBasis:
     return HallBasis(max_weight, tuple(w for table in masks for w in table), tuple(masks))
 
 
-class FreeLieElement:
+class FreeLieElement(Value):
     """Integer combination of basis brackets, keyed by Lyndon word; no zero
     coefficients stored.  Immutable by convention.  row, no part of the
     value, is its expansion if it was read off one (HallBasis.from_row)."""
 
     __slots__ = ("basis", "coeffs", "row")
+    _fields = ("basis", "coeffs")
 
     def __init__(self, basis: HallBasis, coeffs: Mapping[str, int], row: list[int] | None = None):
         for w, c in coeffs.items():
@@ -334,18 +326,8 @@ class FreeLieElement:
     def scale(self, n: int) -> "FreeLieElement":
         return self.basis.from_words({w: n * c for w, c in self.coeffs.items()})
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FreeLieElement):
-            return NotImplemented
-        return self.basis.words == other.basis.words and dict(self.coeffs) == dict(
-            other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.basis.words, tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self) -> str:
-        return f"FreeLieElement(basis={self.basis!r}, coeffs={self.coeffs!r})"
+    def _key(self) -> tuple:
+        return self.basis, tuple(sorted(self.coeffs.items()))
 
     def __str__(self) -> str:
         if not self.coeffs:

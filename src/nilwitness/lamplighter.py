@@ -36,13 +36,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .series import Ring, TruncatedSeries, binomials, one_plus_x_power, power_sum, ring_from_tag
+from .series import Ring, TruncatedSeries, Value, binomials, one_plus_x_power, power_sum
+from .series import ring_from_tag
 from .words import WordExpr, evaluate, parse_word_expr, seeded
 
 
-class LampElement:
+class LampElement(Value):
     """The pair (f, e): a series f and a shift exponent e, an int, or a
-    Fraction over Q.  Immutable by convention; equal by (f, e)."""
+    Fraction over Q.  Immutable by convention."""
 
     __slots__ = ("f", "e")
 
@@ -109,17 +110,6 @@ class LampElement:
 
     def __str__(self) -> str:
         return f"({self.f}, t^{self.e})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.f, self.e) == (other.f, other.e)
-
-    def __hash__(self):
-        return hash((self.f, self.e))
-
-    def __repr__(self) -> str:
-        return f"LampElement(f={self.f!r}, e={self.e!r})"
 
 
 def _shift(f: TruncatedSeries, e) -> TruncatedSeries:

@@ -75,7 +75,7 @@ from bisect import bisect
 from itertools import chain, compress
 from typing import Iterator, Sequence
 
-from .series import INFINITE_WEIGHT, binomials
+from .series import INFINITE_WEIGHT, Value, binomials
 from .words import A, B, Comm, WordExpr, alternating_engel_product, engel, evaluate
 from .words import parse_word_expr, seeded
 
@@ -212,7 +212,7 @@ def bracket_rows(acc: list[int], p: Entries, i: int, q: Entries, j: int, scale: 
             acc[m2 << i | m1] -= c
 
 
-class MagnusElement:
+class MagnusElement(Value):
     """Unit of the truncated series ring with constant term 1; immutable.
 
     No row is written after construction, so elements share rows freely.
@@ -239,11 +239,6 @@ class MagnusElement:
         out.trunc, out._deg, out._scale = trunc, deg, scale
         return out
 
-    def _rows(self) -> list[list[int] | None]:
-        """The rows of self - 1, scaled and dense: a dense row at scale 1 is
-        shared, any other is a copy."""
-        s = self._scale
-        return [r if type(r) is list and s == 1 else r and _dense(r, s) for r in self._deg]
 
     @staticmethod
     def one(trunc: int) -> "MagnusElement":
@@ -368,17 +363,11 @@ class MagnusElement:
         x = MagnusElement.generator("a" if abs(letter) == 1 else "b", self.trunc)
         return x if letter > 0 else x.inverse()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MagnusElement):
-            return NotImplemented
+    def _key(self) -> tuple:
         # zero rows are always stored as None and a scale is never 0, so equal
         # elements have equal dense rows once scaled
-        return self.trunc == other.trunc and self._rows() == other._rows()
-
-    def __hash__(self):
-        return hash(
-            (self.trunc, tuple(tuple(r) if r else None for r in self._rows()[1:]))
-        )
+        s = self._scale
+        return self.trunc, tuple(r and tuple(_dense(r, s)) for r in self._deg[1:])
 
     def is_one(self) -> bool:
         return all(r is None for r in self._deg[1:])

@@ -12,10 +12,9 @@ substitution identifies R[C] modulo powers of the augmentation ideal with
 truncated series.
 
 The rings and series are plain classes with __slots__, immutable by
-convention: no method writes a field after construction.  A series is equal
-to, and hashes as, another with the same ring, truncation and coefficients;
-a prime field is equal by p, and the integers and the rationals are each
-one ring however often they are built.
+convention: no method writes a field after construction.  They, and every
+other plain value class of the package but WordExpr, take their equality,
+hash and repr from Value.
 """
 
 from __future__ import annotations
@@ -32,11 +31,46 @@ INFINITE_WEIGHT = math.inf
 MAX_PRIME = 2**31 - 1
 
 
-class IntegerRing:
+class Value:
+    """The one value protocol of the package's plain classes.
+
+    A value is equal to another of the same class with the same key, and
+    hashes as its key; a value of another class is NotImplemented to ==.
+    The key is the tuple of the fields, unless a class derives its own
+    (_key).  The fields are the class's __slots__ unless it names others in
+    _fields, and the repr is Class(field=value, ...) over them.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # a series product compares two rings that are mostly one object
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class IntegerRing(Value):
     """The integers; every instance is the same ring."""
 
     __slots__ = ()
     tag = "Z"
+    # the field that ranks are taken in, as linalg reads it: None is Q
+    p = None
 
     def coerce(self, v):
         # the common case first: isinstance(v, Fraction) goes through ABCMeta
@@ -48,37 +82,20 @@ class IntegerRing:
             return int(v)
         return int(v)
 
-    def __eq__(self, other: object) -> bool:
-        return True if other.__class__ is self.__class__ else NotImplemented
 
-    def __hash__(self):
-        return hash(())
-
-    def __repr__(self) -> str:
-        return "IntegerRing()"
-
-
-class RationalRing:
+class RationalRing(Value):
     """The rationals as exact fractions; every instance is the same ring."""
 
     __slots__ = ()
     tag = "Q"
+    p = None
 
     def coerce(self, v):
         return Fraction(v)
 
-    def __eq__(self, other: object) -> bool:
-        return True if other.__class__ is self.__class__ else NotImplemented
 
-    def __hash__(self):
-        return hash(())
-
-    def __repr__(self) -> str:
-        return "RationalRing()"
-
-
-class PrimeField:
-    """The integers modulo an odd prime p; equal by p."""
+class PrimeField(Value):
+    """The integers modulo an odd prime p."""
 
     __slots__ = ("p",)
 
@@ -97,17 +114,6 @@ class PrimeField:
 
     def coerce(self, v):
         return linalg.coerce_entry(v, self.p)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self):
-        return hash((self.p,))
-
-    def __repr__(self) -> str:
-        return f"PrimeField(p={self.p!r})"
 
 
 ZZ = IntegerRing()
@@ -128,9 +134,9 @@ def ring_from_tag(tag: str) -> Ring:
     raise ValueError(f"unknown ring tag {tag!r}")
 
 
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """Element of R[x]/x^K; exactly K stored coefficients, each already in
-    the ring.  Immutable by convention; equal by (ring, trunc, coeffs)."""
+    the ring.  Immutable by convention."""
 
     __slots__ = ("ring", "trunc", "coeffs")
 
@@ -225,17 +231,6 @@ class TruncatedSeries:
     def __str__(self) -> str:
         terms = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0]
         return " + ".join(terms) if terms else "0"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ring, self.trunc, self.coeffs) == (other.ring, other.trunc, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.ring, self.trunc, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(ring={self.ring!r}, trunc={self.trunc!r}, coeffs={self.coeffs!r})"
 
 
 def binomials(r, n: int) -> list:
@@ -350,11 +345,10 @@ def augmentation_iso_report(ring: Ring, n: int) -> dict:
             surj = rank == n and all(H[i][i] == 1 for i in range(n))
             exact = linalg.hermite_rows(U[rank:]) == linalg.hermite_rows(ideal_rows)
         else:
-            p = ring.p if isinstance(ring, PrimeField) else None
-            rank = linalg.field_rank(rows, p)
+            rank = linalg.field_rank(rows, ring.p)
             surj = rank == n
             null_rank = len(rows) - rank
-            ideal_rank = linalg.field_rank(ideal_rows, p)
+            ideal_rank = linalg.field_rank(ideal_rows, ring.p)
             exact = ideal_rank == null_rank
         # containment: each ideal row weights the rows of (1 + x)^e into
         # sum c_e (1 + x)^e, which must vanish mod x^n

@@ -84,6 +84,14 @@ def test_no_module_imports_random():
     assert importers == set()
 
 
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies: numpy, for one, costs more to
+    # import than a small bench job takes
+    imported = set().union(*(imported_modules(p.read_text()) for p in PACKAGE.glob("*.py")))
+    assert "fractions" in imported
+    assert imported <= sys.stdlib_module_names, sorted(imported - sys.stdlib_module_names)
+
+
 # --- every definition has a reader --------------------------------------------
 
 # definitions that nothing in src reads, each with the reader that keeps it

@@ -60,6 +60,35 @@ def test_repr_names_the_fields():
     assert repr(sr.TruncatedSeries.one(sr.ZZ, 2)) == "TruncatedSeries(ring=IntegerRing(), trunc=2, coeffs=(1, 0))"
     assert repr(fl.hall_basis(2)) == "HallBasis(max_weight=2, words=('a', 'b', 'ab'))"
     assert repr(cv.InvolutiveField(-1, 2)) == "InvolutiveField(d=-1, dim=2)"
+    assert repr(sr.IntegerRing()) == "IntegerRing()"
+    assert repr(sr.RationalRing()) == "RationalRing()"
+    assert repr(lp.LampElement(sr.TruncatedSeries.one(sr.ZZ, 2), 1)) == (
+        "LampElement(f=TruncatedSeries(ring=IntegerRing(), trunc=2, coeffs=(1, 0)), e=1)"
+    )
+    assert repr(fl.hall_basis(2).from_words({"ab": -1})) == (
+        "FreeLieElement(basis=HallBasis(max_weight=2, words=('a', 'b', 'ab')), coeffs={'ab': -1})"
+    )
+
+
+VALUE_CLASSES = (
+    sr.IntegerRing,
+    sr.RationalRing,
+    sr.PrimeField,
+    sr.TruncatedSeries,
+    lp.LampElement,
+    cv.InvolutiveField,
+    fl.HallBasis,
+    fl.FreeLieElement,
+    mg.MagnusElement,
+)
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_value_classes_take_one_protocol(cls):
+    assert cls.__eq__ is sr.Value.__eq__
+    assert cls.__hash__ is sr.Value.__hash__
+    # a Magnus element prints its nonzero degrees, not its rows
+    assert (cls.__repr__ is sr.Value.__repr__) == (cls is not mg.MagnusElement)
 
 
 def test_validation_raises_with_its_message():
